@@ -131,6 +131,10 @@ class ExperimentConfig:
             errors.append(f"z: must be positive, got {self.z}")
         if self.K <= 0:
             errors.append(f"K: must be positive, got {self.K}")
+        if self.lam is not None and not self.lam > 0:
+            errors.append(f"lam: must be positive or null, got {self.lam}")
+        if self.restarts < 0:
+            errors.append(f"restarts: must be >= 0, got {self.restarts}")
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
         if self.kind == "lbdemo":
@@ -140,6 +144,8 @@ class ExperimentConfig:
                 errors.append(f"v: must lie in (0, 1], got {self.v}")
             if not 0 <= self.k0 < self.k:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
+            if self.cal_reps < 1:
+                errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
         if errors:
             raise ConfigError("; ".join(errors))
 

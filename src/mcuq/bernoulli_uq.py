@@ -90,7 +90,8 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
         raise DomainError(f"sigma must be non-negative, got {sigma}")
 
     mask = data.mask
-    yv = data.values[mask]
+    obs = np.flatnonzero(mask)
+    yv = data.values.take(obs)
     n = data.n
     sig_sq_hat = sigma * sigma * data.n_hat
     scale = math.sqrt(2.0 * n)
@@ -98,7 +99,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     g_floor = 64.0 * np.finfo(float).eps * float(np.sum(yv * yv) + sig_sq_hat)
 
     def g_of(A):
-        r = yv - A[mask]
+        r = yv - A.take(obs)
         return float(np.sum(r * r)) - sig_sq_hat
 
     if k0 == 0:

@@ -1,7 +1,8 @@
 """Command-line front door: run and validate experiment configs.
 
-Exit codes: 0 on success, 2 on a configuration error, 3 when at least one
-replicate raised a numerical flag.
+Exit codes: 0 on success, 2 on a configuration error (including a parameter
+that a run finds out of range, such as an entry bound too small for the
+requested separation), 3 when at least one replicate raised a numerical flag.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -89,17 +89,18 @@ def svd_deterministic(A: np.ndarray):
     """Thin SVD with a fixed sign convention.
 
     Singular values come back in non-increasing order; each left singular
-    vector is flipped so that its largest-magnitude entry is non-negative.
-    This removes the sign ambiguity and makes downstream outputs
-    reproducible across runs.
+    vector is flipped so that its largest-magnitude entry is non-negative,
+    where a tie between entries of equal magnitude goes to the first one.
+    The convention is applied to all columns in one vectorised pass.  This
+    removes the sign ambiguity and makes downstream outputs reproducible
+    across runs.
     """
     A = as_matrix(A)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    cols = np.arange(u.shape[1])
+    flip = u[np.argmax(np.abs(u), axis=0), cols] < 0
+    u[:, flip] = -u[:, flip]
+    vt[flip] = -vt[flip]
     return u, s, vt
 
 
@@ -114,7 +115,11 @@ def frobenius_sq_dist(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
-    """Best rank-``k`` approximation in Frobenius norm (top-k SVD)."""
+    """Best rank-``k`` approximation in Frobenius norm (top-k SVD).
+
+    Uses the raw LAPACK factors without :func:`svd_deterministic`'s sign
+    convention: the product below does not depend on the signs.
+    """
     A = as_matrix(A)
     m = min(A.shape)
     if not 0 <= k <= m:
@@ -123,7 +128,8 @@ def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
         return np.zeros_like(A)
     if k == m:
         return A.copy()
-    u, s, vt = svd_deterministic(A)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    # A sign flip negates both factors of each term, so the product is bit-identical.
     return (u[:, :k] * s[:k]) @ vt[:k, :]
 
 

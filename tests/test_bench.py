@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n:"):
             cfg.validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(lam=0.0), "lam: must be positive or null, got 0.0"),
+        (dict(restarts=-3), "restarts: must be >= 0, got -3"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, cal_reps=0),
+         "cal_reps: lbdemo needs >= 1, got 0"),
+    ], ids=["lam", "restarts", "cal_reps"])
+    def test_fails_closed(self, tmp_path, capsys, overrides, message):
+        cfg = coverage_config(**overrides)
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value) == message
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_lbdemo_requires_square(self):
         cfg = ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
         with pytest.raises(ConfigError, match="square"):
@@ -239,6 +255,21 @@ class TestCli:
         assert (out / "report.json").exists()
         payload = json.loads((out / "report.json").read_text())
         assert payload["n_records"] == 5
+
+    def test_run_domain_error_exits_two(self, tmp_path, capsys):
+        # validate() accepts this config, but separated_truth cannot fit the
+        # requested separation inside the entry bound a=1.
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20,
+                               n=300, k0=1, a=1.0, noise=RADEMACHER, reps=1,
+                               seed=7, separation_grid=(25.0,), cal_reps=100)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: separated truth needs entries up to")
+        assert err.count("\n") == 1
 
     def test_run_seed_and_reps_override(self, tmp_path):
         path = self.write_config(tmp_path)

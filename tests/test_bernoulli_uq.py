@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mcuq import bernoulli_uq, estimate
 from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, adaptive_ci, infimum_stat,
                                low_rank_test, u_alpha_calibrated,
                                u_alpha_theoretical)
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.synth import child_seed, make_low_rank, rng_for, sample_bernoulli
+from test_core import _svd_deterministic_loop, assert_bits_equal
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
@@ -96,6 +98,29 @@ class TestInfimumStat:
         res = infimum_stat(data, 1, 1e6, 0.5, restarts=16, seed=19, max_iter=300)
         oracle = rank_one_grid_infimum(data, 0.5)
         assert abs(res.value - oracle) <= 1e-3
+
+    @pytest.mark.parametrize("scenario", ["null", "signal"])
+    def test_matches_sign_loop_reference(self, scenario, monkeypatch):
+        # The projections skip the sign convention; the search must still
+        # land on bit-identical results.
+        def truncate_rank_loop(A, k):
+            u, s, vt = _svd_deterministic_loop(A)
+            return (u[:, :k] * s[:k]) @ vt[:k, :]
+
+        if scenario == "null":
+            M = make_low_rank(20, 20, 1, 1.0, seed=30)
+        else:
+            M = make_low_rank(20, 20, 3, 3.0, seed=31)
+        data = sample_bernoulli(M, 300, RADEMACHER, seed=32)
+        with monkeypatch.context() as mp:
+            mp.setattr(bernoulli_uq, "truncate_rank", truncate_rank_loop)
+            mp.setattr(estimate, "svd_deterministic", _svd_deterministic_loop)
+            want = infimum_stat(data, 1, 3.0, 0.5, restarts=8, seed=33)
+        got = infimum_stat(data, 1, 3.0, 0.5, restarts=8, seed=33)
+        assert got.value == want.value
+        assert got.gap_flag == want.gap_flag
+        assert got.bracketed_zero == want.bracketed_zero
+        assert_bits_equal(got.minimizer, want.minimizer)
 
     def test_invalid_k0(self):
         data = sample_bernoulli(np.zeros((4, 4)), 8, RADEMACHER, seed=20)

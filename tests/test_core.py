@@ -16,6 +16,23 @@ def random_matrix(m1, m2, seed, rank=None):
     return rng.standard_normal((m1, rank)) @ rng.standard_normal((m2, rank)).T
 
 
+def _svd_deterministic_loop(A):
+    """Reference for svd_deterministic: the per-column sign fix it vectorises."""
+    u, s, vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
+    for j in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+    return u, s, vt
+
+
+def assert_bits_equal(got, want):
+    """Equal bit patterns, so signed zeros must match too."""
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
 def singular_values_via_gram(A):
     # Independent route: eigenvalues of A^T A instead of an SVD.
     evals = np.linalg.eigvalsh(A.T @ A)
@@ -184,6 +201,57 @@ class TestSvdDeterministic:
         u2, s2, v2 = svd_deterministic(A.copy())
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(v1, v2)
+
+
+def _with_zero_column(seed):
+    A = random_matrix(6, 5, seed, rank=2)
+    A[:, 3] = 0.0
+    return A
+
+
+REFERENCE_CASES = {
+    "tall": lambda: random_matrix(9, 4, 23),
+    "wide": lambda: random_matrix(4, 9, 24),
+    "square": lambda: random_matrix(7, 7, 25),
+    "zero_column": lambda: _with_zero_column(26),
+    "signed_permutation": lambda: np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 2.0], [-3.0, 0.0, 0.0]]),
+    "identity": lambda: np.eye(5),
+    "tied_rank_one": lambda: np.outer([1.0, -1.0, 1.0, -1.0], [1.0, 2.0]),
+    "ones": lambda: np.ones((3, 3)),
+}
+
+
+class TestSvdDeterministicMatchesLoop:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bitwise_equal(self, case):
+        A = REFERENCE_CASES[case]()
+        for got, want in zip(svd_deterministic(A), _svd_deterministic_loop(A)):
+            assert_bits_equal(got, want)
+
+    def test_tie_goes_to_first_maximum(self, monkeypatch):
+        # Factors with exact ties in |u|, so the result does not depend on
+        # whether LAPACK happens to produce one.
+        u = np.array([[-0.5, 0.5, 0.0],
+                      [0.5, -0.5, -0.5],
+                      [-0.5, 0.5, 0.5],
+                      [0.5, -0.5, 0.0]])
+        s = np.array([3.0, 2.0, 1.0])
+        vt = np.arange(9.0).reshape(3, 3) - 4.0
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda A, full_matrices=True: (u.copy(), s.copy(), vt.copy()))
+        got = svd_deterministic(np.zeros((4, 3)))
+        want = _svd_deterministic_loop(np.zeros((4, 3)))
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
+        np.testing.assert_array_equal(np.sign(got[0][0]), [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(got[2][0], -vt[0])
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_truncate_rank_matches_signed_product(self, case):
+        A = REFERENCE_CASES[case]()
+        u, s, vt = _svd_deterministic_loop(A)
+        for k in sorted({1, min(A.shape) - 1} - {0}):
+            assert_bits_equal(truncate_rank(A, k), (u[:, :k] * s[:k]) @ vt[:k, :])
 
 
 class TestNumericalRank:
