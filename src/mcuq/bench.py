@@ -119,6 +119,11 @@ class ExperimentConfig:
                 errors.append("method: adaptive_ci needs model='bernoulli'")
             elif self.method in ("u_ci", "rss_ci") and self.model != "trace":
                 errors.append(f"method: {self.method} needs model='trace'")
+        if self.kind == "diameter" and not 1 <= self.k0 <= min(self.m1, self.m2):
+            errors.append(f"k0: must lie in [1, {min(self.m1, self.m2)}] "
+                          f"for a diameter run, got {self.k0}")
+        if self.kind == "test_power" and self.model != "bernoulli":
+            errors.append("model: test_power runs in the bernoulli model")
         if self.method == "adaptive_ci" or self.kind == "test_power":
             if not 0 <= self.k0 < min(self.m1, self.m2):
                 errors.append(f"k0: must lie in [0, {min(self.m1, self.m2) - 1}], got {self.k0}")
@@ -137,6 +142,9 @@ class ExperimentConfig:
             errors.append(f"restarts: must be >= 0, got {self.restarts}")
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
+        elif self.kind == "test_power" and min(self.separation_grid) < 0:
+            errors.append(f"separation_grid: must be non-negative, got "
+                          f"{list(self.separation_grid)}")
         if self.kind == "lbdemo":
             if self.m1 != self.m2:
                 errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
@@ -146,6 +154,14 @@ class ExperimentConfig:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
             if self.cal_reps < 1:
                 errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
+        if not errors and self.kind == "test_power":
+            # Dry run of the largest separation's first replicate, so an entry
+            # bound too small for the grid fails here and not after calibration.
+            s_max = max(self.separation_grid)
+            try:
+                _power_truth(self, s_max, self.separation_grid.index(s_max) * self.reps)
+            except DomainError as e:
+                errors.append(f"a: {e}")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -299,9 +315,6 @@ def run_diameter(config: ExperimentConfig, threads: int = 1) -> ExperimentReport
     median squared radii.
     """
     config.validate()
-    if not 1 <= config.k0 <= min(config.m1, config.m2):
-        raise ConfigError(f"k0: must lie in [1, {min(config.m1, config.m2)}] "
-                          f"for a diameter run, got {config.k0}")
     t0 = time.perf_counter()
     extras = _prepare_extras(config)
     jobs = [(i, k_t, r)
@@ -434,15 +447,19 @@ def separated_truth(m1: int, m2: int, k0: int, a: float, rho: float,
         f"raise the entry bound a={a}")
 
 
+def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
+    """Truth of power job ``idx``: ``s_mult`` rate units away from rank k0."""
+    k0 = max(cfg.k0, 1)
+    if s_mult == 0.0:
+        return make_low_rank(cfg.m1, cfg.m2, k0, cfg.a, child_seed(cfg.seed, 10, idx))
+    unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, k0, cfg.n))
+    return separated_truth(cfg.m1, cfg.m2, k0, cfg.a, s_mult * unit,
+                           child_seed(cfg.seed, 10, idx))
+
+
 def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     idx, s_mult, r = job
-    unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.n))
-    if s_mult == 0.0:
-        M = make_low_rank(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.a,
-                          child_seed(cfg.seed, 10, idx))
-    else:
-        M = separated_truth(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.a,
-                            s_mult * unit, child_seed(cfg.seed, 10, idx))
+    M = _power_truth(cfg, s_mult, idx)
     data = sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, idx))
     verdict = bernoulli_uq.low_rank_test(
         data, cfg.k0, cfg.a, cfg.noise.sigma, cfg.noise.U, cfg.alpha,
@@ -461,8 +478,6 @@ def run_test_power(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     point is the size of the test.
     """
     config.validate()
-    if config.model != "bernoulli":
-        raise ConfigError("model: test_power runs in the bernoulli model")
     t0 = time.perf_counter()
     extras = _prepare_extras(config)
     jobs = [(i, s, r)

@@ -1,8 +1,8 @@
 """Command-line front door: run and validate experiment configs.
 
 Exit codes: 0 on success, 2 on a configuration error (including a parameter
-that a run finds out of range, such as an entry bound too small for the
-requested separation), 3 when at least one replicate raised a numerical flag.
+that only a run finds out of range), 3 when at least one replicate raised a
+numerical flag.
 """
 
 from __future__ import annotations

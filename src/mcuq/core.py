@@ -7,6 +7,7 @@ is safe to call from concurrently running replicates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,7 +69,13 @@ class RankClassSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Bounded zero-mean noise: standard deviation ``sigma``, a.s. bound ``U``."""
+    """Bounded zero-mean noise: standard deviation ``sigma``, a.s. bound ``U``.
+
+    Construction rejects a law that cannot have both: ``uniform`` needs a
+    half-width ``sqrt(3)*sigma <= U``, and ``truncated-gaussian`` needs
+    ``sigma^2 < U^2/3``, the variance supremum of Gaussians truncated to
+    ``[-U, U]``.
+    """
 
     kind: str
     sigma: float
@@ -83,6 +90,15 @@ class NoiseSpec:
             raise DomainError(f"U must be positive, got {self.U}")
         if self.sigma > self.U:
             raise DomainError(f"sigma={self.sigma} exceeds the almost-sure bound U={self.U}")
+        if self.kind == "uniform" and math.sqrt(3.0) * self.sigma > self.U * (1 + 1e-12):
+            raise DomainError(
+                f"uniform noise with sigma={self.sigma} needs half-width "
+                f"{math.sqrt(3.0) * self.sigma:.6g} > U={self.U}")
+        if (self.kind == "truncated-gaussian" and self.sigma > 0
+                and self.sigma ** 2 >= self.U ** 2 / 3.0 * (1 - 1e-9)):
+            raise DomainError(
+                f"truncated Gaussian on [-{self.U}, {self.U}] cannot reach variance "
+                f"{self.sigma**2:.6g} (supremum {self.U**2/3.0:.6g})")
 
 
 def svd_deterministic(A: np.ndarray):

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import DimensionError, DomainError, as_matrix, svd_deterministic
 from .synth import BernoulliDataset, TraceDataset
@@ -96,6 +97,22 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
     objective sequence is non-increasing.  The iterate always satisfies the
     entry bound.  Non-convergence is reported through ``converged``; the
     best iterate is returned regardless.
+
+    The soft-threshold of ``X = A - step*grad`` at ``tau = step*lam`` never
+    forms a full SVD.  It takes the eigenpairs of the Gram matrix ``G`` of
+    ``X`` on its smaller side (``X.T @ X``, or ``X @ X.T`` when ``m1 < m2``)
+    with eigenvalue above ``tau**2`` from a subset eigensolve, and returns
+    ``((X @ V) * (1 - tau/sqrt(w))) @ V.T`` (or its transpose analogue).
+    This is a continuous spectral function of ``G`` that vanishes at
+    ``w = tau**2``, so an eigenvalue that rounding moves across the cut
+    changes the result by about nothing; the step never needs a gap in the
+    spectrum, and thresholds that sit inside a flat stretch of it are safe.
+    When the clip changes nothing, the objective's nuclear norm is
+    ``sum(sqrt(w) - tau)`` from the same spectrum; only an active clip
+    costs a singular-value pass.  Singular values come from eigenvalues of
+    ``G``, so they carry an absolute error of about ``sqrt(eps)`` times the
+    largest one: at tiny ``lam`` (say ``1e-9``) the estimate agrees with a
+    full-SVD prox only to about ``1e-8``.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -104,38 +121,48 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
     n = data.n
     if n < 1:
         raise DomainError("dataset is empty")
-    rows, cols, y = data.rows, data.cols, data.y
+    y = data.y
     m1, m2 = data.m1, data.m2
+    flat = data.rows * m2 + data.cols
+    size = m1 * m2
+    tall = m1 >= m2
 
-    counts = np.zeros((m1, m2))
-    np.add.at(counts, (rows, cols), 1.0)
-    lip = 2.0 * counts.max() / n
+    lip = 2.0 * np.bincount(flat, minlength=size).max() / n
     step0 = 1.0 / lip
 
-    def objective(A):
-        resid = y - A[rows, cols]
-        sv = np.linalg.svd(A, compute_uv=False)
-        return float(np.mean(resid * resid) + lam * np.sum(sv))
+    def objective(A, nuclear):
+        resid = y - A.take(flat)
+        return float(np.mean(resid * resid) + lam * nuclear)
 
     def prox_step(A, step):
-        grad = np.zeros((m1, m2))
-        np.add.at(grad, (rows, cols), A[rows, cols] - y)
+        # Returns the clipped prox iterate and its nuclear norm.
+        grad = np.bincount(flat, weights=A.take(flat) - y, minlength=size).reshape(m1, m2)
         grad *= 2.0 / n
-        u, s, vt = np.linalg.svd(A - step * grad, full_matrices=False)
-        s = np.maximum(s - step * lam, 0.0)
-        return np.clip((u * s) @ vt, -a, a)
+        X = A - step * grad
+        tau = step * lam
+        w, V = scipy.linalg.eigh(X.T @ X if tall else X @ X.T,
+                                 subset_by_value=(tau * tau, np.inf), driver="evr")
+        s = np.sqrt(w)
+        keep = s > tau
+        s, V = s[keep], V[:, keep]
+        shrink = 1.0 - tau / s
+        B = ((X @ V) * shrink) @ V.T if tall else V @ (shrink[:, None] * (V.T @ X))
+        if np.max(np.abs(B)) <= a:
+            return B, np.sum(s - tau)
+        B = np.clip(B, -a, a)
+        return B, np.sum(np.linalg.svd(B, compute_uv=False))
 
     A = np.zeros((m1, m2))
-    objs = [objective(A)]
+    objs = [objective(A, 0.0)]
     converged = False
     for _ in range(max_iter):
         step = step0
-        A_new = prox_step(A, step)
-        obj_new = objective(A_new)
+        A_new, nuclear = prox_step(A, step)
+        obj_new = objective(A_new, nuclear)
         while obj_new > objs[-1] and step > step0 * 2.0 ** -30:
             step /= 2.0
-            A_new = prox_step(A, step)
-            obj_new = objective(A_new)
+            A_new, nuclear = prox_step(A, step)
+            obj_new = objective(A_new, nuclear)
         if obj_new > objs[-1]:
             converged = True  # no descent direction left at the step floor
             break

@@ -159,13 +159,11 @@ def two_point_noise(mu: float) -> NoiseSpec:
 
 
 def _truncated_gaussian_scale(sigma: float, U: float) -> float:
-    """Base scale s such that N(0, s^2) conditioned on [-U, U] has variance sigma^2."""
-    # The family's variance supremum is U^2/3 (uniform limit), so demand margin.
-    if sigma ** 2 >= (U ** 2) / 3.0 * (1 - 1e-9):
-        raise DomainError(
-            f"truncated Gaussian on [-{U}, {U}] cannot reach variance {sigma**2:.6g} "
-            f"(supremum {U**2/3.0:.6g})"
-        )
+    """Base scale s such that N(0, s^2) conditioned on [-U, U] has variance sigma^2.
+
+    :class:`NoiseSpec` guarantees ``sigma^2 < U^2/3``, the family's variance
+    supremum (its uniform limit), with margin.
+    """
 
     def trunc_var(s):
         alpha = U / s
@@ -200,11 +198,7 @@ def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator,
         return noise.sigma * signs
 
     if noise.kind == "uniform":
-        half = math.sqrt(3.0) * noise.sigma
-        if half > noise.U * (1 + 1e-12):
-            raise DomainError(
-                f"uniform noise with sigma={noise.sigma} needs half-width {half:.6g} > U={noise.U}"
-            )
+        half = math.sqrt(3.0) * noise.sigma  # NoiseSpec guarantees half <= U
         return rng.uniform(-half, half, size=count)
 
     if noise.kind == "truncated-gaussian":

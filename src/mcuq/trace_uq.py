@@ -89,24 +89,28 @@ def pair_repeats(half: TraceDataset) -> PairedSet:
 
     Sample indices at each position are sorted ascending and paired
     consecutively: (a1, a2), (a3, a4), ...; a leftover odd observation is
-    left unused.
+    left unused.  Couples come grouped by position, positions in the order
+    of their first observation, and within a position in index order;
+    ``used`` lists each couple's two indices in that same order.
     """
-    by_pos: dict[tuple[int, int], list[int]] = {}
-    for t in range(half.n):
-        by_pos.setdefault((int(half.rows[t]), int(half.cols[t])), []).append(t)
-    rows, cols, z, z2, used = [], [], [], [], []
-    for (i, j), idxs in by_pos.items():
-        for s in range(0, len(idxs) - 1, 2):
-            rows.append(i)
-            cols.append(j)
-            z.append(half.y[idxs[s]])
-            z2.append(half.y[idxs[s + 1]])
-            used.extend((idxs[s], idxs[s + 1]))
-    return PairedSet(np.asarray(rows, dtype=np.int64),
-                     np.asarray(cols, dtype=np.int64),
-                     np.asarray(z, dtype=float),
-                     np.asarray(z2, dtype=float),
-                     np.asarray(used, dtype=np.int64))
+    n = half.n
+    key = half.rows.astype(np.int64) * half.m2 + half.cols
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first[group], kind="stable")
+    g = group[order]
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = g[1:] != g[:-1]
+    has_next = np.zeros(n, dtype=bool)
+    has_next[:-1] = ~run_start[1:]
+    pos = np.arange(n)
+    rank = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+    lead = np.flatnonzero((rank % 2 == 0) & has_next)
+    t1, t2 = order[lead], order[lead + 1]
+    return PairedSet(half.rows[t1].astype(np.int64),
+                     half.cols[t1].astype(np.int64),
+                     half.y[t1].astype(float),
+                     half.y[t2].astype(float),
+                     np.column_stack((t1, t2)).ravel().astype(np.int64))
 
 
 def u_statistic(pairs: PairedSet, M_hat: np.ndarray) -> float:

@@ -61,7 +61,17 @@ class TestConfig:
         (dict(restarts=-3), "restarts: must be >= 0, got -3"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, cal_reps=0),
          "cal_reps: lbdemo needs >= 1, got 0"),
-    ], ids=["lam", "restarts", "cal_reps"])
+        (dict(kind="diameter", k0=0),
+         "k0: must lie in [1, 10] for a diameter run, got 0"),
+        (dict(kind="test_power", model="trace"),
+         "model: test_power runs in the bernoulli model"),
+        (dict(kind="test_power", model="bernoulli", m1=20, m2=20, n=300, a=1.0,
+              separation_grid=(0.0, 25.0)),
+         "a: separated truth needs entries up to 21; raise the entry bound a=1.0"),
+        (dict(kind="test_power", model="bernoulli", a=30.0, separation_grid=(-5.0, 25.0)),
+         "separation_grid: must be non-negative, got [-5.0, 25.0]"),
+    ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
+            "power-grid"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         cfg = coverage_config(**overrides)
         with pytest.raises(ConfigError) as exc:
@@ -71,6 +81,16 @@ class TestConfig:
         path.write_text(json.dumps(cfg.to_dict()))
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_infeasible_noise_law(self, tmp_path, capsys):
+        cfg = coverage_config().to_dict()
+        cfg["noise"] = {"kind": "truncated-gaussian", "sigma": 0.5, "U": 0.5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: noise: truncated Gaussian on [-0.5, 0.5] cannot reach "
+            "variance 0.25 (supremum 0.0833333)\n")
 
     def test_lbdemo_requires_square(self):
         cfg = ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
@@ -256,20 +276,33 @@ class TestCli:
         payload = json.loads((out / "report.json").read_text())
         assert payload["n_records"] == 5
 
-    def test_run_domain_error_exits_two(self, tmp_path, capsys):
-        # validate() accepts this config, but separated_truth cannot fit the
-        # requested separation inside the entry bound a=1.
+    def test_run_domain_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A parameter that only the run finds out of range exits 2 with one
+        # line.  validate() catches every such config it knows of, so the
+        # run is made to raise.
+        path = self.write_config(tmp_path)
+
+        def failing_run(config, threads=1):
+            raise DomainError("separated truth needs entries up to 21")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: separated truth needs entries up to 21\n")
+
+    def test_run_rejects_small_entry_bound(self, tmp_path, capsys):
         cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20,
                                n=300, k0=1, a=1.0, noise=RADEMACHER, reps=1,
                                seed=7, separation_grid=(25.0,), cal_reps=100)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert cli.main(["validate", "--config", str(path)]) == 0
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: separated truth needs entries up to")
+        assert err.startswith("config error: a: separated truth needs entries up to")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_run_seed_and_reps_override(self, tmp_path):
         path = self.write_config(tmp_path)

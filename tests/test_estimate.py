@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mcuq.core import DomainError, NoiseSpec, clip_entries
-from mcuq.estimate import (estimator_risk, lambda_data_driven, lambda_oracle,
-                           lambda_practical_trace, matrix_lasso,
+from mcuq.estimate import (LassoFit, estimator_risk, lambda_data_driven,
+                           lambda_oracle, lambda_practical_trace, matrix_lasso,
                            soft_threshold_estimator)
 from mcuq.synth import (BernoulliDataset, child_seed, make_low_rank,
                         sample_bernoulli, sample_trace)
@@ -143,6 +143,91 @@ class TestMatrixLasso:
                 risks.append(estimator_risk(fit.estimate, M))
             guard = 0.25 * k * 2 * m * math.log(2 * m) / n
             assert np.median(risks) <= guard
+
+
+def _matrix_lasso_svd_reference(data, lam, a, max_iter=300, tol=1e-6):
+    # The full-SVD proximal gradient solver matrix_lasso replaced: one SVD
+    # per prox step and one more per objective.
+    n = data.n
+    rows, cols, y = data.rows, data.cols, data.y
+    m1, m2 = data.m1, data.m2
+
+    counts = np.zeros((m1, m2))
+    np.add.at(counts, (rows, cols), 1.0)
+    lip = 2.0 * counts.max() / n
+    step0 = 1.0 / lip
+
+    def objective(A):
+        resid = y - A[rows, cols]
+        sv = np.linalg.svd(A, compute_uv=False)
+        return float(np.mean(resid * resid) + lam * np.sum(sv))
+
+    def prox_step(A, step):
+        grad = np.zeros((m1, m2))
+        np.add.at(grad, (rows, cols), A[rows, cols] - y)
+        grad *= 2.0 / n
+        u, s, vt = np.linalg.svd(A - step * grad, full_matrices=False)
+        s = np.maximum(s - step * lam, 0.0)
+        return np.clip((u * s) @ vt, -a, a)
+
+    A = np.zeros((m1, m2))
+    objs = [objective(A)]
+    converged = False
+    for _ in range(max_iter):
+        step = step0
+        A_new = prox_step(A, step)
+        obj_new = objective(A_new)
+        while obj_new > objs[-1] and step > step0 * 2.0 ** -30:
+            step /= 2.0
+            A_new = prox_step(A, step)
+            obj_new = objective(A_new)
+        if obj_new > objs[-1]:
+            converged = True
+            break
+        A = A_new
+        objs.append(obj_new)
+        if objs[-2] - objs[-1] < tol * max(1.0, abs(objs[-2])):
+            converged = True
+            break
+    return LassoFit(A, np.asarray(objs), converged)
+
+
+class TestMatrixLassoAgainstSvdReference:
+    @pytest.mark.parametrize("m1, m2", [(30, 20), (20, 30), (25, 25)],
+                             ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("a, clip_active", [(1.0, False), (0.05, True)],
+                             ids=["clip-inactive", "clip-active"])
+    def test_practical_tuning(self, m1, m2, a, clip_active):
+        n = m1 * m2
+        for r in range(3):
+            M = make_low_rank(m1, m2, 2, 1.0, child_seed(70, m1, m2, r))
+            data = sample_trace(M, n, RADEMACHER, child_seed(71, m1, m2, r))
+            lam = lambda_practical_trace(0.5, m1, m2, n)
+            fit = matrix_lasso(data, lam, a)
+            ref = _matrix_lasso_svd_reference(data, lam, a)
+            assert fit.n_iter == ref.n_iter
+            assert fit.converged == ref.converged
+            assert (np.max(np.abs(ref.estimate)) >= a) == clip_active
+            err = np.linalg.norm(fit.estimate - ref.estimate)
+            assert err <= 1e-12 * np.linalg.norm(ref.estimate)
+
+    def test_tiny_lambda(self):
+        M = make_low_rank(5, 5, 1, 1.0, seed=30)
+        data = sample_trace(M, 600, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=31)
+        fit = matrix_lasso(data, lam=1e-9, a=1.0, max_iter=3000, tol=1e-16)
+        ref = _matrix_lasso_svd_reference(data, lam=1e-9, a=1.0, max_iter=3000, tol=1e-16)
+        assert fit.n_iter == ref.n_iter
+        assert fit.converged == ref.converged
+        np.testing.assert_allclose(fit.estimate, ref.estimate, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("m1, m2", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    def test_nothing_above_threshold_gives_zero(self, m1, m2):
+        M = make_low_rank(m1, m2, 1, 1.0, seed=72)
+        data = sample_trace(M, 200, RADEMACHER, seed=73)
+        fit = matrix_lasso(data, lam=1e6, a=1.0)
+        assert np.all(fit.estimate == 0.0)
+        assert fit.estimate.shape == (m1, m2)
+        assert fit.n_iter == _matrix_lasso_svd_reference(data, lam=1e6, a=1.0).n_iter
 
 
 class TestDataDrivenLambda:

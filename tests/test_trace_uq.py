@@ -6,7 +6,7 @@ import pytest
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.estimate import estimator_risk
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, rng_for, sample_trace
-from mcuq.trace_uq import (FrobeniusBall, n_pairs_bound, pair_repeats, rss_ci,
+from mcuq.trace_uq import (FrobeniusBall, PairedSet, n_pairs_bound, pair_repeats, rss_ci,
                            rss_radius_sq, rss_statistic, split_sample, u_ci,
                            u_quantile, u_statistic)
 
@@ -64,6 +64,47 @@ class TestPairRepeats:
         data = sample_trace(np.zeros((3, 3)), 40, RADEMACHER, seed=4)
         pairs = pair_repeats(data)
         assert len(set(pairs.used.tolist())) == len(pairs.used)
+
+
+def _pair_repeats_loop(half):
+    # The dict loop pair_repeats replaced; its couple order is the dict's
+    # insertion order, i.e. positions by first observation.
+    by_pos = {}
+    for t in range(half.n):
+        by_pos.setdefault((int(half.rows[t]), int(half.cols[t])), []).append(t)
+    rows, cols, z, z2, used = [], [], [], [], []
+    for (i, j), idxs in by_pos.items():
+        for s in range(0, len(idxs) - 1, 2):
+            rows.append(i)
+            cols.append(j)
+            z.append(half.y[idxs[s]])
+            z2.append(half.y[idxs[s + 1]])
+            used.extend((idxs[s], idxs[s + 1]))
+    return PairedSet(np.asarray(rows, dtype=np.int64),
+                     np.asarray(cols, dtype=np.int64),
+                     np.asarray(z, dtype=float),
+                     np.asarray(z2, dtype=float),
+                     np.asarray(used, dtype=np.int64))
+
+
+class TestPairRepeatsAgainstLoop:
+    @pytest.mark.parametrize("half", [
+        dataset_from_positions(3, 3, [], []),
+        dataset_from_positions(2, 3, [(1, 2)] * 7, np.arange(7.0)),
+        dataset_from_positions(3, 3, [(2, 1), (0, 0), (2, 1), (0, 0), (2, 1),
+                                      (1, 1), (0, 0), (2, 1), (2, 1)],
+                               np.arange(9.0) * 1.5),
+        dataset_from_positions(3, 4, [(2, 3), (0, 1), (2, 3), (1, 0), (0, 1),
+                                      (1, 0), (0, 0), (0, 0)],
+                               np.arange(8.0) - 3.0),
+        sample_trace(np.zeros((200, 200)), 20000, RADEMACHER, seed=64).subset(0, 10000),
+    ], ids=["empty", "one-position", "odd-counts", "unsorted-first-seen", "200x200"])
+    def test_bitwise_equal(self, half):
+        got, want = pair_repeats(half), _pair_repeats_loop(half)
+        for name in ("rows", "cols", "z", "z2", "used"):
+            g, w = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype and g.shape == w.shape
 
 
 class TestUStatistic:
