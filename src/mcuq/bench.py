@@ -154,12 +154,15 @@ class ExperimentConfig:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
             if self.cal_reps < 1:
                 errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
+        if _needs_test(self) and self.threshold_mode == "calibrated" and self.cal_reps < 100:
+            errors.append(f"cal_reps: a calibrated threshold needs >= 100, got {self.cal_reps}")
         if not errors and self.kind == "test_power":
-            # Dry run of the largest separation's first replicate, so an entry
-            # bound too small for the grid fails here and not after calibration.
-            s_max = max(self.separation_grid)
+            # Dry run of every separated replicate's truth, so an entry bound
+            # too small for any of them fails here and not after calibration.
             try:
-                _power_truth(self, s_max, self.separation_grid.index(s_max) * self.reps)
+                for j, s_mult in enumerate(self.separation_grid):
+                    for r in range(self.reps if s_mult != 0.0 else 0):
+                        _power_truth(self, s_mult, j * self.reps + r)
             except DomainError as e:
                 errors.append(f"a: {e}")
         if errors:
@@ -352,11 +355,11 @@ def _risk_replicate(cfg: ExperimentConfig, job: tuple) -> dict:
     M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, idx))
     data = _sample(sub, M, idx)
     if cfg.model == "bernoulli":
-        lam = cfg.lam or estimate.lambda_data_driven(data)
+        lam = cfg.lam if cfg.lam is not None else estimate.lambda_data_driven(data)
         M_hat = clip_entries(estimate.soft_threshold_estimator(data, lam), cfg.a)
         flag = 0
     else:
-        lam = cfg.lam or estimate.lambda_practical_trace(
+        lam = cfg.lam if cfg.lam is not None else estimate.lambda_practical_trace(
             cfg.noise.sigma, cfg.m1, cfg.m2, data.n)
         fit = estimate.matrix_lasso(data, lam, cfg.a)
         M_hat, flag = fit.estimate, int(not fit.converged)
@@ -538,21 +541,23 @@ def run_lbdemo(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
                             time.perf_counter() - t0)
 
 
+def _needs_test(config: ExperimentConfig) -> bool:
+    """Whether replicates of ``config`` run the low-rank test."""
+    return (config.kind == "test_power"
+            or (config.kind in ("coverage", "diameter") and config.method == "adaptive_ci"))
+
+
 def _prepare_extras(config: ExperimentConfig) -> dict:
     """Work shared across replicates, done once up front (e.g. calibration)."""
-    extras = {}
-    needs_test = (config.kind == "test_power"
-                  or (config.kind in ("coverage", "diameter")
-                      and config.method == "adaptive_ci"))
-    if needs_test and config.threshold_mode == "calibrated":
-        extras["threshold"] = bernoulli_uq.u_alpha_calibrated(
+    if not _needs_test(config):
+        return {}
+    if config.threshold_mode == "calibrated":
+        return {"threshold": bernoulli_uq.u_alpha_calibrated(
             config.alpha, config.noise.sigma, config.noise,
-            (config.m1, config.m2), config.n, reps=max(100, config.cal_reps),
-            seed=child_seed(config.seed, 999))
-    elif needs_test:
-        extras["threshold"] = bernoulli_uq.u_alpha_theoretical(
-            config.alpha, config.noise.sigma, config.noise.U)
-    return extras
+            (config.m1, config.m2), config.n, reps=config.cal_reps,
+            seed=child_seed(config.seed, 999))}
+    return {"threshold": bernoulli_uq.u_alpha_theoretical(
+        config.alpha, config.noise.sigma, config.noise.U)}
 
 
 RUNNERS = {

@@ -7,11 +7,13 @@ is safe to call from concurrently running replicates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 
 class DimensionError(ValueError):
@@ -109,7 +111,9 @@ def svd_deterministic(A: np.ndarray):
     where a tie between entries of equal magnitude goes to the first one.
     The convention is applied to all columns in one vectorised pass.  This
     removes the sign ambiguity and makes downstream outputs reproducible
-    across runs.
+    across runs.  Nothing in the package calls it: rank truncation and
+    soft-thresholding go through :func:`gram_eigh`, whose products do not
+    depend on signs.
     """
     A = as_matrix(A)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
@@ -130,11 +134,74 @@ def frobenius_sq_dist(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.sum(d * d))
 
 
-def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
-    """Best rank-``k`` approximation in Frobenius norm (top-k SVD).
+@functools.lru_cache(maxsize=64)
+def _syevr_work(n: int) -> tuple[int, int]:
+    """LAPACK's optimal ``(lwork, liwork)`` for ``dsyevr`` at order ``n``."""
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed (info={info})")
+    return int(work), int(iwork)
 
-    Uses the raw LAPACK factors without :func:`svd_deterministic`'s sign
-    convention: the product below does not depend on the signs.
+
+def gram_eigh(A: np.ndarray, k: int | None = None,
+              above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Gram matrix of ``A`` on its smaller side.
+
+    The Gram matrix is ``A.T @ A`` when ``A`` has at least as many rows as
+    columns and ``A @ A.T`` otherwise, so its eigenvalues are the squared
+    singular values of ``A`` and its eigenvectors are the right (left)
+    singular vectors.  Pass exactly one of ``k``, for the top ``k`` pairs,
+    or ``above``, for the pairs with eigenvalue in ``(above, inf]``.
+    Eigenvalues come back in ascending order, eigenvectors as the columns of
+    ``V``.  ``A`` must be finite (see :func:`as_matrix`).
+
+    One subset eigensolve (LAPACK ``dsyevr`` with its queried workspace,
+    the same call as ``scipy.linalg.eigh(..., driver="evr")``) replaces a
+    full SVD, and fails closed: a nonzero LAPACK ``info`` raises
+    ``LinAlgError``.  Forming the Gram matrix squares the conditioning:
+    eigenvalues carry an absolute error of about ``eps`` times the largest
+    one, so a singular value ``s`` is accurate to about
+    ``eps * s_1**2 / s``, and the top-``k`` vectors span the right subspace
+    only to within about ``eps * s_1**2 / (s_k**2 - s_{k+1}**2)``.
+    """
+    n = min(A.shape)
+    if (k is None) == (above is None):
+        raise DomainError("pass exactly one of k and above")
+    if k is not None and not 1 <= k <= n:
+        raise DomainError(f"k must lie in [1, {n}], got {k}")
+    G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    lwork, liwork = _syevr_work(n)
+    if k is not None:
+        w, V, found, _, info = dsyevr(G, compute_v=1, range="I", lower=1,
+                                      il=n - k + 1, iu=n, lwork=lwork, liwork=liwork)
+    else:
+        w, V, found, _, info = dsyevr(G, compute_v=1, range="V", lower=1,
+                                      vl=above, vu=np.inf, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed on a {n}x{n} Gram matrix (info={info})")
+    return w[:found], V[:, :found]
+
+
+def _project_onto(A: np.ndarray, V: np.ndarray, scale=None) -> np.ndarray:
+    """``A`` projected onto the span of the Gram eigenvectors ``V`` of
+    :func:`gram_eigh`, with direction ``j`` scaled by ``scale[j]`` if given."""
+    if A.shape[0] >= A.shape[1]:
+        AV = A @ V
+        return (AV if scale is None else AV * scale) @ V.T
+    VA = V.T @ A
+    return V @ (VA if scale is None else scale[:, None] * VA)
+
+
+def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
+    """Best rank-``k`` approximation in Frobenius norm.
+
+    Projects ``A`` onto its top-``k`` right singular vectors, ``(A V) V.T``
+    (or onto its left ones, ``V (V.T A)``, when ``A`` is wide), with ``V``
+    from :func:`gram_eigh` instead of a full SVD.  The result has rank at
+    most ``k`` whatever the spectrum; it matches the top-``k`` SVD product
+    to within the Gram route's accuracy, which needs a gap between the
+    ``k``-th and ``k+1``-th singular values (on a tie the top-``k``
+    subspace is not unique, and either choice is a best approximation).
     """
     A = as_matrix(A)
     m = min(A.shape)
@@ -144,9 +211,26 @@ def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
         return np.zeros_like(A)
     if k == m:
         return A.copy()
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    # A sign flip negates both factors of each term, so the product is bit-identical.
-    return (u[:, :k] * s[:k]) @ vt[:k, :]
+    return _project_onto(A, gram_eigh(A, k=k)[1])
+
+
+def singular_value_threshold(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-threshold the singular values of ``A`` at ``tau``.
+
+    Returns ``B``, which keeps the singular vectors of ``A`` and maps each
+    singular value ``s`` to ``max(s - tau, 0)``, and the singular values of
+    ``A`` above ``tau``.  ``B`` is ``((A V) * (1 - tau/s)) V.T`` (or its
+    wide analogue) over the Gram eigenpairs with eigenvalue above
+    ``tau**2``.  It is a continuous spectral function of the Gram matrix
+    that vanishes at ``s = tau``, so an eigenvalue that rounding moves
+    across the cut changes ``B`` by about nothing, and the step needs no
+    gap in the spectrum.  ``A`` must be finite.
+    """
+    w, V = gram_eigh(A, above=tau * tau)
+    s = np.sqrt(w)
+    keep = s > tau
+    s = s[keep]
+    return _project_onto(A, V[:, keep], 1.0 - tau / s), s
 
 
 def clip_entries(A: np.ndarray, a: float) -> np.ndarray:

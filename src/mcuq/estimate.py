@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import DimensionError, DomainError, as_matrix, svd_deterministic
+from .core import (DimensionError, DomainError, as_matrix,
+                   singular_value_threshold)
+# Not called here: perfbench/tracer.py wraps this module attribute by name.
+from .core import svd_deterministic  # noqa: F401
 from .synth import BernoulliDataset, TraceDataset
 
 #: Desk-scale multipliers for the practical tuning helpers below, fitted once
@@ -24,16 +26,16 @@ def soft_threshold_estimator(data: BernoulliDataset, lam: float) -> np.ndarray:
     Minimizes ``|A|_F^2/(m1*m2) - (2/n)<Y, A> + lam*|A|_*``, which is
     singular-value soft-thresholding of ``W = (m1*m2/n) * Y`` at the level
     ``t = lam*m1*m2/2``: every singular value maps to ``max(s - t, 0)`` and
-    the singular vectors are kept.
+    the singular vectors are kept.  The shrink goes through the Gram
+    eigenpairs of ``W`` (:func:`mcuq.core.singular_value_threshold`), not a
+    full SVD.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
     m1, m2 = data.m1, data.m2
     W = (m1 * m2 / data.n) * data.values
     t = lam * m1 * m2 / 2.0
-    u, s, vt = svd_deterministic(W)
-    s_shrunk = np.maximum(s - t, 0.0)
-    return (u * s_shrunk) @ vt
+    return singular_value_threshold(W, t)[0]
 
 
 def lambda_oracle(sigma: float, U: float, m: int, n: int, C_op: float = 1.0) -> float:
@@ -99,20 +101,16 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
     best iterate is returned regardless.
 
     The soft-threshold of ``X = A - step*grad`` at ``tau = step*lam`` never
-    forms a full SVD.  It takes the eigenpairs of the Gram matrix ``G`` of
-    ``X`` on its smaller side (``X.T @ X``, or ``X @ X.T`` when ``m1 < m2``)
-    with eigenvalue above ``tau**2`` from a subset eigensolve, and returns
-    ``((X @ V) * (1 - tau/sqrt(w))) @ V.T`` (or its transpose analogue).
-    This is a continuous spectral function of ``G`` that vanishes at
-    ``w = tau**2``, so an eigenvalue that rounding moves across the cut
-    changes the result by about nothing; the step never needs a gap in the
-    spectrum, and thresholds that sit inside a flat stretch of it are safe.
+    forms a full SVD: it is :func:`mcuq.core.singular_value_threshold`, one
+    subset eigensolve of the Gram matrix of ``X`` on its smaller side, which
+    needs no gap in the spectrum at ``tau``.
     When the clip changes nothing, the objective's nuclear norm is
-    ``sum(sqrt(w) - tau)`` from the same spectrum; only an active clip
-    costs a singular-value pass.  Singular values come from eigenvalues of
-    ``G``, so they carry an absolute error of about ``sqrt(eps)`` times the
-    largest one: at tiny ``lam`` (say ``1e-9``) the estimate agrees with a
-    full-SVD prox only to about ``1e-8``.
+    ``sum(s - tau)`` over the singular values that solve returns; only an
+    active clip costs a singular-value pass.  Singular values come from
+    eigenvalues of the Gram matrix, so they carry an absolute error of
+    about ``sqrt(eps)`` times the largest one: at tiny ``lam`` (say
+    ``1e-9``) the estimate agrees with a full-SVD prox only to about
+    ``1e-8``.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -125,7 +123,6 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
     m1, m2 = data.m1, data.m2
     flat = data.rows * m2 + data.cols
     size = m1 * m2
-    tall = m1 >= m2
 
     lip = 2.0 * np.bincount(flat, minlength=size).max() / n
     step0 = 1.0 / lip
@@ -138,15 +135,8 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
         # Returns the clipped prox iterate and its nuclear norm.
         grad = np.bincount(flat, weights=A.take(flat) - y, minlength=size).reshape(m1, m2)
         grad *= 2.0 / n
-        X = A - step * grad
         tau = step * lam
-        w, V = scipy.linalg.eigh(X.T @ X if tall else X @ X.T,
-                                 subset_by_value=(tau * tau, np.inf), driver="evr")
-        s = np.sqrt(w)
-        keep = s > tau
-        s, V = s[keep], V[:, keep]
-        shrink = 1.0 - tau / s
-        B = ((X @ V) * shrink) @ V.T if tall else V @ (shrink[:, None] * (V.T @ X))
+        B, s = singular_value_threshold(A - step * grad, tau)
         if np.max(np.abs(B)) <= a:
             return B, np.sum(s - tau)
         B = np.clip(B, -a, a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NoiseSpec
+from .core import DomainError, NoiseSpec, gram_eigh
 from .bernoulli_uq import infimum_stat
 from .synth import BernoulliDataset, child_seed, rng_for, sample_bernoulli
 
@@ -145,9 +145,9 @@ def _stat_infimum(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
 
 
 def _stat_rank_energy(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
+    # Energy of the top k singular values: the top k Gram eigenvalues.
     W = (ds.m1 * ds.m2 / ds.n) * ds.values
-    s = np.linalg.svd(W, compute_uv=False)
-    return float(np.sum(s[:ctx["k"]] ** 2))
+    return float(np.sum(gram_eigh(W, k=min(ctx["k"], min(W.shape)))[0]))
 
 
 BUILTIN_TESTS = {

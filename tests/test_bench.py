@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +72,16 @@ class TestConfig:
          "a: separated truth needs entries up to 21; raise the entry bound a=1.0"),
         (dict(kind="test_power", model="bernoulli", a=30.0, separation_grid=(-5.0, 25.0)),
          "separation_grid: must be non-negative, got [-5.0, 25.0]"),
+        # The first separated replicate (30) fits inside a=21.2; replicate 58 does not.
+        (dict(kind="test_power", model="bernoulli", m1=20, m2=20, n=300, a=21.2,
+              separation_grid=(0.0, 25.0), reps=30, seed=7),
+         "a: separated truth needs entries up to 26.2; raise the entry bound a=21.2"),
+        (dict(kind="test_power", model="bernoulli", a=30.0, cal_reps=99),
+         "cal_reps: a calibrated threshold needs >= 100, got 99"),
+        (dict(model="bernoulli", method="adaptive_ci", n=100, k0=1, k=3, cal_reps=50),
+         "cal_reps: a calibrated threshold needs >= 100, got 50"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
-            "power-grid"])
+            "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         cfg = coverage_config(**overrides)
         with pytest.raises(ConfigError) as exc:
@@ -364,3 +374,17 @@ class TestMethodModelPairing:
         write_records_csv(run(cfg, threads=1), p1)
         write_records_csv(run(cfg, threads=2), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestTracerWraps:
+    def test_every_wrapped_attribute_resolves(self):
+        # perfbench/tracer.py wraps package functions by (module, attribute);
+        # a name the package drops makes a traced benchmark run die.  The
+        # module is loaded from its file and only read.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.WRAPS
+        for modname, attr, _layer, _note in tracer.WRAPS:
+            assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcuq import core
+from mcuq.bernoulli_uq import _project
 from mcuq.core import (DimensionError, DomainError, NoiseSpec, RankClassSpec,
                        clip_entries, dist_to_rank_class, frobenius_sq_dist,
-                       in_rank_class, minimax_rate_sq, numerical_rank,
+                       gram_eigh, in_rank_class, minimax_rate_sq,
+                       numerical_rank, singular_value_threshold,
                        svd_deterministic, truncate_rank)
+
+EPS = np.finfo(float).eps
 
 
 def random_matrix(m1, m2, seed, rank=None):
@@ -248,10 +254,102 @@ class TestSvdDeterministicMatchesLoop:
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_truncate_rank_matches_signed_product(self, case):
+        # truncate_rank goes through the Gram eigenpairs, so it matches the
+        # full-SVD product only as far as the spectral gap s_k^2 - s_{k+1}^2
+        # pins the top-k subspace.  On a tie (identity, the zero singular
+        # values of zero_column and ones) any top-k subspace is a best
+        # approximation, so only the properties every choice shares are
+        # checked there.
         A = REFERENCE_CASES[case]()
         u, s, vt = _svd_deterministic_loop(A)
+        scale = s[0] ** 2
         for k in sorted({1, min(A.shape) - 1} - {0}):
-            assert_bits_equal(truncate_rank(A, k), (u[:, :k] * s[:k]) @ vt[:k, :])
+            got = truncate_rank(A, k)
+            assert numerical_rank(got) <= k
+            assert frobenius_sq_dist(A, got) == pytest.approx(
+                float(np.sum(s[k:] ** 2)), abs=64 * EPS * scale)
+            a = 0.5 * np.max(np.abs(A))
+            projected = _project(A, k, a)
+            assert np.max(np.abs(projected)) <= a * (1 + 4 * EPS)  # rescaling rounds
+            assert numerical_rank(projected) <= k
+            gap = s[k - 1] ** 2 - s[k] ** 2
+            if gap > 1e-8 * scale:
+                want = (u[:, :k] * s[:k]) @ vt[:k, :]
+                tol = 64 * EPS * s[0] * (1.0 + scale / gap)
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+class TestGramEigh:
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7)], ids=["tall", "wide", "square"])
+    def test_top_k_are_top_singular_pairs(self, shape):
+        A = random_matrix(*shape, 40)
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        side = vt.T if shape[0] >= shape[1] else u
+        for k in (1, min(shape) - 1):
+            w, V = gram_eigh(A, k=k)
+            assert w.shape == (k,) and V.shape == (min(shape), k)
+            np.testing.assert_allclose(np.sqrt(w[::-1]), s[:k], rtol=1e-12)
+            # Each eigenvector is a singular vector up to sign.
+            overlap = np.abs(np.sum(V[:, ::-1] * side[:, :k], axis=0))
+            np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+
+    # At 96 and above, LAPACK's default workspace gives other bits than the
+    # queried one that scipy uses.
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (20, 20), (30, 30), (96, 96)],
+                             ids=["tall", "wide", "20", "30", "96"])
+    def test_bitwise_equal_to_scipy_evr(self, shape):
+        A = random_matrix(*shape, 41)
+        G = A.T @ A if shape[0] >= shape[1] else A @ A.T
+        n = G.shape[0]
+        above = float(np.median(np.linalg.eigvalsh(G)))
+        for got, want in zip(gram_eigh(A, above=above),
+                             scipy.linalg.eigh(G, subset_by_value=(above, np.inf),
+                                               driver="evr")):
+            assert_bits_equal(got, want)
+        for got, want in zip(gram_eigh(A, k=2),
+                             scipy.linalg.eigh(G, subset_by_index=(n - 2, n - 1),
+                                               driver="evr")):
+            assert_bits_equal(got, want)
+
+    def test_nothing_above_threshold(self):
+        w, V = gram_eigh(random_matrix(5, 3, 42), above=1e6)
+        assert w.shape == (0,) and V.shape == (3, 0)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(G, **kwargs):
+            n = G.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 0, np.zeros(2 * n, dtype=np.int32), 1
+        monkeypatch.setattr(core, "dsyevr", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            gram_eigh(random_matrix(5, 5, 43), k=1)
+        with pytest.raises(np.linalg.LinAlgError):
+            truncate_rank(random_matrix(5, 5, 43), 1)
+
+    def test_needs_exactly_one_selector(self):
+        A = random_matrix(4, 4, 44)
+        with pytest.raises(DomainError):
+            gram_eigh(A)
+        with pytest.raises(DomainError):
+            gram_eigh(A, k=1, above=0.5)
+        with pytest.raises(DomainError):
+            gram_eigh(A, k=5)
+
+
+class TestSingularValueThreshold:
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7)], ids=["tall", "wide", "square"])
+    def test_matches_full_svd_shrink(self, shape):
+        A = random_matrix(*shape, 45)
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        tau = float(s[1] + s[2]) / 2.0
+        B, kept = singular_value_threshold(A, tau)
+        np.testing.assert_allclose(kept[::-1], s[s > tau], rtol=1e-12)
+        np.testing.assert_allclose(B, (u * np.maximum(s - tau, 0.0)) @ vt, atol=1e-12)
+
+    def test_all_below_threshold_gives_zero(self):
+        A = random_matrix(4, 6, 46)
+        B, kept = singular_value_threshold(A, 1e3)
+        assert kept.size == 0
+        assert B.shape == A.shape and np.all(B == 0.0)
 
 
 class TestNumericalRank:
