@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bernoulli_uq, estimate, lbdemo, trace_uq
 from .core import DomainError, NoiseSpec, clip_entries, minimax_rate_sq
-from .synth import child_seed, make_low_rank, rng_for, sample_bernoulli, sample_trace
+from .synth import (child_seed, make_low_rank, preload_noise, rng_for, sample_bernoulli,
+                    sample_trace)
 
 
 class ConfigError(ValueError):
@@ -93,6 +94,16 @@ class ExperimentConfig:
         return cls(**d)
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` naming every field that is out of range,
+        or the first one of a wrong type."""
+        try:
+            errors = self._errors()
+        except TypeError as e:
+            raise ConfigError(str(e)) from e
+        if errors:
+            raise ConfigError("; ".join(errors))
+
+    def _errors(self) -> list[str]:
         errors = []
         if self.kind not in KINDS:
             errors.append(f"kind: must be one of {KINDS}, got {self.kind!r}")
@@ -102,7 +113,7 @@ class ExperimentConfig:
             errors.append(f"m1/m2: must be >= 1, got {self.m1}x{self.m2}")
         if self.n < 1:
             errors.append(f"n: must be >= 1, got {self.n}")
-        if self.model == "bernoulli" and self.n > self.m1 * self.m2:
+        if (self.model == "bernoulli" or self.kind == "lbdemo") and self.n > self.m1 * self.m2:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
         if not 1 <= self.k_truth <= min(self.m1, self.m2):
             errors.append(f"k_truth: must lie in [1, {min(self.m1, self.m2)}], got {self.k_truth}")
@@ -152,6 +163,12 @@ class ExperimentConfig:
                 errors.append(f"v: must lie in (0, 1], got {self.v}")
             if not 0 <= self.k0 < self.k:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
+            if self.k > self.m1:
+                errors.append(f"k: must lie in [1, {self.m1}] for lbdemo, got {self.k}")
+            if 0 < self.v <= 1 and min(self.k, self.m1, self.n) >= 1:
+                rho = lbdemo.rho_for(self.v, self.k, self.m1, self.n)
+                if rho >= 0.5:
+                    errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
             if self.cal_reps < 1:
                 errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
         if _needs_test(self) and self.threshold_mode == "calibrated" and self.cal_reps < 100:
@@ -165,8 +182,7 @@ class ExperimentConfig:
                         _power_truth(self, s_mult, j * self.reps + r)
             except DomainError as e:
                 errors.append(f"a: {e}")
-        if errors:
-            raise ConfigError("; ".join(errors))
+        return errors
 
 
 @dataclass
@@ -220,12 +236,27 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
-def _map_for(threads: int):
+def _map_for(threads: int, noise: NoiseSpec | None = None):
     if threads <= 1:
         return map, None
+    if noise is not None:
+        preload_noise(noise)  # once here, not once in every forked worker
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(threads)
     return pool.map, pool
+
+
+def _validating(runner):
+    """The public form of ``runner``: validate the config, then run it.
+
+    :func:`run` validates once itself and calls the undecorated runner,
+    ``RUNNERS[kind].__wrapped__``.
+    """
+    @functools.wraps(runner)
+    def validated(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+        config.validate()
+        return runner(config, threads)
+    return validated
 
 
 def _build_ci(cfg: ExperimentConfig, data, extras: dict):
@@ -261,12 +292,12 @@ def _coverage_replicate(cfg: ExperimentConfig, extras: dict, r: int) -> dict:
     }
 
 
+@_validating
 def run_coverage(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Empirical coverage of the configured confidence set."""
-    config.validate()
     t0 = time.perf_counter()
     extras = _prepare_extras(config)
-    map_fn, pool = _map_for(threads)
+    map_fn, pool = _map_for(threads, config.noise)
     try:
         records = list(map_fn(functools.partial(_coverage_replicate, config, extras),
                               range(config.reps)))
@@ -310,6 +341,7 @@ def _diameter_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict
     }
 
 
+@_validating
 def run_diameter(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Median squared diameter under the sub-model rank and the full rank.
 
@@ -317,13 +349,12 @@ def run_diameter(config: ExperimentConfig, threads: int = 1) -> ExperimentReport
     with truth rank ``k_truth``, and reports the adaptivity ratio of the
     median squared radii.
     """
-    config.validate()
     t0 = time.perf_counter()
     extras = _prepare_extras(config)
     jobs = [(i, k_t, r)
             for i, (k_t, r) in enumerate(
                 (k_t, r) for k_t in (config.k0, config.k_truth) for r in range(config.reps))]
-    map_fn, pool = _map_for(threads)
+    map_fn, pool = _map_for(threads, config.noise)
     try:
         records = list(map_fn(functools.partial(_diameter_replicate, config, extras), jobs))
     finally:
@@ -374,9 +405,9 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+@_validating
 def run_risk(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Median normalized estimator risk over a (k, n) grid, with log-log slopes."""
-    config.validate()
     t0 = time.perf_counter()
     k_grid = tuple(config.k_grid) or (config.k_truth,)
     n_grid = tuple(config.n_grid) or (config.n,)
@@ -384,7 +415,7 @@ def run_risk(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
             for i, (k_t, n_t, r) in enumerate(
                 (k_t, n_t, r) for k_t in k_grid for n_t in n_grid
                 for r in range(config.reps))]
-    map_fn, pool = _map_for(threads)
+    map_fn, pool = _map_for(threads, config.noise)
     try:
         records = list(map_fn(functools.partial(_risk_replicate, config), jobs))
     finally:
@@ -474,19 +505,19 @@ def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
             "flag": int(verdict.gap_flag)}
 
 
+@_validating
 def run_test_power(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Size and power of the low-rank test across a separation sweep.
 
     Separations are multiples of the rate unit sqrt(m1*m2*k0*d/n); the zero
     point is the size of the test.
     """
-    config.validate()
     t0 = time.perf_counter()
     extras = _prepare_extras(config)
     jobs = [(i, s, r)
             for i, (s, r) in enumerate(
                 (s, r) for s in config.separation_grid for r in range(config.reps))]
-    map_fn, pool = _map_for(threads)
+    map_fn, pool = _map_for(threads, config.noise)
     try:
         records = list(map_fn(functools.partial(_power_replicate, config, extras), jobs))
     finally:
@@ -514,9 +545,9 @@ def run_test_power(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
                             time.perf_counter() - t0)
 
 
+@_validating
 def run_lbdemo(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Indistinguishability demo, reported in the common harness framing."""
-    config.validate()
     t0 = time.perf_counter()
     map_fn, pool = _map_for(threads)
     try:
@@ -570,6 +601,6 @@ RUNNERS = {
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Dispatch to the runner for ``config.kind``."""
+    """Validate ``config`` once and run the experiment of its kind."""
     config.validate()
-    return RUNNERS[config.kind](config, threads=threads)
+    return RUNNERS[config.kind].__wrapped__(config, threads)

@@ -18,6 +18,7 @@ from .core import DomainError
 
 
 def _load_config(path: str) -> ExperimentConfig:
+    """Parse the config at ``path``; validation is left to the command."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -27,7 +28,6 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     try:
         cfg = ExperimentConfig.from_dict(raw)
-        cfg.validate()
     except (DomainError, TypeError) as e:
         raise ConfigError(str(e)) from e
     return cfg
@@ -41,8 +41,7 @@ def _cmd_run(args) -> int:
         cfg.reps = args.reps
     if args.out is not None:
         cfg.out = args.out
-    cfg.validate()
-    report = run(cfg, threads=args.threads)
+    report = run(cfg, threads=args.threads)  # validates the overridden config
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(report, out_dir / "records.csv")
@@ -56,6 +55,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config)
+    cfg.validate()
     print(f"config ok: kind={cfg.kind} model={cfg.model} "
           f"{cfg.m1}x{cfg.m2} n={cfg.n} reps={cfg.reps} seed={cfg.seed}")
     return 0

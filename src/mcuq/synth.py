@@ -8,13 +8,12 @@ function of its parameters and seed, and replicate streams never overlap.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .core import DomainError, NoiseSpec, RankClassSpec, as_matrix, numerical_rank
 
@@ -158,12 +157,18 @@ def two_point_noise(mu: float) -> NoiseSpec:
     return NoiseSpec("two-point-skewed", math.sqrt(1.0 - mu * mu), 2.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _truncated_gaussian_scale(sigma: float, U: float) -> float:
     """Base scale s such that N(0, s^2) conditioned on [-U, U] has variance sigma^2.
 
     :class:`NoiseSpec` guarantees ``sigma^2 < U^2/3``, the family's variance
-    supremum (its uniform limit), with margin.
+    supremum (its uniform limit), with margin.  Memoised per ``(sigma, U)``:
+    every draw of a run asks for the same scale.
     """
+    # Imported here, not at module level: they cost most of ``import mcuq``
+    # in time and memory, and only this noise law needs them.
+    from scipy.optimize import brentq
+    from scipy.stats import norm
 
     def trunc_var(s):
         alpha = U / s
@@ -179,6 +184,17 @@ def _truncated_gaussian_scale(sigma: float, U: float) -> float:
     if trunc_var(lo) >= sigma ** 2:
         return lo
     return brentq(lambda s: trunc_var(s) - sigma ** 2, lo, hi, xtol=1e-14, rtol=1e-14)
+
+
+def preload_noise(noise: NoiseSpec) -> None:
+    """Do the one-off work of sampling from ``noise`` now.
+
+    For truncated-Gaussian noise this loads the solver its scale needs and
+    memoises the scale, so the workers of a pool forked afterwards inherit
+    both instead of each paying for them.
+    """
+    if noise.kind == "truncated-gaussian" and noise.sigma > 0:
+        _truncated_gaussian_scale(noise.sigma, noise.U)
 
 
 def draw_noise(noise: NoiseSpec, count: int, seed: int, mu: float = 0.0) -> np.ndarray:

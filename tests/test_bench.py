@@ -11,7 +11,7 @@ from mcuq.bench import (ConfigError, ExperimentConfig, rate_se, run,
                         run_test_power, separated_truth, write_records_csv,
                         write_report_json)
 from mcuq.core import DomainError, NoiseSpec
-from mcuq import cli
+from mcuq import cli, synth
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
@@ -80,8 +80,16 @@ class TestConfig:
          "cal_reps: a calibrated threshold needs >= 100, got 99"),
         (dict(model="bernoulli", method="adaptive_ci", n=100, k0=1, k=3, cal_reps=50),
          "cal_reps: a calibrated threshold needs >= 100, got 50"),
+        # The three lbdemo configs below passed validation and failed at run time.
+        (dict(kind="lbdemo", m1=8, m2=8, n=32, k=12),
+         "k: must lie in [1, 8] for lbdemo, got 12"),
+        (dict(kind="lbdemo", m1=8, m2=8, n=10, v=1.0, k=2),
+         "v: gives rho=1.0637 >= 1/2; reduce v or raise n"),
+        (dict(kind="lbdemo", m1=8, m2=8, n=100, k=2),
+         "n: must be <= m1*m2=64 in the bernoulli model"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
-            "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps"])
+            "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
+            "lbdemo-k", "lbdemo-rho", "lbdemo-n"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         cfg = coverage_config(**overrides)
         with pytest.raises(ConfigError) as exc:
@@ -139,6 +147,16 @@ class TestCoverage:
         rep = run_coverage(coverage_config(method="rss_ci", reps=8))
         assert len(rep.records) == 8
         assert rep.aggregates["coverage"] >= 0.9
+
+    def test_truncated_gaussian_pool(self):
+        # The pool's parent solves the noise scale before forking, so the
+        # workers inherit it; the records do not depend on where it was solved.
+        cfg = coverage_config(noise=NoiseSpec("truncated-gaussian", 0.25, 0.5), reps=6)
+        synth._truncated_gaussian_scale.cache_clear()
+        rep2 = run_coverage(cfg, threads=2)
+        assert synth._truncated_gaussian_scale.cache_info().currsize == 1
+        synth._truncated_gaussian_scale.cache_clear()
+        assert run_coverage(cfg, threads=1).records == rep2.records
 
     def test_adaptive_method(self):
         cfg = coverage_config(model="bernoulli", method="adaptive_ci",
@@ -312,6 +330,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: a: separated truth needs entries up to")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_run_validates_once_after_overrides(self, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path)
+        seen = []
+        real_validate = ExperimentConfig.validate
+
+        def counting_validate(config):
+            seen.append(config.reps)
+            real_validate(config)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counting_validate)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--reps", "3"])
+        assert code == 0
+        assert seen == [3]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("reps", -1, "reps: must be >= 0, got -1"),
+        ("m1", "10", "'<' not supported between instances of 'str' and 'int'"),
+    ], ids=["range", "type"])
+    def test_run_rejects_bad_field(self, tmp_path, capsys, field, value, message):
+        cfg = coverage_config(reps=5).to_dict()
+        cfg[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_run_seed_and_reps_override(self, tmp_path):

@@ -1,8 +1,16 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.stats import norm
 
+import mcuq
+from mcuq import synth
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.synth import (BernoulliDataset, TraceDataset, child_seed,
                         draw_noise, make_low_rank, rng_for, sample_bernoulli,
@@ -86,6 +94,85 @@ class TestDrawNoise:
     def test_sigma_above_bound_rejected(self):
         with pytest.raises(DomainError):
             NoiseSpec("scaled-rademacher", 2.0, 1.0)
+
+
+def _truncated_gaussian_scale_reference(sigma, U):
+    """The scale solve as it was with module-level ``brentq``/``norm`` and no memo."""
+
+    def trunc_var(s):
+        alpha = U / s
+        z = 2 * norm.cdf(alpha) - 1
+        return s * s * (1 - 2 * alpha * norm.pdf(alpha) / z)
+
+    lo = sigma
+    hi = sigma
+    while trunc_var(hi) < sigma ** 2:
+        hi *= 2.0
+        if hi > 1e6 * U:
+            raise DomainError("failed to bracket the truncated Gaussian scale")
+    if trunc_var(lo) >= sigma ** 2:
+        return lo
+    return brentq(lambda s: trunc_var(s) - sigma ** 2, lo, hi, xtol=1e-14, rtol=1e-14)
+
+
+class TestTruncatedGaussianScale:
+    SPEC = NoiseSpec("truncated-gaussian", 0.5, 1.0)
+
+    @pytest.mark.parametrize("seed", [3, 40])
+    def test_draws_bit_identical_to_unmemoised_solve(self, monkeypatch, seed):
+        M = make_low_rank(10, 12, 2, 1.0, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_truncated_gaussian_scale",
+                      _truncated_gaussian_scale_reference)
+            ref_noise = draw_noise(self.SPEC, 5000, seed=seed)
+            ref_data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
+        np.testing.assert_array_equal(draw_noise(self.SPEC, 5000, seed=seed), ref_noise)
+        data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
+        np.testing.assert_array_equal(data.rows, ref_data.rows)
+        np.testing.assert_array_equal(data.cols, ref_data.cols)
+        np.testing.assert_array_equal(data.y, ref_data.y)
+
+    def test_scale_solved_once_per_law(self):
+        synth._truncated_gaussian_scale.cache_clear()
+        for seed in range(5):
+            draw_noise(self.SPEC, 10, seed=seed)
+        info = synth._truncated_gaussian_scale.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        assert (synth._truncated_gaussian_scale(0.5, 1.0)
+                == _truncated_gaussian_scale_reference(0.5, 1.0))
+
+
+class TestImportFootprint:
+    def test_scipy_stats_and_optimize_load_only_for_truncated_gaussian(self, tmp_path):
+        # A fresh interpreter: this one has imported scipy.stats above.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "coverage", "model": "trace", "method": "u_ci", "m1": 10,
+            "m2": 10, "n": 100, "reps": 2, "seed": 1,
+            "noise": {"kind": "scaled-rademacher", "sigma": 0.5, "U": 0.5}}))
+        src = str(Path(mcuq.__file__).resolve().parents[1])
+        script = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import mcuq
+from mcuq import cli
+from mcuq.core import NoiseSpec
+from mcuq.synth import draw_noise
+lazy = ("scipy.stats", "scipy.optimize")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["validate", "--config", {str(config)!r}]),
+             cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
+before = [name for name in lazy if name in sys.modules]
+draw_noise(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, seed=0)
+after = [name for name in lazy if name in sys.modules]
+print(json.dumps([codes, before, after]))
+"""
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300, check=True)
+        codes, before, after = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert before == []
+        assert after == ["scipy.stats", "scipy.optimize"]
 
 
 class TestSampleTrace:
