@@ -77,15 +77,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "noise" in d and isinstance(d["noise"], dict):
+        if isinstance(d.get("noise"), dict):
             try:
                 d["noise"] = NoiseSpec(**d["noise"])
             except (TypeError, DomainError) as e:
                 raise ConfigError(f"noise: {e}") from e
+        elif "noise" in d and not isinstance(d["noise"], NoiseSpec):
+            raise ConfigError(f"noise: must be an object with kind, sigma and U, "
+                              f"got {type(d['noise']).__name__}")
         for key in ("separation_grid", "k_grid", "n_grid"):
             if key in d:
                 d[key] = tuple(d[key])
@@ -236,12 +241,22 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
+def _fork_context(threads: int):
+    """The ``fork`` start method that a pool of ``threads`` workers needs, or
+    ``ConfigError`` on a platform without it."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError as e:
+        raise ConfigError(f"--threads {threads} needs the 'fork' start method, which this "
+                          f"platform lacks ({e}); run with --threads 1") from e
+
+
 def _map_for(threads: int, noise: NoiseSpec | None = None):
     if threads <= 1:
         return map, None
+    ctx = _fork_context(threads)
     if noise is not None:
         preload_noise(noise)  # once here, not once in every forked worker
-    ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(threads)
     return pool.map, pool
 
@@ -603,4 +618,6 @@ RUNNERS = {
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Validate ``config`` once and run the experiment of its kind."""
     config.validate()
+    if threads > 1:
+        _fork_context(threads)  # fail before the calibration, not after it
     return RUNNERS[config.kind].__wrapped__(config, threads)

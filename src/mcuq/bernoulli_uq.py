@@ -62,7 +62,7 @@ class TestVerdict:
 def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
     """Feasible point of the rank/box class near X: truncate, then rescale into the box."""
     T = truncate_rank(X, k0)
-    mx = np.max(np.abs(T))
+    mx = max(T.max(), -T.min())
     if mx > a:
         T = T * (a / mx)
     return T
@@ -98,9 +98,11 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     # Sums below machine noise of the accumulation are indistinguishable from 0.
     g_floor = 64.0 * np.finfo(float).eps * float(np.sum(yv * yv) + sig_sq_hat)
 
+    add_reduce = np.add.reduce  # np.sum of a 1-d array, without the wrapper
+
     def g_of(A):
         r = yv - A.take(obs)
-        return float(np.sum(r * r)) - sig_sq_hat
+        return float(add_reduce(r * r)) - sig_sq_hat
 
     if k0 == 0:
         A0 = np.zeros((data.m1, data.m2))

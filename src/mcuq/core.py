@@ -153,7 +153,10 @@ def gram_eigh(A: np.ndarray, k: int | None = None,
     singular vectors.  Pass exactly one of ``k``, for the top ``k`` pairs,
     or ``above``, for the pairs with eigenvalue in ``(above, inf]``.
     Eigenvalues come back in ascending order, eigenvectors as the columns of
-    ``V``.  ``A`` must be finite (see :func:`as_matrix`).
+    ``V``.  ``A`` is not checked entrywise: the trace of the Gram matrix, the
+    sum of the squared entries, is NaN or inf when an entry is not finite or
+    that sum overflows, and either raises ``DomainError`` before LAPACK sees
+    the Gram matrix.
 
     One subset eigensolve (LAPACK ``dsyevr`` with its queried workspace,
     the same call as ``scipy.linalg.eigh(..., driver="evr")``) replaces a
@@ -170,6 +173,8 @@ def gram_eigh(A: np.ndarray, k: int | None = None,
     if k is not None and not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
     G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    if not math.isfinite(G.trace()):
+        raise DomainError("matrix contains non-finite entries or its Gram matrix overflows")
     lwork, liwork = _syevr_work(n)
     if k is not None:
         w, V, found, _, info = dsyevr(G, compute_v=1, range="I", lower=1,
@@ -202,15 +207,21 @@ def truncate_rank(A: np.ndarray, k: int) -> np.ndarray:
     to within the Gram route's accuracy, which needs a gap between the
     ``k``-th and ``k+1``-th singular values (on a tie the top-``k``
     subspace is not unique, and either choice is a best approximation).
+
+    This is the per-step kernel of the infimum search, so for
+    ``0 < k < min(A.shape)`` a float64 2-d array skips :func:`as_matrix`'s
+    entrywise pass and relies on :func:`gram_eigh`'s trace check: a
+    non-finite entry, or a Gram matrix that overflows, raises ``DomainError``.
     """
-    A = as_matrix(A)
+    if type(A) is not np.ndarray or A.dtype != np.float64 or A.ndim != 2 or A.size == 0:
+        A = as_matrix(A)
     m = min(A.shape)
     if not 0 <= k <= m:
         raise DomainError(f"k must lie in [0, {m}], got {k}")
     if k == 0:
-        return np.zeros_like(A)
+        return np.zeros_like(as_matrix(A))
     if k == m:
-        return A.copy()
+        return as_matrix(A).copy()
     return _project_onto(A, gram_eigh(A, k=k)[1])
 
 

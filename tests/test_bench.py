@@ -11,7 +11,7 @@ from mcuq.bench import (ConfigError, ExperimentConfig, rate_se, run,
                         run_test_power, separated_truth, write_records_csv,
                         write_report_json)
 from mcuq.core import DomainError, NoiseSpec
-from mcuq import cli, synth
+from mcuq import bench, bernoulli_uq, cli, core, synth
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
@@ -361,6 +361,56 @@ class TestCli:
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ("top-level-string", "config must be a JSON object, got str"),
+        ("noise-list", "noise: must be an object with kind, sigma and U, got list"),
+        ("noise-string", "noise: must be an object with kind, sigma and U, got str"),
+    ])
+    def test_rejects_config_of_wrong_shape(self, tmp_path, capsys, shape, message):
+        # Each of these once ended in a traceback: the string config at both
+        # commands, the two noise values only at `uq run`.
+        if shape == "top-level-string":
+            raw = "abc"
+        else:
+            raw = coverage_config(reps=5).to_dict()
+            raw["noise"] = [1, 2] if shape == "noise-list" else "x"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_without_fork_exits_two(self, tmp_path, capsys, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        calibrations = []
+
+        def calibrated(*args, **kwargs):
+            calibrations.append(args)
+            return 1.0
+
+        monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(bernoulli_uq, "u_alpha_calibrated", calibrated)
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=10, m2=10,
+                               n=60, k0=1, a=9.0, noise=RADEMACHER, alpha=0.1,
+                               reps=2, seed=6, separation_grid=(0.0,))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--threads", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --threads 2 needs the 'fork' start method")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # The run stops before its threshold calibration.
+        assert calibrations == []
+        # A serial run never asks for a pool.
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calibrations) == 1
+
     def test_run_seed_and_reps_override(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out2"
@@ -423,15 +473,48 @@ class TestMethodModelPairing:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _load_tracer():
+    # perfbench/tracer.py is loaded from its file and only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 class TestTracerWraps:
     def test_every_wrapped_attribute_resolves(self):
         # perfbench/tracer.py wraps package functions by (module, attribute);
-        # a name the package drops makes a traced benchmark run die.  The
-        # module is loaded from its file and only read.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        # a name the package drops makes a traced benchmark run die.
+        tracer = _load_tracer()
         assert tracer.WRAPS
         for modname, attr, _layer, _note in tracer.WRAPS:
             assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+    def test_sees_every_search_projection(self, monkeypatch):
+        # The benchmark counts the infimum search's projections as the spans
+        # of bernoulli_uq.truncate_rank.  A search that reached the
+        # eigensolve another way would read fewer spans than the top-k
+        # eigensolves counted here at LAPACK.
+        tracer = _load_tracer()
+        eigensolves = []
+        real_dsyevr = core.dsyevr
+
+        def counting_dsyevr(G, **kwargs):
+            if kwargs.get("range") == "I":
+                eigensolves.append(G.shape[0])
+            return real_dsyevr(G, **kwargs)
+
+        M = synth.make_low_rank(20, 20, 3, 3.0, seed=80)
+        data = synth.sample_bernoulli(M, 300, RADEMACHER, seed=81)
+        monkeypatch.setattr(core, "dsyevr", counting_dsyevr)
+        t = tracer.Tracer()
+        t.install()
+        try:
+            bernoulli_uq.infimum_stat(data, 1, 3.0, 0.5, restarts=2, seed=82)
+        finally:
+            leftover = t.restore()
+        assert leftover == []
+        metrics = tracer.layer_metrics(t.spans)
+        assert metrics["core.truncate_rank.calls"] == len(eigensolves) > 10
+        assert metrics["bernoulli_uq.infimum_stat.projections_per_call"] == len(eigensolves)

@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from mcuq import bernoulli_uq
-from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, adaptive_ci, infimum_stat,
-                               low_rank_test, u_alpha_calibrated,
+from mcuq import bernoulli_uq, core, lbdemo
+from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, InfimumResult, adaptive_ci,
+                               infimum_stat, low_rank_test, u_alpha_calibrated,
                                u_alpha_theoretical)
-from mcuq.core import DomainError, NoiseSpec
+from mcuq.core import DomainError, NoiseSpec, as_matrix, clip_entries, truncate_rank
+from mcuq.estimate import lambda_data_driven, soft_threshold_estimator
 from mcuq.synth import child_seed, make_low_rank, rng_for, sample_bernoulli
 from test_core import _svd_deterministic_loop
 
@@ -51,6 +53,136 @@ def rank_one_grid_infimum(data, sigma, step=0.05):
         best = min(best, float(vals.min()))
     return best / math.sqrt(2.0 * data.n)
 
+
+def _project_reference(X, k0, a):
+    T = truncate_rank(X, k0)
+    mx = np.max(np.abs(T))
+    if mx > a:
+        T = T * (a / mx)
+    return T
+
+
+def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120,
+                            lam=None, extra_starts=None):
+    """The search as it was written before ``truncate_rank`` became the lean
+    per-step kernel: ``np.max(np.abs(T))`` for the box rescale and
+    ``np.sum`` for the residual sum."""
+    if not 0 <= k0 < min(data.m1, data.m2):
+        raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
+    if a <= 0:
+        raise DomainError(f"entry bound a must be positive, got {a}")
+    if sigma < 0:
+        raise DomainError(f"sigma must be non-negative, got {sigma}")
+
+    mask = data.mask
+    obs = np.flatnonzero(mask)
+    yv = data.values.take(obs)
+    n = data.n
+    sig_sq_hat = sigma * sigma * data.n_hat
+    scale = math.sqrt(2.0 * n)
+    g_floor = 64.0 * np.finfo(float).eps * float(np.sum(yv * yv) + sig_sq_hat)
+
+    def g_of(A):
+        r = yv - A.take(obs)
+        return float(np.sum(r * r)) - sig_sq_hat
+
+    if k0 == 0:
+        A0 = np.zeros((data.m1, data.m2))
+        return InfimumResult(abs(g_of(A0)) / scale, A0, False, False)
+
+    A_zero = np.zeros((data.m1, data.m2))
+    g_zero = g_of(A_zero)
+    if abs(g_zero) <= g_floor:
+        return InfimumResult(0.0, A_zero, False, False)
+
+    rng = rng_for(seed)
+    starts = [A_zero]
+    if lam is None:
+        lam = lambda_data_driven(data)
+    starts.append(_project_reference(clip_entries(soft_threshold_estimator(data, lam), a),
+                                     k0, a))
+    for _ in range(restarts):
+        L = rng.standard_normal((data.m1, k0))
+        R = rng.standard_normal((data.m2, k0))
+        X = L @ R.T
+        mx = np.max(np.abs(X))
+        if mx > 0:
+            X *= rng.uniform(0.1, 1.0) * a / mx
+        starts.append(X)
+    for A in extra_starts or []:
+        starts.append(_project_reference(as_matrix(A), k0, a))
+
+    impute_base = np.where(mask, data.values, 0.0)
+
+    g_best = None
+    A_best = None
+    g_lo = math.inf
+    g_hi = -math.inf
+    improved_any = False
+
+    def consider(A, g):
+        nonlocal g_best, A_best, g_lo, g_hi
+        g_lo = min(g_lo, g)
+        g_hi = max(g_hi, g)
+        if g_best is None or abs(g) < abs(g_best):
+            g_best, A_best = g, A
+
+    for A in starts:
+        g = g_of(A)
+        g_start = g
+        consider(A, g)
+        for _ in range(max_iter):
+            A_new = _project_reference(np.where(mask, impute_base, A), k0, a)
+            g_new = g_of(A_new)
+            consider(A_new, g_new)
+            if g_new < 0.0 and g_hi > 0.0:
+                break
+            if abs(g_new) >= abs(g) * (1.0 - 1e-9):
+                break
+            A, g = A_new, g_new
+        if abs(g) < abs(g_start):
+            improved_any = True
+        if g_lo < -g_floor and g_hi > g_floor:
+            break
+
+    for c in (-1.0, -0.5, 0.5):
+        consider(c * A_best, g_of(c * A_best))
+
+    bracketed = g_lo < 0.0 and g_hi > 0.0
+    if bracketed or abs(g_best) <= g_floor:
+        return InfimumResult(0.0, A_best, False, bracketed)
+    return InfimumResult(abs(g_best) / scale, A_best, not improved_any, False)
+
+
+#: Searches for the reference test: (m1, m2, truth, k0, entry bound a).  The
+#: null truths have rank k0 and the signal truths rank 3.  Each search takes
+#: more than 100 steps, nearly all of which rescale into the box; the lbdemo
+#: case below ends with a bracketed zero.
+SEARCH_CASES = {
+    "null-k0=1-20x20": (20, 20, "null", 1, 0.3),
+    "signal-k0=1-20x20": (20, 20, "signal", 1, 3.0),
+    "null-k0=2-20x20": (20, 20, "null", 2, 0.3),
+    "signal-k0=2-20x20": (20, 20, "signal", 2, 1.0),
+    "signal-k0=1-12x20": (12, 20, "signal", 1, 1.5),
+}
+
+
+def _search_case(case):
+    if case == "lbdemo-h1-96":
+        # One H1 dataset of the revealed lbdemo at m=96 (criterion 09
+        # shape), searched as lbdemo's infimum test does; 62 steps.
+        m, n, k = 96, 2304, 8
+        rho = lbdemo.rho_for(0.5, k, m, n)
+        data = lbdemo.h1_dataset(lbdemo.sample_h1(m, k, rho, seed=62), n, seed=162)
+        return data, dict(k0=1, a=1.0, sigma=math.sqrt(1.0 - 4.0 * rho * rho),
+                          restarts=2, seed=262, max_iter=60)
+    m1, m2, truth, k0, a = SEARCH_CASES[case]
+    if truth == "null":
+        M = make_low_rank(m1, m2, k0, 1.0, seed=70 + k0)
+    else:
+        M = make_low_rank(m1, m2, 3, 3.0, seed=72 + k0)
+    data = sample_bernoulli(M, 3 * m1 * m2 // 4, RADEMACHER, seed=74 + k0)
+    return data, dict(k0=k0, a=a, sigma=0.5, restarts=8, seed=76 + k0)
 
 class TestInfimumStat:
     def test_k0_zero_is_exact(self):
@@ -132,6 +264,29 @@ class TestInfimumStat:
         s = np.linalg.svd(got.minimizer, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) <= 1
         assert np.max(np.abs(got.minimizer)) <= 3.0
+
+    @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
+    def test_matches_helper_reference(self, case, monkeypatch):
+        # The search takes the same steps as the one it replaced: the same
+        # statistic, flags and minimizer bits, and the same number of rank
+        # truncations.
+        data, kw = _search_case(case)
+        counts = {}
+        for name, module in (("got", bernoulli_uq), ("want", sys.modules[__name__])):
+            calls = counts.setdefault(name, [])
+
+            def counting(A, k, calls=calls):
+                calls.append(k)
+                return core.truncate_rank(A, k)
+
+            monkeypatch.setattr(module, "truncate_rank", counting)
+        got = infimum_stat(data, **kw)
+        want = _infimum_stat_reference(data, **kw)
+        assert got.value == want.value
+        assert got.gap_flag == want.gap_flag
+        assert got.bracketed_zero == want.bracketed_zero
+        np.testing.assert_array_equal(got.minimizer, want.minimizer)
+        assert len(counts["got"]) == len(counts["want"]) > 50
 
     def test_invalid_k0(self):
         data = sample_bernoulli(np.zeros((4, 4)), 8, RADEMACHER, seed=20)

@@ -103,6 +103,49 @@ class TestTruncateRank:
         tail = float(np.sum(singular_values_via_gram(A)[k:] ** 2))
         assert err == pytest.approx(tail, rel=1e-9, abs=1e-12)
 
+    # Between 0 and min(m1, m2) the finiteness check reads the trace of the
+    # Gram matrix rather than every entry.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)], ids=["tall", "wide"])
+    def test_rejects_non_finite_entry(self, bad, shape):
+        for k in (0, 1, min(shape)):
+            for where in ((0, 0), (shape[0] - 1, shape[1] - 1)):
+                A = random_matrix(*shape, 7)
+                A[where] = bad
+                with pytest.raises(DomainError):
+                    truncate_rank(A, k)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)], ids=["tall", "wide"])
+    def test_rejects_gram_overflow(self, shape):
+        # Finite entries whose squares overflow: the Gram matrix is not finite.
+        A = random_matrix(*shape, 8)
+        A[1, 1] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+            truncate_rank(A, 1)
+
+    @pytest.mark.parametrize("A", [np.zeros((0, 3)), np.zeros((3, 0)), np.ones(4)],
+                             ids=["no-rows", "no-columns", "1-d"])
+    def test_rejects_bad_shape(self, A):
+        with pytest.raises(DimensionError):
+            truncate_rank(A, 0)
+
+    def test_accepts_lists_and_integers(self):
+        ints = np.arange(12).reshape(4, 3) % 5
+        want = truncate_rank(ints.astype(float), 1)
+        assert_bits_equal(truncate_rank(ints, 1), want)
+        assert_bits_equal(truncate_rank(ints.tolist(), 1), want)
+        np.testing.assert_array_equal(truncate_rank(ints.tolist(), 3), ints)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (20, 20)], ids=["tall", "wide", "square"])
+    def test_bitwise_the_gram_projection(self, shape):
+        # Skipping as_matrix changes no floating-point operation of the
+        # projection onto gram_eigh's top-k eigenvectors.
+        A = random_matrix(*shape, 9)
+        for k in (1, 2):
+            V = gram_eigh(A, k=k)[1]
+            want = (A @ V) @ V.T if shape[0] >= shape[1] else V @ (V.T @ A)
+            assert_bits_equal(truncate_rank(A, k), want)
+
 
 class TestClipEntries:
     def test_inactive_inside_box(self):
@@ -324,6 +367,19 @@ class TestGramEigh:
             gram_eigh(random_matrix(5, 5, 43), k=1)
         with pytest.raises(np.linalg.LinAlgError):
             truncate_rank(random_matrix(5, 5, 43), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_gram_never_reaches_lapack(self, bad, monkeypatch):
+        def unreachable(G, **kwargs):
+            raise AssertionError("dsyevr called on a non-finite Gram matrix")
+
+        monkeypatch.setattr(core, "dsyevr", unreachable)
+        for shape in ((5, 3), (3, 5)):
+            A = random_matrix(*shape, 46)
+            A[2, 1] = bad
+            for selector in (dict(k=1), dict(above=0.5)):
+                with np.errstate(over="ignore"), pytest.raises(DomainError):
+                    gram_eigh(A, **selector)
 
     def test_needs_exactly_one_selector(self):
         A = random_matrix(4, 4, 44)
