@@ -6,9 +6,9 @@ from .core import (DimensionError, DomainError, NoiseSpec, RankClassSpec,
                    clip_entries, dist_to_rank_class, frobenius_sq_dist,
                    in_rank_class, minimax_rate_sq, numerical_rank,
                    svd_deterministic, truncate_rank)
-from .synth import (BernoulliDataset, GenerationError, GroundTruth,
-                    TraceDataset, draw_noise, make_ground_truth, make_low_rank,
-                    sample_bernoulli, sample_trace, two_point_noise)
+from .synth import (BernoulliDataset, GenerationError, TraceDataset,
+                    draw_noise, make_low_rank, sample_bernoulli, sample_trace,
+                    two_point_noise)
 from .estimate import (LassoFit, estimator_risk, lambda_oracle,
                        lambda_data_driven, lambda_practical_trace,
                        matrix_lasso, soft_threshold_estimator)

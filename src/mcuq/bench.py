@@ -32,6 +32,17 @@ class ConfigError(ValueError):
 KINDS = ("coverage", "diameter", "risk", "test_power", "lbdemo")
 MODELS = ("trace", "bernoulli")
 METHODS = ("u_ci", "rss_ci", "adaptive_ci")
+INT_FIELDS = ("m1", "m2", "n", "k_truth", "k0", "k", "reps", "seed", "restarts", "cal_reps")
+FLOAT_FIELDS = ("a", "alpha", "z", "K", "C_op", "v", "alpha_test")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
 
 
 @dataclass
@@ -99,14 +110,31 @@ class ExperimentConfig:
         return cls(**d)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every field that is out of range,
-        or the first one of a wrong type."""
+        """Raise :class:`ConfigError` naming every field of a wrong type or,
+        when the types are right, every field that is out of range."""
         try:
-            errors = self._errors()
+            errors = self._type_errors() or self._errors()
         except TypeError as e:
             raise ConfigError(str(e)) from e
         if errors:
             raise ConfigError("; ".join(errors))
+
+    def _type_errors(self) -> list[str]:
+        """Integer fields hold integers, not booleans; float fields and grid
+        values hold finite numbers."""
+        errors = [f"{name}: must be an integer, got {getattr(self, name)!r}"
+                  for name in INT_FIELDS if not _is_int(getattr(self, name))]
+        errors += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
+                   for name in FLOAT_FIELDS if not _is_finite(getattr(self, name))]
+        if self.lam is not None and not _is_finite(self.lam):
+            errors.append(f"lam: must be a finite number or null, got {self.lam!r}")
+        if not isinstance(self.reveal_sigma, bool):
+            errors.append(f"reveal_sigma: must be true or false, got {self.reveal_sigma!r}")
+        for key, ok, what in (("k_grid", _is_int, "integers"), ("n_grid", _is_int, "integers"),
+                              ("separation_grid", _is_finite, "finite numbers")):
+            if not all(ok(x) for x in getattr(self, key)):
+                errors.append(f"{key}: entries must be {what}, got {list(getattr(self, key))}")
+        return errors
 
     def _errors(self) -> list[str]:
         errors = []
@@ -128,6 +156,11 @@ class ExperimentConfig:
             errors.append(f"alpha: must lie in (0, 1), got {self.alpha}")
         if self.reps < 0:
             errors.append(f"reps: must be >= 0, got {self.reps}")
+        if self.seed < 0:
+            errors.append(f"seed: must be >= 0, got {self.seed}")
+        if self.kind != "lbdemo" and self.noise.kind == "two-point-skewed":
+            errors.append("noise: two-point-skewed noise is matched to lbdemo's prior "
+                          "and cannot match the entries of any other kind")
         if self.kind in ("coverage", "diameter"):
             if self.method not in METHODS:
                 errors.append(f"method: must be one of {METHODS}, got {self.method!r}")
@@ -135,6 +168,8 @@ class ExperimentConfig:
                 errors.append("method: adaptive_ci needs model='bernoulli'")
             elif self.method in ("u_ci", "rss_ci") and self.model != "trace":
                 errors.append(f"method: {self.method} needs model='trace'")
+            elif self.method in ("u_ci", "rss_ci") and self.n < 2:
+                errors.append(f"n: {self.method} splits the sample and needs >= 2, got {self.n}")
         if self.kind == "diameter" and not 1 <= self.k0 <= min(self.m1, self.m2):
             errors.append(f"k0: must lie in [1, {min(self.m1, self.m2)}] "
                           f"for a diameter run, got {self.k0}")
@@ -156,6 +191,17 @@ class ExperimentConfig:
             errors.append(f"lam: must be positive or null, got {self.lam}")
         if self.restarts < 0:
             errors.append(f"restarts: must be >= 0, got {self.restarts}")
+        if _needs_test(self) and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
+            errors.append("noise: the theoretical test threshold needs sigma > 0")
+        if self.kind == "risk":
+            if self.model == "trace" and self.noise.sigma == 0 and self.lam is None:
+                errors.append("lam: the practical lam is zero at sigma=0; set lam > 0")
+            d = min(self.m1, self.m2)
+            if not all(1 <= k_t <= d for k_t in self.k_grid):
+                errors.append(f"k_grid: entries must lie in [1, {d}], got {list(self.k_grid)}")
+            n_max = self.m1 * self.m2 if self.model == "bernoulli" else math.inf
+            if not all(1 <= n_t <= n_max for n_t in self.n_grid):
+                errors.append(f"n_grid: entries must lie in [1, {n_max}], got {list(self.n_grid)}")
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
         elif self.kind == "test_power" and min(self.separation_grid) < 0:
@@ -166,10 +212,17 @@ class ExperimentConfig:
                 errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
             if not 0 < self.v <= 1:
                 errors.append(f"v: must lie in (0, 1], got {self.v}")
+            if not 0 < self.alpha_test < 1:
+                errors.append(f"alpha_test: must lie in (0, 1), got {self.alpha_test}")
             if not 0 <= self.k0 < self.k:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
             if self.k > self.m1:
                 errors.append(f"k: must lie in [1, {self.m1}] for lbdemo, got {self.k}")
+            elif self.k >= 1:
+                cols = self.m1 // self.k * self.k  # the columns sample_h1 keeps
+                if self.m1 * cols < self.n <= self.m1 * self.m2:
+                    errors.append(f"n: must be <= {self.m1 * cols} for lbdemo, whose alternative "
+                                  f"keeps {cols} of {self.m1} columns at k={self.k}")
             if 0 < self.v <= 1 and min(self.k, self.m1, self.n) >= 1:
                 rho = lbdemo.rho_for(self.v, self.k, self.m1, self.n)
                 if rho >= 0.5:

@@ -8,12 +8,41 @@ is safe to call from concurrently running replicates.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+import scipy
+
+
+def _load_flapack():
+    """scipy's compiled f2py LAPACK module, loaded without ``scipy.linalg``.
+
+    Importing ``scipy.linalg.lapack`` runs ``scipy/linalg/__init__.py``, which
+    costs most of ``import mcuq`` in time and memory (through scipy's
+    array-API layer it loads ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma``), while only two routines of the extension are needed.
+    ``import scipy`` above still runs ``scipy._distributor_init``, which
+    wheels that bundle their BLAS rely on.  The module is not entered in
+    ``sys.modules``; a later ``import scipy.linalg`` loads its own copy of
+    the same Fortran routines.
+    """
+    path = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [path])
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack is missing from {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dsyevr = _flapack.dsyevr
+dsyevr_lwork = _flapack.dsyevr_lwork
 
 
 class DimensionError(ValueError):
@@ -86,6 +115,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DomainError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.U)):
+            raise DomainError(f"sigma and U must be finite, got sigma={self.sigma}, U={self.U}")
         if self.sigma < 0:
             raise DomainError(f"sigma must be non-negative, got {self.sigma}")
         if self.U <= 0:
@@ -151,7 +182,7 @@ def gram_eigh(A: np.ndarray, k: int | None = None,
     columns and ``A @ A.T`` otherwise, so its eigenvalues are the squared
     singular values of ``A`` and its eigenvectors are the right (left)
     singular vectors.  Pass exactly one of ``k``, for the top ``k`` pairs,
-    or ``above``, for the pairs with eigenvalue in ``(above, inf]``.
+    or a finite ``above``, for the pairs with eigenvalue in ``(above, inf]``.
     Eigenvalues come back in ascending order, eigenvectors as the columns of
     ``V``.  ``A`` is not checked entrywise: the trace of the Gram matrix, the
     sum of the squared entries, is NaN or inf when an entry is not finite or
@@ -172,6 +203,8 @@ def gram_eigh(A: np.ndarray, k: int | None = None,
         raise DomainError("pass exactly one of k and above")
     if k is not None and not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
+    if above is not None and not math.isfinite(above):
+        raise DomainError(f"above must be finite, got {above}")
     G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
     if not math.isfinite(G.trace()):
         raise DomainError("matrix contains non-finite entries or its Gram matrix overflows")

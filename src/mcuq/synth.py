@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NoiseSpec, RankClassSpec, as_matrix, numerical_rank
+from .core import DomainError, NoiseSpec, as_matrix, numerical_rank
 
 
 class GenerationError(RuntimeError):
@@ -33,16 +33,6 @@ def child_seed(seed: int, *stream: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     lo, hi = ss.generate_state(2, dtype=np.uint64)
     return (int(hi) << 64) | int(lo)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """A generated parameter matrix together with its class and noise."""
-
-    M: np.ndarray
-    spec: RankClassSpec
-    noise: NoiseSpec
-    seed: int
 
 
 @dataclass
@@ -278,12 +268,6 @@ def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
         if numerical_rank(M) == k:
             return M
     raise GenerationError(f"no non-degenerate rank-{k} draw in 10 attempts")
-
-
-def make_ground_truth(m1: int, m2: int, k: int, a: float,
-                      noise: NoiseSpec, seed: int) -> GroundTruth:
-    M = make_low_rank(m1, m2, k, a, seed)
-    return GroundTruth(M, RankClassSpec(a, k), noise, seed)
 
 
 def sample_trace(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> TraceDataset:

@@ -87,18 +87,62 @@ class TestConfig:
          "v: gives rho=1.0637 >= 1/2; reduce v or raise n"),
         (dict(kind="lbdemo", m1=8, m2=8, n=100, k=2),
          "n: must be <= m1*m2=64 in the bernoulli model"),
+        # Each config below passed validation and then failed under `uq run`:
+        # with a traceback, with silent NaN output (z), or with exit 2 only
+        # at run time.
+        (dict(seed=-1), "seed: must be >= 0, got -1"),
+        (dict(reps=2.5), "reps: must be an integer, got 2.5"),
+        (dict(m1=4.5), "m1: must be an integer, got 4.5"),
+        (dict(m1=True), "m1: must be an integer, got True"),
+        (dict(kind="test_power", model="bernoulli", a=30.0, restarts=1.5),
+         "restarts: must be an integer, got 1.5"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=2.0),
+         "alpha_test: must lie in (0, 1), got 2.0"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=math.nan),
+         "alpha_test: must be a finite number, got nan"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, reveal_sigma="false"),
+         "reveal_sigma: must be true or false, got 'false'"),
+        (dict(lam=math.inf), "lam: must be a finite number or null, got inf"),
+        (dict(noise={"kind": "scaled-rademacher", "sigma": 0.5, "U": math.inf}),
+         "noise: sigma and U must be finite, got sigma=0.5, U=inf"),
+        (dict(noise={"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
+         "noise: sigma and U must be finite, got sigma=nan, U=0.5"),
+        (dict(method="rss_ci", z=math.nan), "z: must be a finite number, got nan"),
+        (dict(a=math.nan), "a: must be a finite number, got nan"),
+        (dict(a=math.inf), "a: must be a finite number, got inf"),
+        (dict(kind="risk", m1=4, m2=4, n=16, k_grid=[1, 9]),
+         "k_grid: entries must lie in [1, 4], got [1, 9]"),
+        (dict(kind="risk", n_grid=[0]), "n_grid: entries must lie in [1, inf], got [0]"),
+        (dict(noise={"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
+         "noise: two-point-skewed noise is matched to lbdemo's prior and cannot "
+         "match the entries of any other kind"),
+        # Found by the property test in test_validate_property.py.
+        (dict(n=1), "n: u_ci splits the sample and needs >= 2, got 1"),
+        (dict(kind="test_power", model="bernoulli", a=30.0, threshold_mode="theoretical",
+              noise={"kind": "scaled-rademacher", "sigma": 0.0, "U": 0.5}),
+         "noise: the theoretical test threshold needs sigma > 0"),
+        (dict(kind="risk", noise={"kind": "scaled-rademacher", "sigma": 0.0, "U": 0.5}),
+         "lam: the practical lam is zero at sigma=0; set lam > 0"),
+        (dict(kind="lbdemo", m1=8, m2=8, n=64, k=3, k0=1, v=0.1),
+         "n: must be <= 48 for lbdemo, whose alternative keeps 6 of 8 columns at k=3"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
-            "lbdemo-k", "lbdemo-rho", "lbdemo-n"])
+            "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
+            "m1-bool", "power-restarts-float", "lbdemo-alpha_test", "lbdemo-alpha_test-nan",
+            "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
+            "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
+            "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
-        cfg = coverage_config(**overrides)
+        raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(ConfigError) as exc:
-            cfg.validate()
+            ExperimentConfig.from_dict(raw).validate()
         assert str(exc.value) == message
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        assert cli.main(["validate", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        path.write_text(json.dumps(raw))
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_noise_law(self, tmp_path, capsys):
         cfg = coverage_config().to_dict()
@@ -349,7 +393,7 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value, message", [
         ("reps", -1, "reps: must be >= 0, got -1"),
-        ("m1", "10", "'<' not supported between instances of 'str' and 'int'"),
+        ("m1", "10", "m1: must be an integer, got '10'"),
     ], ids=["range", "type"])
     def test_run_rejects_bad_field(self, tmp_path, capsys, field, value, message):
         cfg = coverage_config(reps=5).to_dict()

@@ -380,6 +380,10 @@ class TestGramEigh:
             for selector in (dict(k=1), dict(above=0.5)):
                 with np.errstate(over="ignore"), pytest.raises(DomainError):
                     gram_eigh(A, **selector)
+        if not np.isfinite(bad):
+            # A non-finite threshold made dsyevr return info=-8.
+            with pytest.raises(DomainError, match="above must be finite"):
+                gram_eigh(random_matrix(5, 3, 46), above=bad)
 
     def test_needs_exactly_one_selector(self):
         A = random_matrix(4, 4, 44)

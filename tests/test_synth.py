@@ -142,18 +142,25 @@ class TestTruncatedGaussianScale:
                 == _truncated_gaussian_scale_reference(0.5, 1.0))
 
 
+def run_fresh(script: str) -> list:
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``mcuq`` and return the JSON value of its last stdout line."""
+    src = str(Path(mcuq.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n"
+                          + script], capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 class TestImportFootprint:
+    # Fresh interpreters: this one has imported scipy.stats and scipy.linalg above.
     def test_scipy_stats_and_optimize_load_only_for_truncated_gaussian(self, tmp_path):
-        # A fresh interpreter: this one has imported scipy.stats above.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "kind": "coverage", "model": "trace", "method": "u_ci", "m1": 10,
             "m2": 10, "n": 100, "reps": 2, "seed": 1,
             "noise": {"kind": "scaled-rademacher", "sigma": 0.5, "U": 0.5}}))
-        src = str(Path(mcuq.__file__).resolve().parents[1])
-        script = f"""
-import contextlib, io, json, sys
-sys.path.insert(0, {src!r})
+        codes, before, linalg, after = run_fresh(f"""
+import contextlib, io, json
 import mcuq
 from mcuq import cli
 from mcuq.core import NoiseSpec
@@ -163,16 +170,39 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", "--config", {str(config)!r}]),
              cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
 before = [name for name in lazy if name in sys.modules]
+linalg = [name for name in sys.modules if name.split(".")[:2] == ["scipy", "linalg"]]
 draw_noise(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, seed=0)
 after = [name for name in lazy if name in sys.modules]
-print(json.dumps([codes, before, after]))
-"""
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, timeout=300, check=True)
-        codes, before, after = json.loads(out.stdout.splitlines()[-1])
+print(json.dumps([codes, before, linalg, after]))
+""")
         assert codes == [0, 0]
         assert before == []
+        # gram_eigh's dsyevr comes from scipy's compiled LAPACK module, loaded
+        # without running scipy/linalg/__init__.py.
+        assert linalg == []
         assert after == ["scipy.stats", "scipy.optimize"]
+
+    def test_gram_eigh_matches_scipy_linalg_imported_after_mcuq(self):
+        # scipy.linalg, imported after mcuq, loads its own copy of the LAPACK
+        # module; both must run the same dsyevr, bit for bit.
+        assert run_fresh("""
+import json
+import numpy as np
+from mcuq.core import gram_eigh
+import scipy.linalg
+equal = []
+for n in (20, 96, 200):
+    A = np.random.default_rng(n).standard_normal((n + 3, n))
+    G = A.T @ A
+    above = float(np.median(np.linalg.eigvalsh(G)))
+    pairs = [(gram_eigh(A, k=2), scipy.linalg.eigh(G, subset_by_index=(n - 2, n - 1),
+                                                    driver="evr")),
+             (gram_eigh(A, above=above), scipy.linalg.eigh(G, subset_by_value=(above, np.inf),
+                                                           driver="evr"))]
+    equal += [got.tobytes() == want.tobytes() for ours, theirs in pairs
+              for got, want in zip(ours, theirs)]
+print(json.dumps(equal))
+""") == [True] * 12
 
 
 class TestSampleTrace:
