@@ -2,16 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .core import (DimensionError, DomainError, NoiseSpec, RankClassSpec,
-                   clip_entries, dist_to_rank_class, frobenius_sq_dist,
-                   in_rank_class, minimax_rate_sq, numerical_rank,
-                   svd_deterministic, truncate_rank)
+from .core import (DimensionError, DomainError, NoiseSpec, clip_entries,
+                   minimax_rate_sq, numerical_rank, svd_deterministic,
+                   truncate_rank)
 from .synth import (BernoulliDataset, GenerationError, TraceDataset,
-                    draw_noise, make_low_rank, sample_bernoulli, sample_trace,
-                    two_point_noise)
-from .estimate import (LassoFit, estimator_risk, lambda_oracle,
-                       lambda_data_driven, lambda_practical_trace,
-                       matrix_lasso, soft_threshold_estimator)
+                    make_low_rank, sample_bernoulli, sample_trace)
+from .estimate import (LassoFit, estimator_risk, lambda_data_driven,
+                       lambda_practical_trace, matrix_lasso,
+                       soft_threshold_estimator)
 from .trace_uq import (FrobeniusBall, PairedSet, n_pairs_bound, pair_repeats,
                        rss_ci, rss_statistic, split_sample, u_ci, u_quantile,
                        u_statistic)
@@ -20,6 +18,4 @@ from .bernoulli_uq import (InfimumResult, TestVerdict, adaptive_ci,
                            u_alpha_theoretical)
 from .lbdemo import (PriorDraw, indistinguishability_experiment, rho_for,
                      sample_h0, sample_h1, separation_check)
-from .bench import (ConfigError, ExperimentConfig, ExperimentReport, run,
-                    run_coverage, run_diameter, run_lbdemo, run_risk,
-                    run_test_power)
+from .bench import ConfigError, ExperimentConfig, ExperimentReport, run

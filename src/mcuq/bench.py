@@ -1,7 +1,8 @@
 """Monte Carlo experiment harness.
 
 Experiments are pure functions of their configuration, seed included.
-Replicates run through a pluggable map (serial or a process pool); every
+:func:`run` is the one entry point for every kind: it looks the kind up in
+``KINDS`` and maps its replicates through a serial map or a fork pool.  Every
 replicate derives its own generator stream from (seed, replicate index),
 and records are emitted in replicate order, so serial and parallel runs
 produce byte-identical output.
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import multiprocessing
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -29,11 +32,10 @@ class ConfigError(ValueError):
     """Experiment configuration failed validation."""
 
 
-KINDS = ("coverage", "diameter", "risk", "test_power", "lbdemo")
 MODELS = ("trace", "bernoulli")
 METHODS = ("u_ci", "rss_ci", "adaptive_ci")
 INT_FIELDS = ("m1", "m2", "n", "k_truth", "k0", "k", "reps", "seed", "restarts", "cal_reps")
-FLOAT_FIELDS = ("a", "alpha", "z", "K", "C_op", "v", "alpha_test")
+FLOAT_FIELDS = ("a", "alpha", "z", "K", "v", "alpha_test")
 
 
 def _is_int(value) -> bool:
@@ -66,7 +68,6 @@ class ExperimentConfig:
     threshold_mode: str = "calibrated"
     z: float = 1.0
     K: float = bernoulli_uq.ADAPTIVE_K_DEFAULT
-    C_op: float = 1.0
     lam: float | None = None
     restarts: int = 8
     separation_grid: tuple = (0.0, 5.0, 10.0, 25.0)
@@ -139,7 +140,7 @@ class ExperimentConfig:
     def _errors(self) -> list[str]:
         errors = []
         if self.kind not in KINDS:
-            errors.append(f"kind: must be one of {KINDS}, got {self.kind!r}")
+            errors.append(f"kind: must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.model not in MODELS:
             errors.append(f"model: must be one of {MODELS}, got {self.model!r}")
         if self.m1 < 1 or self.m2 < 1:
@@ -264,9 +265,7 @@ class ExperimentReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -294,37 +293,22 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
-def _fork_context(threads: int):
-    """The ``fork`` start method that a pool of ``threads`` workers needs, or
-    ``ConfigError`` on a platform without it."""
+def _map_for(threads: int, noise: NoiseSpec | None = None):
+    """``(map, None)`` for one thread, else ``(pool.map, pool)`` of a fork
+    pool of ``threads`` workers for the caller to close and join.  ``noise``
+    is preloaded first, so the workers inherit its one-off work; a platform
+    without the ``fork`` start method raises :class:`ConfigError`."""
+    if threads <= 1:
+        return map, None
     try:
-        return multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
     except ValueError as e:
         raise ConfigError(f"--threads {threads} needs the 'fork' start method, which this "
                           f"platform lacks ({e}); run with --threads 1") from e
-
-
-def _map_for(threads: int, noise: NoiseSpec | None = None):
-    if threads <= 1:
-        return map, None
-    ctx = _fork_context(threads)
     if noise is not None:
         preload_noise(noise)  # once here, not once in every forked worker
     pool = ctx.Pool(threads)
     return pool.map, pool
-
-
-def _validating(runner):
-    """The public form of ``runner``: validate the config, then run it.
-
-    :func:`run` validates once itself and calls the undecorated runner,
-    ``RUNNERS[kind].__wrapped__``.
-    """
-    @functools.wraps(runner)
-    def validated(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-        config.validate()
-        return runner(config, threads)
-    return validated
 
 
 def _build_ci(cfg: ExperimentConfig, data, extras: dict):
@@ -346,7 +330,8 @@ def _sample(cfg: ExperimentConfig, M, r: int):
     return sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
 
 
-def _coverage_replicate(cfg: ExperimentConfig, extras: dict, r: int) -> dict:
+def _coverage_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+    _, r = job
     M = make_low_rank(cfg.m1, cfg.m2, cfg.k_truth, cfg.a, child_seed(cfg.seed, 10, r))
     data = _sample(cfg, M, r)
     ball = _build_ci(cfg, data, {**extras, "test_seed": child_seed(cfg.seed, 12, r)})
@@ -360,33 +345,17 @@ def _coverage_replicate(cfg: ExperimentConfig, extras: dict, r: int) -> dict:
     }
 
 
-@_validating
-def run_coverage(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def _coverage_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
     """Empirical coverage of the configured confidence set."""
-    t0 = time.perf_counter()
-    extras = _prepare_extras(config)
-    map_fn, pool = _map_for(threads, config.noise)
-    try:
-        records = list(map_fn(functools.partial(_coverage_replicate, config, extras),
-                              range(config.reps)))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    covered = [rec["covered"] for rec in records]
-    cov = float(np.mean(covered)) if records else 0.0
+    cov = float(np.mean([rec["covered"] for rec in records])) if records else 0.0
     radius = np.array([rec["radius_sq"] for rec in records]) if records else np.zeros(0)
-    aggregates = {
+    return {
         "coverage": cov,
         "coverage_se": rate_se(cov, len(records)),
         "radius_sq_median": float(np.median(radius)) if records else 0.0,
         "radius_sq_q90": float(np.quantile(radius, 0.9)) if records else 0.0,
         "risk_median": float(np.median([rec["risk"] for rec in records])) if records else 0.0,
-        "flagged": int(sum(rec["flag"] for rec in records)),
     }
-    cols = ["replicate", "covered", "radius_sq", "risk", "n_aux", "flag"]
-    return ExperimentReport(records, cols, aggregates, config.to_dict(),
-                            time.perf_counter() - t0)
 
 
 def _diameter_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
@@ -409,47 +378,30 @@ def _diameter_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict
     }
 
 
-@_validating
-def run_diameter(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def _diameter_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
     """Median squared diameter under the sub-model rank and the full rank.
 
-    Runs ``reps`` replicates with truth rank ``k0`` and another ``reps``
-    with truth rank ``k_truth``, and reports the adaptivity ratio of the
+    ``reps`` replicates run with truth rank ``k0`` and another ``reps``
+    with truth rank ``k_truth``; the adaptivity ratio is that of their
     median squared radii.
     """
-    t0 = time.perf_counter()
-    extras = _prepare_extras(config)
-    jobs = [(i, k_t, r)
-            for i, (k_t, r) in enumerate(
-                (k_t, r) for k_t in (config.k0, config.k_truth) for r in range(config.reps))]
-    map_fn, pool = _map_for(threads, config.noise)
-    try:
-        records = list(map_fn(functools.partial(_diameter_replicate, config, extras), jobs))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     med = {}
-    for k_t in (config.k0, config.k_truth):
+    for k_t in (cfg.k0, cfg.k_truth):
         vals = [rec["radius_sq"] for rec in records if rec["k_truth"] == k_t]
         med[k_t] = float(np.median(vals)) if vals else 0.0
     small = [1 - rec["reject"] for rec in records
-             if rec["k_truth"] == config.k0 and rec["reject"] >= 0]
-    aggregates = {
-        "radius_sq_median_k0": med[config.k0],
-        "radius_sq_median_k": med[config.k_truth],
-        "adaptivity_ratio": (med[config.k_truth] / med[config.k0]
-                             if med[config.k0] > 0 else float("inf")),
+             if rec["k_truth"] == cfg.k0 and rec["reject"] >= 0]
+    return {
+        "radius_sq_median_k0": med[cfg.k0],
+        "radius_sq_median_k": med[cfg.k_truth],
+        "adaptivity_ratio": (med[cfg.k_truth] / med[cfg.k0]
+                             if med[cfg.k0] > 0 else float("inf")),
         "small_radius_freq_k0": float(np.mean(small)) if small else float("nan"),
-        "flagged": int(sum(rec["flag"] for rec in records)),
     }
-    cols = ["replicate", "k_truth", "radius_sq", "covered", "reject", "flag"]
-    return ExperimentReport(records, cols, aggregates, config.to_dict(),
-                            time.perf_counter() - t0)
 
 
-def _risk_replicate(cfg: ExperimentConfig, job: tuple) -> dict:
-    idx, k_t, n_t, r = job
+def _risk_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+    idx, k_t, n_t, _ = job
     sub = replace(cfg, k_truth=k_t, n=n_t)
     M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, idx))
     data = _sample(sub, M, idx)
@@ -466,6 +418,10 @@ def _risk_replicate(cfg: ExperimentConfig, job: tuple) -> dict:
             "risk": estimate.estimator_risk(M_hat, M), "flag": flag}
 
 
+def _risk_grids(cfg: ExperimentConfig) -> tuple:
+    return tuple(cfg.k_grid) or (cfg.k_truth,), tuple(cfg.n_grid) or (cfg.n,)
+
+
 def _loglog_slope(xs, ys) -> float:
     lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
     if len(lx) < 2:
@@ -473,23 +429,9 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-@_validating
-def run_risk(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def _risk_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
     """Median normalized estimator risk over a (k, n) grid, with log-log slopes."""
-    t0 = time.perf_counter()
-    k_grid = tuple(config.k_grid) or (config.k_truth,)
-    n_grid = tuple(config.n_grid) or (config.n,)
-    jobs = [(i, k_t, n_t, r)
-            for i, (k_t, n_t, r) in enumerate(
-                (k_t, n_t, r) for k_t in k_grid for n_t in n_grid
-                for r in range(config.reps))]
-    map_fn, pool = _map_for(threads, config.noise)
-    try:
-        records = list(map_fn(functools.partial(_risk_replicate, config), jobs))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    k_grid, n_grid = _risk_grids(cfg)
     med = {}
     for k_t in k_grid:
         for n_t in n_grid:
@@ -504,16 +446,12 @@ def run_risk(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     if len(n_grid) >= 2:
         slope_inv_n = float(np.mean([-_loglog_slope(n_grid, [med[(k_t, n_t)] for n_t in n_grid])
                                      for k_t in k_grid]))
-    aggregates = {
+    return {
         "risk_median": {f"k={k_t},n={n_t}": med[(k_t, n_t)]
                         for k_t in k_grid for n_t in n_grid},
         "slope_k": slope_k,
         "slope_inv_n": slope_inv_n,
-        "flagged": int(sum(rec["flag"] for rec in records)),
     }
-    cols = ["replicate", "k", "n", "risk", "flag"]
-    return ExperimentReport(records, cols, aggregates, config.to_dict(),
-                            time.perf_counter() - t0)
 
 
 def separated_truth(m1: int, m2: int, k0: int, a: float, rho: float,
@@ -560,7 +498,7 @@ def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
 
 
 def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
-    idx, s_mult, r = job
+    idx, s_mult, _ = job
     M = _power_truth(cfg, s_mult, idx)
     data = sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, idx))
     verdict = bernoulli_uq.low_rank_test(
@@ -573,71 +511,44 @@ def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
             "flag": int(verdict.gap_flag)}
 
 
-@_validating
-def run_test_power(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
     """Size and power of the low-rank test across a separation sweep.
 
     Separations are multiples of the rate unit sqrt(m1*m2*k0*d/n); the zero
     point is the size of the test.
     """
-    t0 = time.perf_counter()
-    extras = _prepare_extras(config)
-    jobs = [(i, s, r)
-            for i, (s, r) in enumerate(
-                (s, r) for s in config.separation_grid for r in range(config.reps))]
-    map_fn, pool = _map_for(threads, config.noise)
-    try:
-        records = list(map_fn(functools.partial(_power_replicate, config, extras), jobs))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     rates = {}
-    for s in config.separation_grid:
+    for s in cfg.separation_grid:
         vals = [rec["reject"] for rec in records if rec["separation"] == s]
         rates[s] = float(np.mean(vals)) if vals else float("nan")
-    power_vals = [rates[s] for s in sorted(config.separation_grid)]
-    aggregates = {
-        "rejection_rate": {repr(float(s)): rates[s] for s in config.separation_grid},
+    power_vals = [rates[s] for s in sorted(cfg.separation_grid)]
+    return {
+        "rejection_rate": {repr(float(s)): rates[s] for s in cfg.separation_grid},
         "size": rates.get(0.0, float("nan")),
-        "size_se": rate_se(rates.get(0.0, 0.0), config.reps),
-        "power_max_separation": rates[max(config.separation_grid)],
+        "size_se": rate_se(rates.get(0.0, 0.0), cfg.reps),
+        "power_max_separation": rates[max(cfg.separation_grid)],
         "monotone_within": float(max(
             (power_vals[i] - power_vals[j]
              for i in range(len(power_vals)) for j in range(i + 1, len(power_vals))),
             default=0.0)),
-        "flagged": int(sum(rec["flag"] for rec in records)),
     }
-    cols = ["replicate", "separation", "T_n", "threshold", "reject", "flag"]
-    return ExperimentReport(records, cols, aggregates, config.to_dict(),
-                            time.perf_counter() - t0)
 
 
-@_validating
-def run_lbdemo(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Indistinguishability demo, reported in the common harness framing."""
-    t0 = time.perf_counter()
-    map_fn, pool = _map_for(threads)
-    try:
-        result = lbdemo.indistinguishability_experiment(
-            config.m1, config.n, config.k, config.k0, config.v, config.reps,
-            seed=config.seed, alpha_test=config.alpha_test,
-            cal_reps=config.cal_reps, reveal_sigma=config.reveal_sigma,
-            map_fn=map_fn)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    aggregates = {
+def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
+    """Indistinguishability demo; it maps its calibration and its pairs itself."""
+    return lbdemo.indistinguishability_experiment(
+        cfg.m1, cfg.n, cfg.k, cfg.k0, cfg.v, cfg.reps, seed=cfg.seed,
+        alpha_test=cfg.alpha_test, cal_reps=cfg.cal_reps,
+        reveal_sigma=cfg.reveal_sigma, map_fn=map_fn)
+
+
+def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:
+    return {
         "min_error_sum": result["min_error_sum"],
-        "error_sum": {row["test_name"]: row["error_sum"] for row in result["rows"]},
+        "error_sum": {row["test_name"]: row["error_sum"] for row in rows},
         "thresholds": result["thresholds"],
         "rho": result["config"]["rho"],
-        "flagged": 0,
     }
-    cols = ["test_name", "type1", "type2", "error_sum", "v", "rho", "m", "n", "k", "reps"]
-    return ExperimentReport(result["rows"], cols, aggregates, config.to_dict(),
-                            time.perf_counter() - t0)
 
 
 def _needs_test(config: ExperimentConfig) -> bool:
@@ -659,18 +570,70 @@ def _prepare_extras(config: ExperimentConfig) -> dict:
         config.alpha, config.noise.sigma, config.noise.U)}
 
 
-RUNNERS = {
-    "coverage": run_coverage,
-    "diameter": run_diameter,
-    "risk": run_risk,
-    "test_power": run_test_power,
-    "lbdemo": run_lbdemo,
+@dataclass(frozen=True)
+class Kind:
+    """How :func:`run` runs one experiment kind.
+
+    Jobs ``(index, *grid values, r)`` run over
+    ``itertools.product(*grids(cfg), range(cfg.reps))``; ``replicate(cfg,
+    extras, job)`` turns one into a record with ``columns``, with ``extras``
+    from :func:`_prepare_extras`, and ``aggregate(cfg, records, extras)``
+    summarises the records.  With ``grids=None`` the kind maps its own stages
+    and draws nothing from ``cfg.noise``: ``replicate(cfg, map_fn)`` returns
+    a result whose ``rows`` are the records and which ``aggregate`` gets as
+    ``extras``.
+    """
+
+    columns: tuple
+    replicate: Callable
+    aggregate: Callable
+    grids: Callable | None = lambda cfg: ()
+
+
+#: The experiment kinds, keyed by the config's ``kind``.
+KINDS = {
+    "coverage": Kind(("replicate", "covered", "radius_sq", "risk", "n_aux", "flag"),
+                     _coverage_replicate, _coverage_aggregates),
+    "diameter": Kind(("replicate", "k_truth", "radius_sq", "covered", "reject", "flag"),
+                     _diameter_replicate, _diameter_aggregates,
+                     lambda cfg: ((cfg.k0, cfg.k_truth),)),
+    "risk": Kind(("replicate", "k", "n", "risk", "flag"),
+                 _risk_replicate, _risk_aggregates, _risk_grids),
+    "test_power": Kind(("replicate", "separation", "T_n", "threshold", "reject", "flag"),
+                       _power_replicate, _power_aggregates,
+                       lambda cfg: (cfg.separation_grid,)),
+    "lbdemo": Kind(("test_name", "type1", "type2", "error_sum", "v", "rho", "m", "n", "k",
+                    "reps"),
+                   _lbdemo_experiment, _lbdemo_aggregates, None),
 }
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Validate ``config`` once and run the experiment of its kind."""
+    """Validate ``config`` once and run the experiment of its kind.
+
+    The pool opens before any stage runs, so a platform without ``fork``
+    fails before the calibration.  Every job derives its streams from the
+    seed and its own coordinates, and records come back in job order, so
+    serial and parallel runs give the same records.
+    """
     config.validate()
-    if threads > 1:
-        _fork_context(threads)  # fail before the calibration, not after it
-    return RUNNERS[config.kind].__wrapped__(config, threads)
+    t0 = time.perf_counter()
+    kind = KINDS[config.kind]
+    map_fn, pool = _map_for(threads, None if kind.grids is None else config.noise)
+    try:
+        if kind.grids is None:
+            extras = kind.replicate(config, map_fn)
+            records = extras["rows"]
+        else:
+            extras = _prepare_extras(config)
+            jobs = [(i, *job) for i, job in enumerate(
+                itertools.product(*kind.grids(config), range(config.reps)))]
+            records = list(map_fn(functools.partial(kind.replicate, config, extras), jobs))
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
+    aggregates = {**kind.aggregate(config, records, extras),
+                  "flagged": sum(rec.get("flag", 0) for rec in records)}
+    return ExperimentReport(records, list(kind.columns), aggregates, config.to_dict(),
+                            time.perf_counter() - t0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DomainError, NoiseSpec, as_matrix, clip_entries, truncate_rank
 from .estimate import lambda_data_driven, soft_threshold_estimator
-from .synth import BernoulliDataset, _draw_noise_rng, rng_for
+from .synth import BernoulliDataset, _noise_for_entries, rng_for
 from .trace_uq import FrobeniusBall
 
 
@@ -211,7 +211,7 @@ def u_alpha_calibrated(alpha: float, sigma: float, noise: NoiseSpec,
     for r in range(reps):
         rng = rng_for(seed, r)
         mask = rng.random((m1, m2)) < p
-        eps = _draw_noise_rng(noise, int(mask.sum()), rng)
+        eps = _noise_for_entries(noise, np.zeros(int(mask.sum())), rng)
         stats[r] = abs(float(np.sum(eps * eps)) - sig_sq * eps.size) / scale
     return float(np.quantile(stats, 1.0 - alpha / 3.0, method="higher"))
 

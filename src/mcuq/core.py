@@ -1,4 +1,4 @@
-"""Matrix primitives, rank-class predicates, and minimax rate formulas.
+"""Matrix primitives, noise laws, and minimax rate formulas.
 
 Matrices are plain ``numpy.ndarray`` objects of shape ``(m1, m2)`` with
 finite float entries.  Everything here is pure and side-effect free, so it
@@ -12,7 +12,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +55,6 @@ class DomainError(ValueError):
 #: Singular values <= REL_RANK_TOL * sigma_1 count as zero when deciding rank.
 REL_RANK_TOL = 1e-10
 
-#: Iteration cap / movement tolerance of the alternating projection used by
-#: :func:`dist_to_rank_class`.
-PROJECTION_MAX_ITER = 500
-PROJECTION_TOL = 1e-10
-
-#: Slack allowed on the entry bound when testing class membership.
-ENTRY_TOL = 1e-9
-
 NOISE_KINDS = (
     "scaled-rademacher",
     "uniform",
@@ -82,20 +73,6 @@ def as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError("matrix contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class RankClassSpec:
-    """Membership class: entries bounded by ``a``, rank at most ``k``."""
-
-    a: float
-    k: int
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise DomainError(f"entry bound a must be positive, got {self.a}")
-        if self.k < 0:
-            raise DomainError(f"rank bound k must be non-negative, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -153,16 +130,6 @@ def svd_deterministic(A: np.ndarray):
     u[:, flip] = -u[:, flip]
     vt[flip] = -vt[flip]
     return u, s, vt
-
-
-def frobenius_sq_dist(A: np.ndarray, B: np.ndarray) -> float:
-    """Squared Frobenius distance, sum_ij (A_ij - B_ij)^2."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
-    d = A - B
-    return float(np.sum(d * d))
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,48 +266,3 @@ def numerical_rank(A: np.ndarray, rel_tol: float = REL_RANK_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
-
-
-def in_rank_class(A: np.ndarray, spec: RankClassSpec,
-                  rel_tol: float = REL_RANK_TOL, entry_tol: float = ENTRY_TOL) -> bool:
-    """Membership test for the class of ``spec`` with numerical tolerances."""
-    A = as_matrix(A)
-    if np.max(np.abs(A)) > spec.a + entry_tol:
-        return False
-    return numerical_rank(A, rel_tol) <= spec.k
-
-
-def dist_to_rank_class(A: np.ndarray, spec: RankClassSpec,
-                       max_iter: int = PROJECTION_MAX_ITER,
-                       tol: float = PROJECTION_TOL) -> float:
-    """Upper bound on the Frobenius distance from ``A`` to the class of ``spec``.
-
-    Runs an alternating projection (rank truncation, then entry clipping)
-    starting from ``A`` and returns the distance to the best feasible iterate
-    seen.  The class is nonconvex, so this is an upper bound in general; it
-    is exact whenever the entry clipping is inactive at the optimum, because
-    then the first truncation already lands on the metric projection.
-    """
-    A = as_matrix(A)
-    k = min(spec.k, min(A.shape))
-    best = None
-    x = A
-    for _ in range(max_iter):
-        t = truncate_rank(x, k)
-        if np.max(np.abs(t)) <= spec.a + ENTRY_TOL:
-            d = np.sqrt(frobenius_sq_dist(A, t))
-            if best is None or d < best:
-                best = d
-        x_new = clip_entries(t, spec.a)
-        if np.sqrt(frobenius_sq_dist(x_new, x)) < tol:
-            x = x_new
-            break
-        x = x_new
-    if best is None:
-        warnings.warn(
-            "alternating projection produced no clipping-feasible rank iterate; "
-            "returning an uncertified upper bound",
-            RuntimeWarning,
-        )
-        return np.sqrt(frobenius_sq_dist(A, x))
-    return best

@@ -38,20 +38,6 @@ def soft_threshold_estimator(data: BernoulliDataset, lam: float) -> np.ndarray:
     return singular_value_threshold(W, t)[0]
 
 
-def lambda_oracle(sigma: float, U: float, m: int, n: int, C_op: float = 1.0) -> float:
-    """Closed-form tuning level 3*(3*sqrt(2)*sigma + sqrt(2*C_op)*U)/sqrt(m*n).
-
-    ``C_op`` is the operator-norm constant inherited from an external
-    concentration bound; it has no canonical numeric value, so it is exposed
-    as configuration with default 1.
-    """
-    if sigma < 0 or U < 0:
-        raise DomainError("sigma and U must be non-negative")
-    if m < 1 or n < 1 or C_op < 0:
-        raise DomainError("m, n must be >= 1 and C_op >= 0")
-    return 3.0 * (3.0 * math.sqrt(2.0) * sigma + math.sqrt(2.0 * C_op) * U) / math.sqrt(m * n)
-
-
 def lambda_data_driven(data: BernoulliDataset, c: float = SOFT_LAMBDA_C) -> float:
     """Energy-scaled tuning for :func:`soft_threshold_estimator`.
 
@@ -59,10 +45,14 @@ def lambda_data_driven(data: BernoulliDataset, c: float = SOFT_LAMBDA_C) -> floa
     of the deviation of ``W = (m1*m2/n)*Y`` from its mean, estimated from
     the data's entrywise second moment.  This tracks both the observation
     noise and the masking-design noise, which dominates at small sizes.
+    When no observed value is nonzero, ``W = 0`` and every positive level
+    gives the zero fit; the level at unit second moment is returned then,
+    so the result is always a valid ``lam``.
     """
     m1, m2 = data.m1, data.m2
     W = (m1 * m2 / data.n) * data.values
-    t = c * math.sqrt(float(np.mean(W * W)) * max(m1, m2))
+    second_moment = float(np.mean(W * W)) or 1.0
+    t = c * math.sqrt(second_moment * max(m1, m2))
     return 2.0 * t / (m1 * m2)
 
 

@@ -7,9 +7,7 @@ function of its parameters and seed, and replicate streams never overlap.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -59,31 +57,6 @@ class TraceDataset:
                             self.cols[start:stop].copy(),
                             self.y[start:stop].copy())
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# m1={self.m1} m2={self.m2}\n")
-        w = csv.writer(buf)
-        w.writerow(["i", "j", "y"])
-        for i, j, v in zip(self.rows, self.cols, self.y):
-            w.writerow([int(i), int(j), repr(float(v))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TraceDataset":
-        lines = text.splitlines()
-        meta = dict(part.split("=") for part in lines[0].lstrip("# ").split())
-        rows, cols, ys = [], [], []
-        for rec in csv.reader(lines[2:]):
-            if not rec:
-                continue
-            rows.append(int(rec[0]))
-            cols.append(int(rec[1]))
-            ys.append(float(rec[2]))
-        return cls(int(meta["m1"]), int(meta["m2"]),
-                   np.asarray(rows, dtype=np.int64),
-                   np.asarray(cols, dtype=np.int64),
-                   np.asarray(ys, dtype=float))
-
 
 @dataclass
 class BernoulliDataset:
@@ -109,42 +82,6 @@ class BernoulliDataset:
     @property
     def n_hat(self) -> int:
         return int(self.mask.sum())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# m1={self.m1} m2={self.m2} p={self.p!r}\n")
-        w = csv.writer(buf)
-        w.writerow(["i", "j", "y"])
-        ii, jj = np.nonzero(self.mask)
-        for i, j in zip(ii, jj):
-            w.writerow([int(i), int(j), repr(float(self.values[i, j]))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BernoulliDataset":
-        lines = text.splitlines()
-        meta = dict(part.split("=") for part in lines[0].lstrip("# ").split())
-        m1, m2, p = int(meta["m1"]), int(meta["m2"]), float(meta["p"])
-        mask = np.zeros((m1, m2), dtype=bool)
-        values = np.zeros((m1, m2))
-        for rec in csv.reader(lines[2:]):
-            if not rec:
-                continue
-            i, j = int(rec[0]), int(rec[1])
-            mask[i, j] = True
-            values[i, j] = float(rec[2])
-        return cls(mask, values, p, int(round(p * m1 * m2)))
-
-
-def two_point_noise(mu: float) -> NoiseSpec:
-    """Two-point noise matched to an entry value ``mu`` in (-1, 1).
-
-    Takes the value ``1 - mu`` with probability ``(1 + mu)/2`` and
-    ``-1 - mu`` otherwise, giving mean zero and variance ``1 - mu**2``.
-    """
-    if not -1 < mu < 1:
-        raise DomainError(f"two-point noise requires |mu| < 1, got {mu}")
-    return NoiseSpec("two-point-skewed", math.sqrt(1.0 - mu * mu), 2.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,18 +124,9 @@ def preload_noise(noise: NoiseSpec) -> None:
         _truncated_gaussian_scale(noise.sigma, noise.U)
 
 
-def draw_noise(noise: NoiseSpec, count: int, seed: int, mu: float = 0.0) -> np.ndarray:
-    """I.i.d. draws with mean 0, variance sigma^2, and |draw| <= U.
-
-    ``mu`` only matters for the two-point kind, where it is the entry value
-    the skewed law is matched to.
-    """
-    rng = rng_for(seed)
-    return _draw_noise_rng(noise, count, rng, mu=mu)
-
-
-def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator,
-                    mu: float = 0.0) -> np.ndarray:
+def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. draws with mean 0, variance sigma^2, and |draw| <= U;
+    two-point noise is matched to entries, see :func:`_noise_for_entries`."""
     if noise.kind == "scaled-rademacher":
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return noise.sigma * signs
@@ -218,26 +146,20 @@ def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator,
             out = np.concatenate([out, cand[np.abs(cand) <= noise.U]])
         return out[:count]
 
-    if noise.kind == "two-point-skewed":
-        if abs((1.0 - mu * mu) - noise.sigma ** 2) > 1e-9:
-            raise DomainError(
-                f"two-point noise matched to mu={mu} has variance {1 - mu*mu:.6g}, "
-                f"inconsistent with sigma^2={noise.sigma**2:.6g}"
-            )
-        plus = rng.random(count) < (1.0 + mu) / 2.0
-        return np.where(plus, 1.0 - mu, -1.0 - mu)
-
-    raise DomainError(f"unknown noise kind {noise.kind!r}")
+    raise DomainError(f"{noise.kind} noise is matched to entry values; "
+                      f"draw it with _noise_for_entries")
 
 
 def _noise_for_entries(noise: NoiseSpec, m_values: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    """Noise draws for specific entries; two-point noise is matched entrywise."""
+    """Noise draws for specific entries.  Two-point noise at entry value ``mu``
+    is ``1 - mu`` with probability ``(1 + mu)/2``, else ``-1 - mu``: mean zero
+    and variance ``1 - mu**2``, which must equal ``sigma**2``."""
     count = m_values.size
     if noise.kind != "two-point-skewed":
         return _draw_noise_rng(noise, count, rng)
     mus = m_values.ravel()
-    if np.max(np.abs((1.0 - mus * mus) - noise.sigma ** 2)) > 1e-9:
+    if np.any(np.abs((1.0 - mus * mus) - noise.sigma ** 2) > 1e-9):
         raise DomainError("two-point noise requires entries with 1 - M_ij^2 == sigma^2")
     plus = rng.random(count) < (1.0 + mus) / 2.0
     return np.where(plus, 1.0 - mus, -1.0 - mus)

@@ -10,8 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mcuq.bench import ExperimentConfig, run_coverage, run_diameter, run_risk, \
-    run_test_power, separated_truth, write_records_csv, run
+from mcuq.bench import ExperimentConfig, run, separated_truth, write_records_csv
 from mcuq.bernoulli_uq import adaptive_ci, infimum_stat, u_alpha_calibrated
 from mcuq.core import NoiseSpec
 from mcuq.estimate import soft_threshold_estimator
@@ -40,7 +39,7 @@ def test_criterion_01_u_statistic_honesty():
                 kind="coverage", model="trace", m1=30, m2=30, n=900,
                 k_truth=k, a=1.0, noise=NoiseSpec("scaled-rademacher", sigma, sigma),
                 alpha=0.1, reps=n_reps, seed=101, method="u_ci")
-            rep = run_coverage(cfg, threads=THREADS)
+            rep = run(cfg, threads=THREADS)
             cells[(k, sigma)] = rep.aggregates["coverage"]
     ok = all(cov >= floor for cov in cells.values())
     check(1, "u-statistic honesty", ok,
@@ -92,7 +91,7 @@ def test_criterion_04_u_statistic_adaptivity():
         kind="diameter", model="trace", m1=30, m2=30, n=900, k_truth=3, k0=1,
         a=1.0, noise=NoiseSpec("scaled-rademacher", 0.5, 0.5), alpha=0.1,
         reps=300, seed=401, method="u_ci")
-    rep = run_diameter(cfg, threads=THREADS)
+    rep = run(cfg, threads=THREADS)
     ratio = rep.aggregates["adaptivity_ratio"]
     check(4, "u-statistic adaptivity", 1.0 <= ratio <= 9.0,
           f"median radius_sq ratio (rank 3 / rank 1) = {ratio:.4f}")
@@ -162,7 +161,7 @@ def test_criterion_06_soft_thresholding():
         kind="risk", model="bernoulli", m1=20, m2=20, n=200, a=1.0,
         noise=NoiseSpec("scaled-rademacher", 0.02, 0.02), reps=200, seed=602,
         k_grid=(1, 2, 4))
-    rep = run_risk(cfg, threads=THREADS)
+    rep = run(cfg, threads=THREADS)
     slope = rep.aggregates["slope_k"]
     slope_ok = 0.7 <= slope <= 1.3
     check(6, "soft thresholding", closed_ok and slope_ok,
@@ -176,7 +175,7 @@ def test_criterion_07_infimum_test_size_power():
         kind="test_power", model="bernoulli", m1=m, m2=m, n=n, k0=k0, a=a,
         noise=noise, alpha=alpha, reps=reps, seed=701,
         separation_grid=(0.0, 25.0), threshold_mode="calibrated")
-    rep = run_test_power(cfg, threads=THREADS)
+    rep = run(cfg, threads=THREADS)
     size = rep.aggregates["size"]
     power = rep.aggregates["rejection_rate"][repr(25.0)]
     size_ok = size <= alpha + 3 * math.sqrt(alpha / reps)

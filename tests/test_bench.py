@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from mcuq.bench import (ConfigError, ExperimentConfig, rate_se, run,
-                        run_coverage, run_diameter, run_lbdemo, run_risk,
-                        run_test_power, separated_truth, write_records_csv,
-                        write_report_json)
+                        separated_truth, write_records_csv, write_report_json)
 from mcuq.core import DomainError, NoiseSpec
 from mcuq import bench, bernoulli_uq, cli, core, synth
 
@@ -162,7 +160,7 @@ class TestConfig:
 
 class TestCoverage:
     def test_report_and_audit(self):
-        rep = run_coverage(coverage_config())
+        rep = run(coverage_config())
         assert len(rep.records) == 12
         # every aggregate is recomputable from the records
         assert rep.aggregates["coverage"] == pytest.approx(
@@ -173,8 +171,8 @@ class TestCoverage:
         assert rep.config == coverage_config().to_dict()
 
     def test_deterministic_across_threads(self):
-        rep1 = run_coverage(coverage_config(), threads=1)
-        rep3 = run_coverage(coverage_config(), threads=3)
+        rep1 = run(coverage_config(), threads=1)
+        rep3 = run(coverage_config(), threads=3)
         assert rep1.records == rep3.records
 
     def test_noiseless_interpolation_covers_always(self):
@@ -184,11 +182,11 @@ class TestCoverage:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = run_coverage(cfg)
+            rep = run(cfg)
         assert rep.aggregates["coverage"] == 1.0
 
     def test_rss_method(self):
-        rep = run_coverage(coverage_config(method="rss_ci", reps=8))
+        rep = run(coverage_config(method="rss_ci", reps=8))
         assert len(rep.records) == 8
         assert rep.aggregates["coverage"] >= 0.9
 
@@ -197,15 +195,15 @@ class TestCoverage:
         # workers inherit it; the records do not depend on where it was solved.
         cfg = coverage_config(noise=NoiseSpec("truncated-gaussian", 0.25, 0.5), reps=6)
         synth._truncated_gaussian_scale.cache_clear()
-        rep2 = run_coverage(cfg, threads=2)
+        rep2 = run(cfg, threads=2)
         assert synth._truncated_gaussian_scale.cache_info().currsize == 1
         synth._truncated_gaussian_scale.cache_clear()
-        assert run_coverage(cfg, threads=1).records == rep2.records
+        assert run(cfg, threads=1).records == rep2.records
 
     def test_adaptive_method(self):
         cfg = coverage_config(model="bernoulli", method="adaptive_ci",
                               m1=12, m2=12, n=100, k0=1, k=3, reps=8)
-        rep = run_coverage(cfg)
+        rep = run(cfg)
         assert rep.aggregates["coverage"] >= 0.8
 
 
@@ -213,7 +211,7 @@ class TestDiameter:
     def test_ratio_at_least_for_higher_rank(self):
         cfg = coverage_config(kind="diameter", k_truth=3, k0=1, reps=20,
                               m1=16, m2=16, n=256)
-        rep = run_diameter(cfg)
+        rep = run(cfg)
         assert rep.aggregates["adaptivity_ratio"] >= 1.0
         ks = {r["k_truth"] for r in rep.records}
         assert ks == {1, 3}
@@ -222,7 +220,7 @@ class TestDiameter:
         cfg = ExperimentConfig(kind="diameter", model="bernoulli", m1=12, m2=12,
                                n=100, k_truth=3, k0=1, a=1.0, noise=RADEMACHER,
                                alpha=0.1, reps=10, seed=2, method="adaptive_ci")
-        rep = run_diameter(cfg)
+        rep = run(cfg)
         K = cfg.K
         d = 24
         allowed = {round(K * K * 1 * d / 100, 12), round(K * K * 3 * d / 100, 12)}
@@ -236,7 +234,7 @@ class TestRisk:
                                n=72, a=1.0,
                                noise=NoiseSpec("scaled-rademacher", 0.1, 0.1),
                                reps=15, seed=3, k_grid=(1, 2), n_grid=(72, 100))
-        rep = run_risk(cfg)
+        rep = run(cfg)
         assert len(rep.records) == 15 * 4
         assert set(rep.aggregates["risk_median"]) == {
             "k=1,n=72", "k=1,n=100", "k=2,n=72", "k=2,n=100"}
@@ -246,7 +244,7 @@ class TestRisk:
     def test_matrix_lasso_route(self):
         cfg = ExperimentConfig(kind="risk", model="trace", m1=10, m2=10, n=100,
                                k_truth=1, a=1.0, noise=RADEMACHER, reps=6, seed=4)
-        rep = run_risk(cfg)
+        rep = run(cfg)
         assert all(r["risk"] >= 0 for r in rep.records)
 
 
@@ -256,7 +254,7 @@ class TestTestPower:
                                m2=10, n=60, k0=1, a=9.0, noise=RADEMACHER,
                                alpha=0.1, reps=10, seed=6,
                                separation_grid=(0.0, 4.0))
-        rep = run_test_power(cfg)
+        rep = run(cfg)
         assert rep.aggregates["size"] == pytest.approx(
             np.mean([r["reject"] for r in rep.records if r["separation"] == 0.0]))
 
@@ -265,7 +263,42 @@ class TestTestPower:
                                n=60, k0=1, a=5.0, noise=RADEMACHER, alpha=0.1,
                                reps=4, seed=6)
         with pytest.raises(ConfigError):
-            run_test_power(cfg)
+            run(cfg)
+
+
+class TestEngine:
+    # One small config per kind; run() looks each kind up in bench.KINDS.
+    CONFIGS = {
+        "coverage": coverage_config(reps=3),
+        "diameter": coverage_config(kind="diameter", k_truth=2, k0=1, reps=2),
+        "risk": ExperimentConfig(kind="risk", model="bernoulli", m1=6, m2=6, n=30,
+                                 reps=2, seed=1, k_grid=(1, 2)),
+        "test_power": ExperimentConfig(kind="test_power", model="bernoulli", m1=10, m2=10,
+                                       n=60, k0=1, a=9.0, noise=RADEMACHER, reps=2, seed=6,
+                                       separation_grid=(0.0, 4.0), cal_reps=100, restarts=1),
+        "lbdemo": ExperimentConfig(kind="lbdemo", model="bernoulli", m1=12, m2=12, n=36,
+                                   k=2, k0=1, v=0.05, reps=2, cal_reps=5, seed=3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_records_carry_the_kind_columns(self, kind):
+        rep = run(self.CONFIGS[kind])
+        assert rep.columns == list(bench.KINDS[kind].columns)
+        assert rep.records and all(set(rep.columns) <= set(rec) for rec in rep.records)
+        assert rep.aggregates["flagged"] == sum(rec.get("flag", 0) for rec in rep.records)
+
+    def test_jobs_run_grid_by_grid_then_replicate(self):
+        rep = run(self.CONFIGS["risk"])
+        assert [(rec["replicate"], rec["k"], rec["n"]) for rec in rep.records] == [
+            (0, 1, 30), (1, 1, 30), (2, 2, 30), (3, 2, 30)]
+
+    @pytest.mark.parametrize("kind, preloads", [("coverage", 1), ("lbdemo", 0)])
+    def test_pool_preloads_only_noise_the_kind_draws(self, monkeypatch, kind, preloads):
+        # lbdemo draws its own noise laws, never the config's.
+        calls = []
+        monkeypatch.setattr(bench, "preload_noise", calls.append)
+        run(self.CONFIGS[kind], threads=2)
+        assert len(calls) == preloads
 
 
 class TestSeparatedTruth:
@@ -285,7 +318,7 @@ class TestLbdemoKind:
         cfg = ExperimentConfig(kind="lbdemo", model="bernoulli", m1=24, m2=24,
                                n=144, k=2, k0=1, v=0.1, reps=6, cal_reps=12,
                                seed=9)
-        rep = run_lbdemo(cfg)
+        rep = run(cfg)
         assert rep.config["v"] == 0.1
         assert {r["test_name"] for r in rep.records} >= {"second_moment"}
         assert rep.aggregates["min_error_sum"] >= 0.0
@@ -472,8 +505,29 @@ class TestRiskZeroNoise:
                                n=64, k_truth=1, a=1.0,
                                noise=NoiseSpec("scaled-rademacher", 0.0, 1.0),
                                reps=5, seed=11, lam=1e-12)
-        rep = run_risk(cfg)
+        rep = run(cfg)
         assert all(r["risk"] < 1e-8 for r in rep.records)
+
+
+class TestZeroObservedData:
+    # Each config passes `uq validate`, and one of its replicates observes
+    # only zeros, so the data-driven lam sees no energy.  Such a run once
+    # exited 2 with "lam must be positive, got 0.0".
+    @pytest.mark.parametrize("raw", [
+        {"kind": "risk", "model": "bernoulli", "m1": 2, "m2": 3, "n": 1,
+         "noise": {"kind": "scaled-rademacher", "sigma": 0, "U": 0.5}, "reps": 3, "seed": 0},
+        {"kind": "coverage", "model": "bernoulli", "method": "adaptive_ci", "m1": 1, "m2": 1,
+         "n": 1, "k_truth": 1, "k0": 0, "k": 1, "a": 0.5, "cal_reps": 100,
+         "noise": {"kind": "scaled-rademacher", "sigma": 0.5, "U": 0.5}, "reps": 1, "seed": 0},
+    ], ids=["risk", "adaptive_ci"])
+    def test_run_completes_with_zero_fit(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) in (0, 3)
+        with open(out / "records.csv") as f:
+            assert len(f.read().splitlines()) == 1 + raw["reps"]
 
 
 class TestCliNumericalFlag:
@@ -534,6 +588,20 @@ class TestTracerWraps:
         assert tracer.WRAPS
         for modname, attr, _layer, _note in tracer.WRAPS:
             assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+    def test_benchmark_entry_points(self):
+        # perfbench/worker.py times bench.run on a config built by
+        # ExperimentConfig.from_dict, starts and stops a fork pool of 2
+        # through bench._map_for, and drives cli.main.
+        assert callable(bench.run) and callable(bench.ExperimentConfig.from_dict)
+        assert callable(cli.main)
+        map_fn, pool = bench._map_for(2)
+        try:
+            assert list(map_fn(abs, [-1, 2, -3])) == [1, 2, 3]
+        finally:
+            pool.close()
+            pool.join()
+        assert bench._map_for(1) == (map, None)
 
     def test_sees_every_search_projection(self, monkeypatch):
         # The benchmark counts the infimum search's projections as the spans

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from mcuq import core
 from mcuq.bernoulli_uq import _project
-from mcuq.core import (DimensionError, DomainError, NoiseSpec, RankClassSpec,
-                       clip_entries, dist_to_rank_class, frobenius_sq_dist,
-                       gram_eigh, in_rank_class, minimax_rate_sq,
-                       numerical_rank, singular_value_threshold,
-                       svd_deterministic, truncate_rank)
+from mcuq.core import (DimensionError, DomainError, NoiseSpec, clip_entries,
+                       gram_eigh, minimax_rate_sq, numerical_rank,
+                       singular_value_threshold, svd_deterministic,
+                       truncate_rank)
+from mcuq.estimate import estimator_risk
 
 EPS = np.finfo(float).eps
 
@@ -43,6 +43,25 @@ def singular_values_via_gram(A):
     # Independent route: eigenvalues of A^T A instead of an SVD.
     evals = np.linalg.eigvalsh(A.T @ A)
     return np.sqrt(np.clip(evals, 0.0, None))[::-1]
+
+
+def frobenius_sq_dist(A, B):
+    """Squared Frobenius distance through the library's normalised risk."""
+    A = np.asarray(A, dtype=float)
+    return estimator_risk(A, B) * A.size
+
+
+def rank_class_dist(A, k):
+    """Frobenius distance from ``A`` to its best rank-``k`` approximation.
+
+    This is the distance to the class {rank <= k, |entries| <= a} whenever
+    the truncation already lies inside the entry box (Eckart-Young).
+    """
+    return float(np.sqrt(frobenius_sq_dist(A, truncate_rank(A, k))))
+
+
+def in_rank_class(A, a, k):
+    return np.max(np.abs(A)) <= a and numerical_rank(A) <= k
 
 
 class TestFrobeniusSqDist:
@@ -99,7 +118,7 @@ class TestTruncateRank:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_eckart_young_error(self, k):
         A = random_matrix(6, 7, k + 10)
-        err = frobenius_sq_dist(A, truncate_rank(A, k))
+        err = float(np.sum((A - truncate_rank(A, k)) ** 2))
         tail = float(np.sum(singular_values_via_gram(A)[k:] ** 2))
         assert err == pytest.approx(tail, rel=1e-9, abs=1e-12)
 
@@ -206,29 +225,33 @@ class TestDistToRankClass:
     def test_member_has_zero_distance(self):
         A = random_matrix(5, 5, 11, rank=2)
         A = A / np.max(np.abs(A))
-        spec = RankClassSpec(1.0, 2)
-        assert dist_to_rank_class(A, spec) < 1e-8
-        assert in_rank_class(A, spec)
+        assert rank_class_dist(A, 2) < 1e-8
+        assert in_rank_class(A, 1.0, 2)
 
     def test_diagonal_case(self):
         A = np.diag([3.0, 1.0])
-        assert dist_to_rank_class(A, RankClassSpec(3.0, 1)) == pytest.approx(1.0, abs=1e-10)
+        t = truncate_rank(A, 1)
+        assert np.max(np.abs(t)) <= 3.0
+        assert rank_class_dist(A, 1) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_truncated_svd_when_clipping_inactive(self):
         A = random_matrix(6, 6, 12, rank=3)
         A = A / (2.0 * np.max(np.abs(A)))  # entries well inside the box
-        spec = RankClassSpec(1.0, 1)
+        t = truncate_rank(A, 1)
+        assert np.array_equal(clip_entries(t, 1.0), t)
         sv = singular_values_via_gram(A)
         expected = float(np.sqrt(np.sum(sv[1:] ** 2)))
-        assert dist_to_rank_class(A, spec) == pytest.approx(expected, abs=1e-9)
+        assert rank_class_dist(A, 1) == pytest.approx(expected, abs=1e-9)
 
     def test_zero_distance_iff_member(self):
         rng = np.random.default_rng(13)
         for trial in range(10):
             A = rng.standard_normal((4, 5))
-            spec = RankClassSpec(1.0, 2)
-            d = dist_to_rank_class(A, spec)
-            assert (d < 1e-8) == in_rank_class(A, spec)
+            if trial % 2:
+                A = truncate_rank(A, 2)
+                A = A / np.max(np.abs(A))
+            d = rank_class_dist(A, 2)
+            assert (d < 1e-8) == in_rank_class(A, 1.0, 2)
 
 
 class TestSvdDeterministic:
@@ -309,7 +332,7 @@ class TestSvdDeterministicMatchesLoop:
         for k in sorted({1, min(A.shape) - 1} - {0}):
             got = truncate_rank(A, k)
             assert numerical_rank(got) <= k
-            assert frobenius_sq_dist(A, got) == pytest.approx(
+            assert float(np.sum((A - got) ** 2)) == pytest.approx(
                 float(np.sum(s[k:] ** 2)), abs=64 * EPS * scale)
             a = 0.5 * np.max(np.abs(A))
             projected = _project(A, k, a)
@@ -421,12 +444,6 @@ class TestNumericalRank:
 
 
 class TestSpecs:
-    def test_rank_class_validation(self):
-        with pytest.raises(DomainError):
-            RankClassSpec(0.0, 1)
-        with pytest.raises(DomainError):
-            RankClassSpec(1.0, -1)
-
     def test_noise_spec_validation(self):
         with pytest.raises(DomainError):
             NoiseSpec("scaled-rademacher", 2.0, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from mcuq.core import DomainError, NoiseSpec, clip_entries
 from mcuq.estimate import (LassoFit, estimator_risk, lambda_data_driven,
-                           lambda_oracle, lambda_practical_trace, matrix_lasso,
+                           lambda_practical_trace, matrix_lasso,
                            soft_threshold_estimator)
 from mcuq.synth import (BernoulliDataset, child_seed, make_low_rank,
                         sample_bernoulli, sample_trace)
@@ -92,18 +92,6 @@ class TestSoftThresholdEstimator:
     def test_invalid_lambda(self):
         with pytest.raises(DomainError):
             soft_threshold_estimator(bernoulli_all_observed(np.zeros((2, 2))), 0.0)
-
-
-class TestLambdaOracle:
-    def test_reference_value(self):
-        assert lambda_oracle(1.0, 1.0, 10, 100, C_op=1.0) == pytest.approx(0.53666, abs=1e-5)
-
-    def test_scaling_in_n(self):
-        assert lambda_oracle(1.0, 1.0, 10, 200) == pytest.approx(
-            lambda_oracle(1.0, 1.0, 10, 100) / math.sqrt(2), rel=1e-12)
-
-    def test_degenerate_zero(self):
-        assert lambda_oracle(0.0, 0.0, 10, 100) == 0.0
 
 
 class TestMatrixLasso:
@@ -236,6 +224,16 @@ class TestDataDrivenLambda:
         d1 = sample_bernoulli(M, 60, RADEMACHER, seed=41)
         d2 = sample_bernoulli(2.0 * M, 60, NoiseSpec("scaled-rademacher", 0.5, 0.5), seed=41)
         assert 0 < lambda_data_driven(d1) < lambda_data_driven(d2)
+
+    @pytest.mark.parametrize("observed", [True, False], ids=["zeros-observed", "none-observed"])
+    def test_zero_data_gives_positive_level_and_zero_fit(self, observed):
+        # With no nonzero observed value the energy is zero; the level must
+        # still be positive, and the estimator then gives the zero fit.
+        mask = np.full((2, 3), observed)
+        data = BernoulliDataset(mask, np.zeros((2, 3)), 1 / 6, 1)
+        lam = lambda_data_driven(data)
+        assert lam > 0
+        assert np.all(soft_threshold_estimator(data, lam) == 0.0)
 
     def test_doubling_rank_doubles_risk_roughly(self):
         # Doubling the truth's rank should scale the median risk by a factor

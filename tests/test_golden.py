@@ -1,6 +1,6 @@
-"""Golden ``records.csv`` digests: one tiny config per runner.
+"""Golden ``records.csv`` digests: one tiny config per experiment kind.
 
-``golden_records.json`` holds one config per runner (each coverage method
+``golden_records.json`` holds one config per kind (each coverage method
 once) and the sha256 of the ``records.csv`` it gives.  A pure refactor or a
 kernel swap keeps those bytes, and this test checks it.  Bits depend on the
 numpy and scipy builds and the machine, so the digests are compared only on

@@ -12,9 +12,8 @@ from scipy.stats import norm
 import mcuq
 from mcuq import synth
 from mcuq.core import DomainError, NoiseSpec
-from mcuq.synth import (BernoulliDataset, TraceDataset, child_seed,
-                        draw_noise, make_low_rank, rng_for, sample_bernoulli,
-                        sample_trace, two_point_noise)
+from mcuq.synth import (_draw_noise_rng, _noise_for_entries, child_seed,
+                        make_low_rank, rng_for, sample_bernoulli, sample_trace)
 
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
@@ -50,26 +49,26 @@ class TestMakeLowRank:
 
 class TestDrawNoise:
     def test_rademacher_support(self):
-        draws = draw_noise(NoiseSpec("scaled-rademacher", 1.0, 2.0), 1000, seed=0)
+        draws = _draw_noise_rng(NoiseSpec("scaled-rademacher", 1.0, 2.0), 1000, rng_for(0))
         assert set(np.unique(draws)) == {-1.0, 1.0}
 
     def test_mean_near_zero(self):
-        draws = draw_noise(RADEMACHER, 10 ** 6, seed=1)
+        draws = _draw_noise_rng(RADEMACHER, 10 ** 6, rng_for(1))
         assert abs(np.mean(draws)) <= 4 * 0.5 / 10 ** 3
 
     def test_uniform_moments_and_bound(self):
         spec = NoiseSpec("uniform", 0.5, 1.0)
-        draws = draw_noise(spec, 10 ** 6, seed=2)
+        draws = _draw_noise_rng(spec, 10 ** 6, rng_for(2))
         assert np.max(np.abs(draws)) <= spec.U
         assert np.var(draws) == pytest.approx(0.25, rel=0.01)
 
     def test_uniform_needs_room(self):
         with pytest.raises(DomainError):
-            draw_noise(NoiseSpec("uniform", 0.9, 1.0), 10, seed=0)
+            _draw_noise_rng(NoiseSpec("uniform", 0.9, 1.0), 10, rng_for(0))
 
     def test_truncated_gaussian_variance(self):
         spec = NoiseSpec("truncated-gaussian", 1.0, 2.0)
-        draws = draw_noise(spec, 10 ** 6, seed=3)
+        draws = _draw_noise_rng(spec, 10 ** 6, rng_for(3))
         assert np.max(np.abs(draws)) <= 2.0
         assert np.var(draws) == pytest.approx(1.0, rel=0.01)
         assert abs(np.mean(draws)) < 0.005
@@ -77,19 +76,32 @@ class TestDrawNoise:
     def test_truncated_gaussian_unreachable_variance(self):
         # The family's variance supremum on [-U, U] is U^2/3.
         with pytest.raises(DomainError):
-            draw_noise(NoiseSpec("truncated-gaussian", 0.99, 1.0), 10, seed=0)
+            _draw_noise_rng(NoiseSpec("truncated-gaussian", 0.99, 1.0), 10, rng_for(0))
 
     def test_two_point_moments(self):
-        spec = two_point_noise(0.2)
-        draws = draw_noise(spec, 10 ** 6, seed=4, mu=0.2)
+        spec = NoiseSpec("two-point-skewed", math.sqrt(0.96), 2.0)
+        draws = _noise_for_entries(spec, np.full(10 ** 6, 0.2), rng_for(4))
         assert set(np.unique(draws)) == {0.8, -1.2}
         assert abs(np.mean(draws)) < 0.004
         assert np.var(draws) == pytest.approx(0.96, rel=0.01)
 
     def test_two_point_requires_consistent_mu(self):
-        spec = two_point_noise(0.2)
+        spec = NoiseSpec("two-point-skewed", math.sqrt(0.96), 2.0)
         with pytest.raises(DomainError):
-            draw_noise(spec, 10, seed=0, mu=0.5)
+            _noise_for_entries(spec, np.full(10, 0.5), rng_for(0))
+
+    def test_two_point_at_zero_mean_is_fair_signs(self):
+        # The calibration draws two-point noise at entry value 0: a fair
+        # coin per draw, +1 or -1, from the same uniforms.
+        spec = NoiseSpec("two-point-skewed", 1.0, 2.0)
+        draws = _noise_for_entries(spec, np.zeros(1000), rng_for(5))
+        np.testing.assert_array_equal(draws, np.where(rng_for(5).random(1000) < 0.5, 1.0, -1.0))
+        # A calibration replicate may observe nothing.
+        assert _noise_for_entries(spec, np.zeros(0), rng_for(5)).shape == (0,)
+
+    def test_symmetric_sampler_refuses_two_point(self):
+        with pytest.raises(DomainError, match="_noise_for_entries"):
+            _draw_noise_rng(NoiseSpec("two-point-skewed", 1.0, 2.0), 10, rng_for(0))
 
     def test_sigma_above_bound_rejected(self):
         with pytest.raises(DomainError):
@@ -124,9 +136,9 @@ class TestTruncatedGaussianScale:
         with monkeypatch.context() as m:
             m.setattr(synth, "_truncated_gaussian_scale",
                       _truncated_gaussian_scale_reference)
-            ref_noise = draw_noise(self.SPEC, 5000, seed=seed)
+            ref_noise = _draw_noise_rng(self.SPEC, 5000, rng_for(seed))
             ref_data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
-        np.testing.assert_array_equal(draw_noise(self.SPEC, 5000, seed=seed), ref_noise)
+        np.testing.assert_array_equal(_draw_noise_rng(self.SPEC, 5000, rng_for(seed)), ref_noise)
         data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
         np.testing.assert_array_equal(data.rows, ref_data.rows)
         np.testing.assert_array_equal(data.cols, ref_data.cols)
@@ -135,7 +147,7 @@ class TestTruncatedGaussianScale:
     def test_scale_solved_once_per_law(self):
         synth._truncated_gaussian_scale.cache_clear()
         for seed in range(5):
-            draw_noise(self.SPEC, 10, seed=seed)
+            _draw_noise_rng(self.SPEC, 10, rng_for(seed))
         info = synth._truncated_gaussian_scale.cache_info()
         assert (info.misses, info.hits) == (1, 4)
         assert (synth._truncated_gaussian_scale(0.5, 1.0)
@@ -164,14 +176,14 @@ import contextlib, io, json
 import mcuq
 from mcuq import cli
 from mcuq.core import NoiseSpec
-from mcuq.synth import draw_noise
+from mcuq.synth import _draw_noise_rng, rng_for
 lazy = ("scipy.stats", "scipy.optimize")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", "--config", {str(config)!r}]),
              cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
 before = [name for name in lazy if name in sys.modules]
 linalg = [name for name in sys.modules if name.split(".")[:2] == ["scipy", "linalg"]]
-draw_noise(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, seed=0)
+_draw_noise_rng(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, rng_for(0))
 after = [name for name in lazy if name in sys.modules]
 print(json.dumps([codes, before, linalg, after]))
 """)
@@ -238,15 +250,6 @@ class TestSampleTrace:
         data = sample_trace(M, 500, NoiseSpec("uniform", 0.4, 1.0), seed=12)
         assert np.max(np.abs(data.y - M[data.rows, data.cols])) <= 1.0
 
-    def test_csv_round_trip(self):
-        M = make_low_rank(4, 6, 1, 1.0, seed=13)
-        data = sample_trace(M, 25, RADEMACHER, seed=14)
-        back = TraceDataset.from_csv(data.to_csv())
-        assert back.m1 == 4 and back.m2 == 6
-        np.testing.assert_array_equal(back.rows, data.rows)
-        np.testing.assert_array_equal(back.cols, data.cols)
-        np.testing.assert_array_equal(back.y, data.y)
-
 
 class TestSampleBernoulli:
     def test_full_observation(self):
@@ -278,14 +281,6 @@ class TestSampleBernoulli:
     def test_n_out_of_range(self):
         with pytest.raises(DomainError):
             sample_bernoulli(np.zeros((3, 3)), 10, RADEMACHER, seed=0)
-
-    def test_csv_round_trip(self):
-        M = make_low_rank(5, 4, 1, 1.0, seed=21)
-        data = sample_bernoulli(M, 10, RADEMACHER, seed=22)
-        back = BernoulliDataset.from_csv(data.to_csv())
-        assert back.p == data.p
-        np.testing.assert_array_equal(back.mask, data.mask)
-        np.testing.assert_array_equal(back.values, data.values)
 
 
 class TestSeedStreams:

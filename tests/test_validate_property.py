@@ -43,7 +43,7 @@ def configs(draw):
     """A small config of any kind, mostly well-formed, sometimes with one bad
     field; tiny ``n`` and ``n`` far above ``m1*m2`` (no or many pairs) are
     both drawn."""
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(tuple(KINDS)))
     m1 = draw(st.integers(1, 6))
     m2 = m1 if kind == "lbdemo" else draw(st.integers(1, 6))
     d = min(m1, m2)
