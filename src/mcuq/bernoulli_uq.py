@@ -48,16 +48,6 @@ class TestVerdict:
     gap_flag: bool
     meta: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "T_n": float(self.statistic),
-            "u_alpha": float(self.threshold),
-            "reject": bool(self.reject),
-            "mode": self.mode,
-            "restarts": self.restarts,
-            "gap_flag": bool(self.gap_flag),
-        }
-
 
 def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
     """Feasible point of the rank/box class near X: truncate, then rescale into the box."""

@@ -78,20 +78,29 @@ class LassoFit:
 
 def matrix_lasso(data: TraceDataset, lam: float, a: float,
                  max_iter: int = 300, tol: float = 1e-6) -> LassoFit:
-    """Constrained nuclear-norm regression solved by proximal gradient.
+    """Constrained nuclear-norm regression solved by restarted FISTA.
 
     Approximately minimizes the mean squared residual over the observed
     positions plus ``lam`` times the nuclear norm, over matrices with
     entries in ``[-a, a]``.  Each step takes a gradient move on the smooth
-    loss, soft-thresholds the singular values, and clips the entries; the
-    step size starts at the inverse empirical-design Lipschitz constant and
-    is halved whenever the objective would increase, so the recorded
-    objective sequence is non-increasing.  The iterate always satisfies the
-    entry bound.  Non-convergence is reported through ``converged``; the
-    best iterate is returned regardless.
+    loss at the fixed step ``1/L`` (``L`` is the exact Lipschitz constant of
+    the diagonal empirical design), soft-thresholds the singular values,
+    and clips the entries.  The move starts from FISTA's extrapolated point
+    ``A + ((t - 1)/t') (A - A_prev)`` (Beck & Teboulle 2009).  When that
+    step would raise the objective, the momentum restarts at ``t = 1``
+    (O'Donoghue & Candès 2015) and the plain step from ``A`` is taken
+    instead; when that one does not descend either, the solver stops as
+    converged.  So the recorded objective sequence is non-increasing, and
+    the iterate always satisfies the entry bound.  Non-convergence is
+    reported through ``converged``; the best iterate is returned
+    regardless.
 
-    The soft-threshold of ``X = A - step*grad`` at ``tau = step*lam`` never
-    forms a full SVD: it is :func:`mcuq.core.singular_value_threshold`, one
+    "Shrink, then clip" is not the exact proximal map of ``lam*|A|_*`` plus
+    the entry box, so the fixed point is an approximate minimizer of the
+    constrained problem, not the exact one.
+
+    The soft-threshold of ``X = Y - grad/L`` at ``tau = lam/L`` never forms
+    a full SVD: it is :func:`mcuq.core.singular_value_threshold`, one
     subset eigensolve of the Gram matrix of ``X`` on its smaller side, which
     needs no gap in the spectrum at ``tau``.
     When the clip changes nothing, the objective's nuclear norm is
@@ -114,39 +123,37 @@ def matrix_lasso(data: TraceDataset, lam: float, a: float,
     flat = data.rows * m2 + data.cols
     size = m1 * m2
 
-    lip = 2.0 * np.bincount(flat, minlength=size).max() / n
-    step0 = 1.0 / lip
+    step = 1.0 / (2.0 * np.bincount(flat, minlength=size).max() / n)
+    tau = step * lam
 
-    def objective(A, nuclear):
-        resid = y - A.take(flat)
-        return float(np.mean(resid * resid) + lam * nuclear)
-
-    def prox_step(A, step):
-        # Returns the clipped prox iterate and its nuclear norm.
-        grad = np.bincount(flat, weights=A.take(flat) - y, minlength=size).reshape(m1, m2)
+    def prox_step(Y):
+        # Returns the clipped prox iterate from Y and its objective.
+        grad = np.bincount(flat, weights=Y.take(flat) - y, minlength=size).reshape(m1, m2)
         grad *= 2.0 / n
-        tau = step * lam
-        B, s = singular_value_threshold(A - step * grad, tau)
+        B, s = singular_value_threshold(Y - step * grad, tau)
         if np.max(np.abs(B)) <= a:
-            return B, np.sum(s - tau)
-        B = np.clip(B, -a, a)
-        return B, np.sum(np.linalg.svd(B, compute_uv=False))
+            nuclear = np.sum(s - tau)
+        else:
+            B = np.clip(B, -a, a)
+            nuclear = np.sum(np.linalg.svd(B, compute_uv=False))
+        resid = y - B.take(flat)
+        return B, float(np.mean(resid * resid) + lam * nuclear)
 
-    A = np.zeros((m1, m2))
-    objs = [objective(A, 0.0)]
+    A = A_prev = np.zeros((m1, m2))
+    objs = [float(np.mean(y * y))]
+    t = 1.0
     converged = False
     for _ in range(max_iter):
-        step = step0
-        A_new, nuclear = prox_step(A, step)
-        obj_new = objective(A_new, nuclear)
-        while obj_new > objs[-1] and step > step0 * 2.0 ** -30:
-            step /= 2.0
-            A_new, nuclear = prox_step(A, step)
-            obj_new = objective(A_new, nuclear)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        A_new, obj_new = prox_step(A + ((t - 1.0) / t_next) * (A - A_prev))
+        if obj_new > objs[-1] and t > 1.0:
+            # Restart: drop the momentum (t = 1) and step from A itself.
+            t_next = (1.0 + math.sqrt(5.0)) / 2.0
+            A_new, obj_new = prox_step(A)
         if obj_new > objs[-1]:
-            converged = True  # no descent direction left at the step floor
+            converged = True  # the plain step does not descend either
             break
-        A = A_new
+        A_prev, A, t = A, A_new, t_next
         objs.append(obj_new)
         if objs[-2] - objs[-1] < tol * max(1.0, abs(objs[-2])):
             converged = True

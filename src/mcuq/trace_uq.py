@@ -64,16 +64,6 @@ class FrobeniusBall:
             return False
         return estimator_risk(A, self.center) <= self.radius_sq
 
-    def to_json_dict(self, center_file: str | None = None) -> dict:
-        return {
-            "construction": self.meta.get("construction"),
-            "alpha": self.meta.get("alpha"),
-            "center_file": center_file,
-            "radius_sq": float(self.radius_sq),
-            "N_or_n": self.meta.get("N_or_n"),
-            "flags": list(self.meta.get("flags", [])),
-        }
-
 
 def split_sample(data: TraceDataset) -> tuple[TraceDataset, TraceDataset]:
     """Deterministic split into two equal halves; an odd trailing sample is dropped."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mcuq import estimate
 from mcuq.core import DomainError, NoiseSpec, clip_entries
 from mcuq.estimate import (LassoFit, estimator_risk, lambda_data_driven,
                            lambda_practical_trace, matrix_lasso,
@@ -133,46 +134,101 @@ class TestMatrixLasso:
             assert np.median(risks) <= guard
 
 
+def _criterion_01_panel(seeds=6):
+    # Second halves of criterion 01's datasets (30x30, n=900) with the
+    # practical tuning u_ci uses: 4 cells (k, sigma) times `seeds` fits.
+    m, n = 30, 900
+    panel = []
+    for k in (1, 3):
+        for sigma in (0.5, 1.0):
+            noise = NoiseSpec("scaled-rademacher", sigma, sigma)
+            for r in range(seeds):
+                M = make_low_rank(m, m, k, 1.0, child_seed(37, k, r))
+                data = sample_trace(M, n, noise, child_seed(38, k, r, int(2 * sigma)))
+                second = data.subset(n // 2, n)
+                panel.append((second, lambda_practical_trace(sigma, m, m, second.n)))
+    return panel
+
+
+class TestRestartedFista:
+    def test_few_iterations_and_monotone_on_criterion_01_panel(self):
+        fits = [matrix_lasso(data, lam, a=1.0) for data, lam in _criterion_01_panel()]
+        assert all(fit.converged for fit in fits)
+        assert np.mean([fit.n_iter for fit in fits]) <= 15
+        for fit in fits:
+            assert np.all(np.diff(fit.objectives) <= 0.0)
+
+    def test_final_objective_near_tight_tolerance_fit(self):
+        for data, lam in _criterion_01_panel():
+            fit = matrix_lasso(data, lam, a=1.0)
+            tight = matrix_lasso(data, lam, a=1.0, max_iter=5000, tol=1e-15)
+            assert tight.converged
+            best = tight.objectives[-1]
+            assert fit.objectives[-1] - best <= 1e-4 * abs(best)
+
+    def test_restart_branch_runs(self, monkeypatch):
+        # A fit that stops by the relative-decrease rule makes one prox call
+        # per accepted step plus one per restart (the plain step taken after
+        # a failed extrapolated one).
+        calls = 0
+        shrink = estimate.singular_value_threshold
+
+        def counting(X, tau):
+            nonlocal calls
+            calls += 1
+            return shrink(X, tau)
+
+        monkeypatch.setattr(estimate, "singular_value_threshold", counting)
+        restarts = 0
+        for data, lam in _criterion_01_panel():
+            calls = 0
+            fit = matrix_lasso(data, lam, a=1.0)
+            assert calls >= fit.n_iter > 0
+            before, last = fit.objectives[-2:]
+            if before - last < 1e-6 * max(1.0, abs(before)):
+                restarts += calls - fit.n_iter
+        assert restarts >= 1
+
+
 def _matrix_lasso_svd_reference(data, lam, a, max_iter=300, tol=1e-6):
-    # The full-SVD proximal gradient solver matrix_lasso replaced: one SVD
-    # per prox step and one more per objective.
+    # matrix_lasso's restarted FISTA with a full SVD per prox step and one
+    # more per objective, in place of the Gram eigensolve.
     n = data.n
     rows, cols, y = data.rows, data.cols, data.y
     m1, m2 = data.m1, data.m2
 
     counts = np.zeros((m1, m2))
     np.add.at(counts, (rows, cols), 1.0)
-    lip = 2.0 * counts.max() / n
-    step0 = 1.0 / lip
+    step = 1.0 / (2.0 * counts.max() / n)
 
     def objective(A):
         resid = y - A[rows, cols]
         sv = np.linalg.svd(A, compute_uv=False)
         return float(np.mean(resid * resid) + lam * np.sum(sv))
 
-    def prox_step(A, step):
+    def prox_step(Y):
         grad = np.zeros((m1, m2))
-        np.add.at(grad, (rows, cols), A[rows, cols] - y)
+        np.add.at(grad, (rows, cols), Y[rows, cols] - y)
         grad *= 2.0 / n
-        u, s, vt = np.linalg.svd(A - step * grad, full_matrices=False)
+        u, s, vt = np.linalg.svd(Y - step * grad, full_matrices=False)
         s = np.maximum(s - step * lam, 0.0)
-        return np.clip((u * s) @ vt, -a, a)
+        A_new = np.clip((u * s) @ vt, -a, a)
+        return A_new, objective(A_new)
 
-    A = np.zeros((m1, m2))
+    A = A_prev = np.zeros((m1, m2))
     objs = [objective(A)]
+    t = 1.0
     converged = False
     for _ in range(max_iter):
-        step = step0
-        A_new = prox_step(A, step)
-        obj_new = objective(A_new)
-        while obj_new > objs[-1] and step > step0 * 2.0 ** -30:
-            step /= 2.0
-            A_new = prox_step(A, step)
-            obj_new = objective(A_new)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        A_new, obj_new = prox_step(A + ((t - 1.0) / t_next) * (A - A_prev))
+        if obj_new > objs[-1] and t > 1.0:
+            t_next = (1.0 + math.sqrt(5.0)) / 2.0
+            A_new, obj_new = prox_step(A)
         if obj_new > objs[-1]:
             converged = True
             break
-        A = A_new
+        A_prev, A, t = A, A_new, t_next
         objs.append(obj_new)
         if objs[-2] - objs[-1] < tol * max(1.0, abs(objs[-2])):
             converged = True

@@ -258,13 +258,14 @@ def rss_radius_bisection(R_hat, n, d, sigma, z, z_alpha, xi, tol=1e-12):
     B = 2.0 * (R_hat + z * d / n + xi / sqrt_n)
 
     def rhs(t):
-        zbar = math.sqrt(z_alpha * sigma * sigma * max(3.0 * t, 4.0 * z * d / n))
+        # Elementwise, so one call covers the whole grid.
+        zbar = np.sqrt(z_alpha * sigma * sigma * np.maximum(3.0 * t, 4.0 * z * d / n))
         return B + 2.0 * zbar / sqrt_n
 
     b = 2.0 * sigma * math.sqrt(3.0 * z_alpha) / sqrt_n
     cap = max((b + math.sqrt(max(b * b + 4.0 * abs(B), 0.0))) ** 2, 4.0 * z * d / n) + 1.0
     grid = np.linspace(0.0, cap, 200001)
-    feasible = grid[grid <= np.array([rhs(t) for t in grid])]
+    feasible = grid[grid <= rhs(grid)]
     if feasible.size == 0:
         return 0.0
     lo = float(feasible[-1])
@@ -323,20 +324,6 @@ class TestRssCi:
             rss_ci(data, alpha=0.0, sigma=0.5, U=0.5)
         with pytest.raises(DomainError):
             rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, z=0.0)
-
-
-class TestFrobeniusBallInterface:
-    def test_json_dict_keys(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=60)
-        data = sample_trace(M, 36, RADEMACHER, seed=61)
-        ball = u_ci(data, alpha=0.1, a=1.0, U=0.5)
-        payload = ball.to_json_dict(center_file="center.csv")
-        assert set(payload) == {"construction", "alpha", "center_file",
-                                "radius_sq", "N_or_n", "flags"}
-        assert payload["construction"] == "u_ci"
-        assert payload["alpha"] == 0.1
-        assert payload["center_file"] == "center.csv"
-        assert isinstance(payload["flags"], list)
 
 
 class TestUCiCoverageOtherNoise:
