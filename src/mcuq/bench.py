@@ -311,17 +311,16 @@ def _map_for(threads: int, noise: NoiseSpec | None = None):
     return pool.map, pool
 
 
-def _build_ci(cfg: ExperimentConfig, data, extras: dict):
+def _build_ci(cfg: ExperimentConfig, data, extras: dict,
+              test_seed: int) -> trace_uq.FrobeniusBall:
     if cfg.method == "u_ci":
         return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U, lam=cfg.lam)
     if cfg.method == "rss_ci":
         return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U,
                                z=cfg.z, a=cfg.a, lam=cfg.lam)
     return bernoulli_uq.adaptive_ci(
-        data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, cfg.noise.U, cfg.alpha,
-        K=cfg.K, lam=cfg.lam, mode=cfg.threshold_mode,
-        threshold=extras.get("threshold"), noise=cfg.noise,
-        restarts=cfg.restarts, seed=extras.get("test_seed", 0))
+        data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, extras["threshold"],
+        K=cfg.K, lam=cfg.lam, restarts=cfg.restarts, seed=test_seed)
 
 
 def _sample(cfg: ExperimentConfig, M, r: int):
@@ -334,14 +333,14 @@ def _coverage_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict
     _, r = job
     M = make_low_rank(cfg.m1, cfg.m2, cfg.k_truth, cfg.a, child_seed(cfg.seed, 10, r))
     data = _sample(cfg, M, r)
-    ball = _build_ci(cfg, data, {**extras, "test_seed": child_seed(cfg.seed, 12, r)})
+    ball = _build_ci(cfg, data, extras, child_seed(cfg.seed, 12, r))
     return {
         "replicate": r,
         "covered": int(ball.contains(M)),
         "radius_sq": ball.radius_sq,
         "risk": estimate.estimator_risk(ball.center, M),
-        "n_aux": int(ball.meta.get("N_or_n", 0)),
-        "flag": int(bool(ball.meta.get("flags"))),
+        "n_aux": ball.n_aux,
+        "flag": int(bool(ball.flags)),
     }
 
 
@@ -366,15 +365,14 @@ def _diameter_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict
     sub = replace(cfg, k_truth=k_t)
     M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, r, k_t))
     data = _sample(sub, M, r)
-    ball = _build_ci(sub, data, {**extras, "test_seed": child_seed(cfg.seed, 12, r)})
-    reject = ball.meta.get("reject")
+    ball = _build_ci(sub, data, extras, child_seed(cfg.seed, 12, r))
     return {
         "replicate": idx,
         "k_truth": k_t,
         "radius_sq": ball.radius_sq,
         "covered": int(ball.contains(M)),
-        "reject": -1 if reject is None else int(reject),
-        "flag": int(bool(ball.meta.get("flags"))),
+        "reject": -1 if ball.reject is None else int(ball.reject),
+        "flag": int(bool(ball.flags)),
     }
 
 
@@ -502,10 +500,8 @@ def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     M = _power_truth(cfg, s_mult, idx)
     data = sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, idx))
     verdict = bernoulli_uq.low_rank_test(
-        data, cfg.k0, cfg.a, cfg.noise.sigma, cfg.noise.U, cfg.alpha,
-        mode=cfg.threshold_mode, threshold=extras.get("threshold"),
-        noise=cfg.noise, restarts=cfg.restarts,
-        seed=child_seed(cfg.seed, 12, idx))
+        data, cfg.k0, cfg.a, cfg.noise.sigma, extras["threshold"],
+        restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, idx))
     return {"replicate": idx, "separation": s_mult, "T_n": verdict.statistic,
             "threshold": verdict.threshold, "reject": int(verdict.reject),
             "flag": int(verdict.gap_flag)}

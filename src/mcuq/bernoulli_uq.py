@@ -17,7 +17,7 @@ it honest:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,14 @@ class InfimumResult:
 
 @dataclass
 class TestVerdict:
-    """Outcome of the low-rank hypothesis test."""
+    """Outcome of the low-rank hypothesis test: reject when the infimum
+    statistic exceeds the threshold; ``gap_flag`` marks a search that never
+    improved on its starts."""
 
     statistic: float
     threshold: float
     reject: bool
-    minimizer: np.ndarray
-    mode: str
-    restarts: int
     gap_flag: bool
-    meta: dict = field(default_factory=dict)
 
 
 def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
@@ -60,17 +58,20 @@ def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
 
 def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
                  restarts: int = 8, seed: int = 0, max_iter: int = 120,
-                 lam: float | None = None,
+                 center: np.ndarray | None = None,
                  extra_starts: list | None = None) -> InfimumResult:
     """Upper bound on inf over rank-``k0`` candidates of the centered residual sum.
 
     The objective for a candidate ``A`` is
     ``|sum over observed entries of ((Y - A)^2 - sigma^2)| / sqrt(2n)``.
-    Starts are a shrunken spectral fit of the data, the zero matrix,
-    ``restarts`` random rank-``k0`` matrices, and any ``extra_starts``; each
-    is refined by projected gradient steps on the smooth residual sum (rank
-    truncation plus box rescaling after every step).  ``k0 = 0`` evaluates
-    the single class member ``A = 0`` exactly.
+    Starts are the zero matrix, a spectral fit of the data projected into
+    the class, ``restarts`` random rank-``k0`` matrices, and any
+    ``extra_starts``; each is refined by projected gradient steps on the
+    smooth residual sum (rank truncation plus box rescaling after every
+    step).  The spectral fit is ``center`` when given, else the clipped
+    soft-threshold fit at the data-driven ``lam``, which is also the default
+    center of :func:`adaptive_ci`.  ``k0 = 0`` evaluates the single class
+    member ``A = 0`` exactly.
     """
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
@@ -107,9 +108,9 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
 
     rng = rng_for(seed)
     starts = [A_zero]
-    if lam is None:
-        lam = lambda_data_driven(data)
-    starts.append(_project(clip_entries(soft_threshold_estimator(data, lam), a), k0, a))
+    if center is None:
+        center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
+    starts.append(_project(center, k0, a))
     for _ in range(restarts):
         L = rng.standard_normal((data.m1, k0))
         R = rng.standard_normal((data.m2, k0))
@@ -207,39 +208,20 @@ def u_alpha_calibrated(alpha: float, sigma: float, noise: NoiseSpec,
 
 
 def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
-                  U: float, alpha: float, mode: str = "calibrated",
-                  threshold: float | None = None, noise: NoiseSpec | None = None,
-                  calib_reps: int = 400, restarts: int = 8, seed: int = 0,
-                  max_iter: int = 120, lam: float | None = None) -> TestVerdict:
+                  threshold: float, restarts: int = 8, seed: int = 0,
+                  max_iter: int = 120, center: np.ndarray | None = None) -> TestVerdict:
     """Reject the rank-``k0`` hypothesis when the infimum statistic exceeds
-    the threshold.
+    ``threshold``.
 
-    ``mode='theoretical'`` uses the closed-form threshold (valid but very
-    conservative at small sizes); ``mode='calibrated'`` uses the simulated
-    null quantile, which requires the noise law.  A precomputed
-    ``threshold`` short-circuits both.
+    The caller picks the threshold, and with it the noise law it assumes:
+    :func:`u_alpha_calibrated` simulates the null quantile under a given law,
+    :func:`u_alpha_theoretical` is the closed form (valid but very
+    conservative at small sizes).  ``center`` is passed on to
+    :func:`infimum_stat` as its spectral start.
     """
-    if mode not in ("theoretical", "calibrated"):
-        raise DomainError(f"mode must be 'theoretical' or 'calibrated', got {mode!r}")
-    if threshold is None:
-        if mode == "theoretical":
-            threshold = u_alpha_theoretical(alpha, sigma, U)
-        else:
-            if noise is None:
-                noise = NoiseSpec("scaled-rademacher", sigma, max(sigma, U))
-            threshold = u_alpha_calibrated(alpha, sigma, noise,
-                                           (data.m1, data.m2), data.n,
-                                           reps=calib_reps, seed=seed)
     res = infimum_stat(data, k0, a, sigma, restarts=restarts, seed=seed,
-                       max_iter=max_iter, lam=lam)
-    d = data.m1 + data.m2
-    m = min(data.m1, data.m2)
-    meta = {
-        "theoretical_alpha_valid": alpha >= 12.0 * math.exp(-100.0 * d),
-        "theoretical_n_valid": data.n >= m * math.log(d),
-    }
-    return TestVerdict(res.value, float(threshold), res.value > threshold,
-                       res.minimizer, mode, restarts, res.gap_flag, meta)
+                       max_iter=max_iter, center=center)
+    return TestVerdict(res.value, float(threshold), res.value > threshold, res.gap_flag)
 
 
 #: Default diameter multiplier for the adaptive set: twice the empirically
@@ -249,15 +231,15 @@ ADAPTIVE_K_DEFAULT = 2.5
 
 
 def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
-                U: float, alpha: float, K: float = ADAPTIVE_K_DEFAULT,
-                lam: float | None = None, mode: str = "calibrated",
-                threshold: float | None = None, noise: NoiseSpec | None = None,
-                calib_reps: int = 400, restarts: int = 8,
+                threshold: float, K: float = ADAPTIVE_K_DEFAULT,
+                lam: float | None = None, restarts: int = 8,
                 seed: int = 0, max_iter: int = 120) -> FrobeniusBall:
     """Two-valued adaptive confidence set driven by the low-rank test.
 
-    The center is the clipped closed-form fit; the normalized squared radius
-    is ``K^2 * k * d / n`` when the rank-``k0`` hypothesis is rejected and
+    The center is the clipped closed-form fit at ``lam`` (data-driven by
+    default), which also starts the test's search; the normalized squared
+    radius is ``K^2 * k * d / n`` when the rank-``k0`` hypothesis is
+    rejected at ``threshold`` (see :func:`low_rank_test`) and
     ``K^2 * k0 * d / n`` otherwise.
     """
     if not 0 <= k0 < k:
@@ -265,15 +247,9 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
     if lam is None:
         lam = lambda_data_driven(data)
     center = clip_entries(soft_threshold_estimator(data, lam), a)
-    verdict = low_rank_test(data, k0, a, sigma, U, alpha, mode=mode,
-                            threshold=threshold, noise=noise,
-                            calib_reps=calib_reps, restarts=restarts,
-                            seed=seed, max_iter=max_iter, lam=lam)
-    d = data.m1 + data.m2
+    verdict = low_rank_test(data, k0, a, sigma, threshold, restarts=restarts,
+                            seed=seed, max_iter=max_iter, center=center)
     k_used = k if verdict.reject else k0
-    radius_sq = K * K * k_used * d / data.n
-    meta = {"construction": "adaptive_ci", "alpha": alpha, "N_or_n": data.n,
-            "a_bound": a, "reject": verdict.reject, "k_used": k_used,
-            "K": K, "T_n": verdict.statistic, "u_alpha": verdict.threshold,
-            "flags": ["search_gap"] if verdict.gap_flag else []}
-    return FrobeniusBall(center, radius_sq, meta)
+    radius_sq = K * K * k_used * (data.m1 + data.m2) / data.n
+    return FrobeniusBall(center, radius_sq, data.n, a_bound=a, reject=verdict.reject,
+                         flags=("search_gap",) if verdict.gap_flag else ())

@@ -28,17 +28,14 @@ class PriorDraw:
     ``M[i, j] = u * row_signs[i, labels[j]] * col_signs[j]`` with ``u = 2*rho``;
     the matched noise takes the value ``1 - M_ij`` with probability
     ``(1 + M_ij)/2`` and ``-1 - M_ij`` otherwise, so observed values live on
-    {-1, +1} and the noise variance is ``1 - 4*rho^2`` at every entry.
+    {-1, +1} and the noise variance is ``1 - u^2`` at every entry.
     """
 
     M: np.ndarray
-    rho: float
     u: float
     labels: np.ndarray
     row_signs: np.ndarray
     col_signs: np.ndarray
-    noise: NoiseSpec
-    trimmed: bool = False
 
 
 def rho_for(v: float, k: int, m: int, n: int) -> float:
@@ -55,7 +52,7 @@ def sample_h1(m: int, k: int, rho: float, seed: int) -> PriorDraw:
 
     Columns are split by a uniform random partition into ``k`` groups of
     equal size; when ``k`` does not divide ``m`` the trailing columns are
-    trimmed and the draw is flagged.
+    trimmed, so ``M`` has ``k * (m // k)`` columns.
     """
     if not 0 < rho < 0.5:
         raise DomainError(f"rho must lie in (0, 0.5), got {rho}")
@@ -65,7 +62,6 @@ def sample_h1(m: int, k: int, rho: float, seed: int) -> PriorDraw:
     if group < 1:
         raise DomainError(f"cannot split {m} columns into {k} groups")
     m_cols = k * group
-    trimmed = m_cols != m
     rng = rng_for(seed)
     perm = rng.permutation(m_cols)
     labels = np.empty(m_cols, dtype=np.int64)
@@ -74,8 +70,7 @@ def sample_h1(m: int, k: int, rho: float, seed: int) -> PriorDraw:
     col_signs = rng.integers(0, 2, size=m_cols) * 2 - 1
     u = 2.0 * rho
     M = u * row_signs[:, labels] * col_signs[None, :]
-    noise = NoiseSpec("two-point-skewed", math.sqrt(1.0 - u * u), 2.0)
-    return PriorDraw(M, rho, u, labels, row_signs, col_signs, noise, trimmed)
+    return PriorDraw(M, u, labels, row_signs, col_signs)
 
 
 def sample_h0(m: int, seed: int = 0) -> tuple[np.ndarray, NoiseSpec]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DomainError, as_matrix
-from .estimate import estimator_risk, lambda_practical_trace, matrix_lasso
+from .estimate import LassoFit, estimator_risk, lambda_practical_trace, matrix_lasso
 from .synth import TraceDataset
 
 #: Slack on the entry bound when testing membership of box-constrained sets.
@@ -49,18 +49,24 @@ class FrobeniusBall:
     """Confidence set: center matrix plus a bound on the normalized error.
 
     A matrix ``A`` belongs to the set when
-    ``|A - center|_F^2/(m1*m2) <= radius_sq`` and, if ``meta['a_bound']`` is
-    set, additionally ``|A|_inf <= a_bound``.
+    ``|A - center|_F^2/(m1*m2) <= radius_sq`` and, if ``a_bound`` is set,
+    additionally ``|A|_inf <= a_bound``.  ``n_aux`` is the sample count the
+    radius rests on (couples for ``u_ci``, observations otherwise);
+    ``reject`` is the low-rank test's verdict for the adaptive set and
+    ``None`` for the others; ``flags`` names any numerical trouble
+    (``center_not_converged``, ``search_gap``).
     """
 
     center: np.ndarray
     radius_sq: float
-    meta: dict = field(default_factory=dict)
+    n_aux: int
+    a_bound: float | None = None
+    reject: bool | None = None
+    flags: tuple[str, ...] = ()
 
     def contains(self, A: np.ndarray) -> bool:
         A = as_matrix(A)
-        a_bound = self.meta.get("a_bound")
-        if a_bound is not None and np.max(np.abs(A)) > a_bound + MEMBER_ENTRY_TOL:
+        if self.a_bound is not None and np.max(np.abs(A)) > self.a_bound + MEMBER_ENTRY_TOL:
             return False
         return estimator_risk(A, self.center) <= self.radius_sq
 
@@ -123,6 +129,10 @@ def u_quantile(alpha: float, N: int, a: float, U: float) -> float:
     return (U * U + 4.0 * a * a) / math.sqrt(N * alpha)
 
 
+def _fit_flags(fit: LassoFit) -> tuple[str, ...]:
+    return () if fit.converged else ("center_not_converged",)
+
+
 def u_ci(data: TraceDataset, alpha: float, a: float, U: float,
          lam: float | None = None, max_iter: int = 300,
          tol: float = 1e-6) -> FrobeniusBall:
@@ -148,10 +158,7 @@ def u_ci(data: TraceDataset, alpha: float, a: float, U: float,
     pairs = pair_repeats(first)
     N = pairs.n_pairs
     radius_sq = max(0.0, u_statistic(pairs, fit.estimate) + u_quantile(alpha, N, a, U))
-    flags = [] if fit.converged else ["center_not_converged"]
-    meta = {"construction": "u_ci", "alpha": alpha, "N_or_n": N,
-            "a_bound": a, "flags": flags}
-    return FrobeniusBall(fit.estimate, radius_sq, meta)
+    return FrobeniusBall(fit.estimate, radius_sq, N, a_bound=a, flags=_fit_flags(fit))
 
 
 def n_pairs_bound(n: int, m1: int, m2: int) -> tuple[float, float]:
@@ -234,7 +241,4 @@ def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float,
     z_alpha = math.log(3.0 / alpha)
     xi = math.sqrt(2.0) * sigma * U * math.log(3.0 / alpha)
     radius_sq = rss_radius_sq(R_hat, n_eff, d, sigma, z, z_alpha, xi)
-    flags = [] if fit.converged else ["center_not_converged"]
-    meta = {"construction": "rss_ci", "alpha": alpha, "N_or_n": n_eff,
-            "sigma": sigma, "z": z, "flags": flags}
-    return FrobeniusBall(fit.estimate, radius_sq, meta)
+    return FrobeniusBall(fit.estimate, radius_sq, n_eff, flags=_fit_flags(fit))

@@ -222,17 +222,15 @@ def test_criterion_08_adaptive_bernoulli_set():
     for r in range(reps):
         M = make_low_rank(m, m, k0, a, child_seed(802, r))
         data = sample_bernoulli(M, n, noise, child_seed(803, r))
-        ball = adaptive_ci(data, k0, k, a, sigma, sigma, alpha,
-                           threshold=threshold, seed=child_seed(804, r))
+        ball = adaptive_ci(data, k0, k, a, sigma, threshold, seed=child_seed(804, r))
         covered_k0 += ball.contains(M)
-        small_k0 += not ball.meta["reject"]
+        small_k0 += not ball.reject
 
     covered_far = 0
     for r in range(reps):
         M = separated_truth(m, m, k0, a, 2.0 * unit, child_seed(805, r))
         data = sample_bernoulli(M, n, noise, child_seed(806, r))
-        ball = adaptive_ci(data, k0, k, a, sigma, sigma, alpha,
-                           threshold=threshold, seed=child_seed(807, r))
+        ball = adaptive_ci(data, k0, k, a, sigma, threshold, seed=child_seed(807, r))
         covered_far += ball.contains(M)
 
     floor_cov = 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from mcuq.bench import (ConfigError, ExperimentConfig, rate_se, run,
                         separated_truth, write_records_csv, write_report_json)
 from mcuq.core import DomainError, NoiseSpec
-from mcuq import bench, bernoulli_uq, cli, core, synth
+from mcuq import bench, bernoulli_uq, cli, core, estimate, synth, trace_uq
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
@@ -550,6 +551,57 @@ class TestCliNumericalFlag:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
 
 
+class TestFlagsReachRecords:
+    # Numerical trouble inside a replicate ends up in its record's flag
+    # column, in the flagged count and in the exit code.
+    @pytest.fixture
+    def unconverged_lasso(self, monkeypatch):
+        real = trace_uq.matrix_lasso
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(trace_uq, "matrix_lasso", unconverged)
+
+    @pytest.fixture
+    def gapped_search(self, monkeypatch):
+        real = bernoulli_uq.infimum_stat
+
+        def gapped(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), gap_flag=True)
+
+        monkeypatch.setattr(bernoulli_uq, "infimum_stat", gapped)
+
+    @pytest.mark.parametrize("method", ["u_ci", "rss_ci"])
+    def test_unconverged_center(self, unconverged_lasso, method):
+        M = synth.make_low_rank(10, 10, 1, 1.0, seed=90)
+        data = synth.sample_trace(M, 100, RADEMACHER, seed=91)
+        ball = (trace_uq.u_ci(data, 0.1, 1.0, 0.5) if method == "u_ci"
+                else trace_uq.rss_ci(data, 0.1, 0.5, 0.5, a=1.0))
+        assert ball.flags == ("center_not_converged",)
+        rep = run(coverage_config(method=method, reps=3))
+        assert [rec["flag"] for rec in rep.records] == [1, 1, 1]
+        assert rep.aggregates["flagged"] == 3
+
+    def test_unconverged_center_exits_three(self, unconverged_lasso, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(coverage_config(reps=2).to_dict()))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_search_gap(self, gapped_search):
+        M = synth.make_low_rank(10, 10, 1, 2.0, seed=92)
+        data = synth.sample_bernoulli(M, 60, RADEMACHER, seed=93)
+        assert bernoulli_uq.adaptive_ci(data, 1, 3, 2.0, 0.5, 0.0).flags == ("search_gap",)
+        rep = run(ExperimentConfig(kind="diameter", model="bernoulli", method="adaptive_ci",
+                                   m1=10, m2=10, n=60, k0=1, k=3, k_truth=3, a=2.0,
+                                   noise=RADEMACHER, reps=2, restarts=2, cal_reps=100,
+                                   seed=10))
+        assert [rec["flag"] for rec in rep.records] == [1] * 4
+        rep = run(TestEngine.CONFIGS["test_power"])
+        assert [rec["flag"] for rec in rep.records] == [1] * 4
+        assert rep.aggregates["flagged"] == 4
+
+
 class TestMethodModelPairing:
     def test_adaptive_requires_bernoulli(self):
         cfg = coverage_config(method="adaptive_ci", model="trace", k0=1, k=3)
@@ -588,6 +640,21 @@ class TestTracerWraps:
         assert tracer.WRAPS
         for modname, attr, _layer, _note in tracer.WRAPS:
             assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+    def test_notes_read_real_results(self):
+        # The note functions read result attributes (LassoFit.n_iter and
+        # .converged, PairedSet.n_pairs, InfimumResult.bracketed_zero and
+        # .gap_flag); a renamed attribute would break only a traced run.
+        tracer = _load_tracer()
+        M = synth.make_low_rank(10, 10, 1, 1.0, seed=94)
+        trace_data = synth.sample_trace(M, 100, RADEMACHER, seed=95)
+        fit = estimate.matrix_lasso(trace_data, 0.05, 1.0)
+        assert tracer._lasso_note((), {}, fit) == (fit.n_iter, fit.converged)
+        pairs = trace_uq.pair_repeats(trace_data)
+        assert tracer._pairs_note((), {}, pairs) == pairs.n_pairs > 0
+        data = synth.sample_bernoulli(M, 60, RADEMACHER, seed=96)
+        res = bernoulli_uq.infimum_stat(data, 1, 1.0, 0.5, restarts=2, seed=97)
+        assert tracer._infimum_note((), {}, res) == (res.bracketed_zero, res.gap_flag)
 
     def test_benchmark_entry_points(self):
         # perfbench/worker.py times bench.run on a config built by

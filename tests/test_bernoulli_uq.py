@@ -288,6 +288,19 @@ class TestInfimumStat:
         np.testing.assert_array_equal(got.minimizer, want.minimizer)
         assert len(counts["got"]) == len(counts["want"]) > 50
 
+    @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
+    def test_given_center_is_the_spectral_start(self, case):
+        # adaptive_ci hands its center to the search, which would otherwise
+        # fit the same matrix again for its spectral start.
+        data, kw = _search_case(case)
+        center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), kw["a"])
+        got = infimum_stat(data, center=center, **kw)
+        want = infimum_stat(data, **kw)
+        assert got.value == want.value
+        assert got.gap_flag == want.gap_flag
+        assert got.bracketed_zero == want.bracketed_zero
+        np.testing.assert_array_equal(got.minimizer, want.minimizer)
+
     def test_invalid_k0(self):
         data = sample_bernoulli(np.zeros((4, 4)), 8, RADEMACHER, seed=20)
         with pytest.raises(DomainError):
@@ -330,21 +343,15 @@ class TestLowRankTest:
         M = make_low_rank(8, 8, 1, 1.0, seed=21)
         noise0 = NoiseSpec("scaled-rademacher", 0.0, 1.0)
         data = sample_bernoulli(M, 40, noise0, seed=22)
-        verdict = low_rank_test(data, 1, 1.0, 0.0, 1.0, 0.1, mode="calibrated",
-                                noise=noise0, calib_reps=100, seed=23)
+        threshold = u_alpha_calibrated(0.1, 0.0, noise0, (8, 8), 40, reps=100, seed=23)
+        verdict = low_rank_test(data, 1, 1.0, 0.0, threshold, seed=23)
         assert not verdict.reject
 
     def test_reject_iff_statistic_exceeds_threshold(self):
         M = make_low_rank(6, 6, 1, 1.0, seed=24)
         data = sample_bernoulli(M, 24, RADEMACHER, seed=25)
-        verdict = low_rank_test(data, 1, 1.0, 0.5, 0.5, 0.1, threshold=0.0, seed=26)
+        verdict = low_rank_test(data, 1, 1.0, 0.5, 0.0, seed=26)
         assert verdict.reject == (verdict.statistic > verdict.threshold)
-
-    def test_validity_flags_reported(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=27)
-        data = sample_bernoulli(M, 8, RADEMACHER, seed=28)
-        verdict = low_rank_test(data, 1, 1.0, 0.5, 0.5, 0.1, threshold=0.0, seed=29)
-        assert verdict.meta["theoretical_n_valid"] is False  # n too small here
 
 
 class TestAdaptiveCi:
@@ -355,29 +362,40 @@ class TestAdaptiveCi:
         large = ADAPTIVE_K_DEFAULT ** 2 * 3 * d / n
         M = make_low_rank(20, 20, 1, 1.0, seed=30)
         data = sample_bernoulli(M, n, RADEMACHER, seed=31)
-        ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.5, 0.1, threshold=0.0, seed=32)
+        ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
         assert ball.radius_sq in (pytest.approx(small), pytest.approx(large))
 
     def test_reject_gives_larger_radius(self):
         M = make_low_rank(20, 20, 1, 1.0, seed=33)
         data = sample_bernoulli(M, 300, RADEMACHER, seed=34)
-        accept_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.5, 0.1,
-                                  threshold=math.inf, seed=35)
-        reject_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.5, 0.1,
-                                  threshold=-1.0, seed=35)
+        accept_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, math.inf, seed=35)
+        reject_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, -1.0, seed=35)
         assert reject_ball.radius_sq > accept_ball.radius_sq
 
     def test_center_respects_entry_bound(self):
         M = make_low_rank(10, 10, 1, 1.0, seed=36)
         data = sample_bernoulli(M, 60, RADEMACHER, seed=37)
-        ball = adaptive_ci(data, 1, 2, 0.3, 0.5, 0.5, 0.1, threshold=0.0, seed=38)
+        ball = adaptive_ci(data, 1, 2, 0.3, 0.5, 0.0, seed=38)
         assert np.max(np.abs(ball.center)) <= 0.3 + 1e-12
+
+    def test_one_center_fit_per_call(self, monkeypatch):
+        fits = []
+
+        def counting(data, lam):
+            fits.append(lam)
+            return soft_threshold_estimator(data, lam)
+
+        monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", counting)
+        M = make_low_rank(20, 20, 3, 3.0, seed=41)
+        data = sample_bernoulli(M, 300, RADEMACHER, seed=42)
+        adaptive_ci(data, 1, 3, 3.0, 0.5, 0.0, seed=43)
+        assert fits == [lambda_data_driven(data)]
 
     def test_requires_k0_below_k(self):
         M = make_low_rank(6, 6, 1, 1.0, seed=39)
         data = sample_bernoulli(M, 18, RADEMACHER, seed=40)
         with pytest.raises(DomainError):
-            adaptive_ci(data, 2, 2, 1.0, 0.5, 0.5, 0.1)
+            adaptive_ci(data, 2, 2, 1.0, 0.5, 0.0)
 
 
 class TestWeakRipSanity:
@@ -416,8 +434,7 @@ class TestTypeIControlGrid:
                 for r in range(reps):
                     M = make_low_rank(m, m, k0, a, child_seed(51, k0, r))
                     data = sample_bernoulli(M, n, noise, child_seed(52, k0, r))
-                    verdict = low_rank_test(data, k0, a, sigma, sigma, alpha,
-                                            threshold=thr,
+                    verdict = low_rank_test(data, k0, a, sigma, thr,
                                             seed=child_seed(53, k0, r))
                     rejections += verdict.reject
                 assert rejections / reps <= cap, (k0, sigma)

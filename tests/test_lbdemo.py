@@ -62,7 +62,6 @@ class TestSampleH1:
 
     def test_trim_when_not_divisible(self):
         draw = sample_h1(10, 3, 0.1, seed=4)
-        assert draw.trimmed
         assert draw.M.shape == (10, 9)
 
     def test_partition_groups_equal(self):

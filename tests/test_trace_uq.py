@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.estimate import estimator_risk
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, rng_for, sample_trace
-from mcuq.trace_uq import (FrobeniusBall, PairedSet, n_pairs_bound, pair_repeats, rss_ci,
+from mcuq.trace_uq import (PairedSet, n_pairs_bound, pair_repeats, rss_ci,
                            rss_radius_sq, rss_statistic, split_sample, u_ci,
                            u_quantile, u_statistic)
 
@@ -175,7 +176,7 @@ class TestUCi:
         data = dataset_from_positions(4, 4, positions, M[([0, 1, 2, 3], [0, 1, 2, 3])])
         with pytest.warns(RuntimeWarning):
             ball = u_ci(data, alpha=0.1, a=1.0, U=1.0)
-        assert ball.meta["N_or_n"] == 0
+        assert ball.n_aux == 0
         assert ball.radius_sq == 4.0
         assert ball.contains(M)
 
@@ -186,7 +187,7 @@ class TestUCi:
         data = sample_trace(M, 400, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=15)
         ball = u_ci(data, alpha=0.1, a=1.0, U=1.0, lam=1e-10, max_iter=4000, tol=1e-16)
         assert estimator_risk(ball.center, M) < 1e-10
-        N = ball.meta["N_or_n"]
+        N = ball.n_aux
         assert ball.radius_sq == pytest.approx(u_quantile(0.1, N, 1.0, 1.0), abs=1e-8)
 
     def test_membership_respects_entry_bound(self):
@@ -200,7 +201,7 @@ class TestUCi:
         M = make_low_rank(6, 6, 1, 1.0, seed=18)
         data = sample_trace(M, 36, RADEMACHER, seed=19)
         ball = u_ci(data, alpha=0.1, a=1.0, U=0.5)
-        bigger = FrobeniusBall(ball.center, ball.radius_sq * 2, dict(ball.meta))
+        bigger = dataclasses.replace(ball, radius_sq=ball.radius_sq * 2)
         for trial in range(10):
             A = make_low_rank(6, 6, 1, 1.0, seed=100 + trial)
             if ball.contains(A):
