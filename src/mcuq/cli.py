@@ -9,12 +9,39 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bench import ConfigError, ExperimentConfig, run, write_records_csv, write_report_json
 from .core import DomainError
+
+
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed memory on the heap instead of returning it.
+
+    A 200x200 ``matrix_lasso`` step allocates and frees several 320 KiB
+    arrays; by default glibc hands such memory back to the kernel (unmapped,
+    or trimmed off the top of the heap), so the next step faults it in
+    again, zeroed.  Fixing the mmap threshold (``M_MMAP_THRESHOLD`` = -3)
+    at glibc's own 64-bit ceiling of 32 MiB and the trim threshold
+    (``M_TRIM_THRESHOLD`` = -1) at twice that keeps such blocks on the
+    heap.  Setting either one turns off glibc's dynamic thresholds, so both
+    are set or neither.  Other C libraries are left alone, and so are
+    library callers of ``mcuq``.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if glibc:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if mallopt(-3, 32 << 20):
+            mallopt(-1, 64 << 20)
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -62,6 +89,7 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(prog="uq",
                                      description="Monte Carlo experiments for "
                                                  "matrix-completion confidence sets")

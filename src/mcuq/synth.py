@@ -170,6 +170,8 @@ def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
 
     Built as L @ R.T with i.i.d. standard normal factors, rescaled so the
     max-magnitude entry equals ``a``; degenerate draws are regenerated.
+    The rank is checked on the k x k core ``R_L @ R_R.T`` of the factors'
+    QR decompositions, which has the singular values of ``L @ R.T``.
     """
     if not 1 <= k <= min(m1, m2):
         raise DomainError(f"k must lie in [1, {min(m1, m2)}], got {k}")
@@ -187,7 +189,7 @@ def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
         sign = 1.0 if M.flat[idx] > 0 else -1.0
         M = M * (a / mx)
         M.flat[idx] = sign * a
-        if numerical_rank(M) == k:
+        if numerical_rank(np.linalg.qr(L, mode="r") @ np.linalg.qr(R, mode="r").T) == k:
             return M
     raise GenerationError(f"no non-degenerate rank-{k} draw in 10 attempts")
 
@@ -201,8 +203,9 @@ def sample_trace(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> TraceDat
     rng = rng_for(seed)
     pos = rng.integers(0, m1 * m2, size=n)
     rows, cols = np.divmod(pos, m2)
-    eps = _noise_for_entries(noise, M[rows, cols], rng)
-    return TraceDataset(m1, m2, rows, cols, M[rows, cols] + eps)
+    values = M[rows, cols]
+    eps = _noise_for_entries(noise, values, rng)
+    return TraceDataset(m1, m2, rows, cols, values + eps)
 
 
 def sample_bernoulli(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> BernoulliDataset:

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,37 @@ class TestMakeLowRank:
             make_low_rank(4, 4, 5, 1.0, seed=0)
         with pytest.raises(DomainError):
             make_low_rank(4, 4, 0, 1.0, seed=0)
+
+    @staticmethod
+    def _stub_draws(monkeypatch, draws):
+        """Make ``make_low_rank``'s generator hand out ``draws`` in turn."""
+        it = iter(draws)
+        stub = types.SimpleNamespace(standard_normal=lambda shape: next(it))
+        monkeypatch.setattr(synth, "rng_for", lambda seed, *stream: stub)
+
+    @staticmethod
+    def _deficient_pair(rng):
+        """Rank-1 factors for k=2: the left factor has two equal columns."""
+        column = rng.standard_normal((9, 1))
+        return [np.hstack([column, column]), rng.standard_normal((7, 2))]
+
+    def test_redraws_a_rank_deficient_draw(self, monkeypatch):
+        rng = rng_for(4)
+        first = self._deficient_pair(rng)
+        L, R = rng.standard_normal((9, 2)), rng.standard_normal((7, 2))
+        self._stub_draws(monkeypatch, [*first, L, R])
+        M = make_low_rank(9, 7, 2, 1.5, seed=0)
+        assert np.linalg.matrix_rank(M) == 2
+        assert np.max(np.abs(M)) == 1.5
+        want = L @ R.T
+        np.testing.assert_allclose(M, want * (1.5 / np.max(np.abs(want))), rtol=1e-12)
+
+    def test_ten_deficient_draws_raise(self, monkeypatch):
+        rng = rng_for(4)
+        # Exactly ten: an eleventh draw would end the stub with StopIteration.
+        self._stub_draws(monkeypatch, [f for _ in range(10) for f in self._deficient_pair(rng)])
+        with pytest.raises(synth.GenerationError):
+            make_low_rank(9, 7, 2, 1.5, seed=0)
 
 
 class TestDrawNoise:
@@ -215,6 +248,40 @@ for n in (20, 96, 200):
               for got, want in zip(ours, theirs)]
 print(json.dumps(equal))
 """) == [True] * 12
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestRunKeepsFreedHeap:
+    @pytest.mark.skipif(not _glibc(), reason="uq run tunes the allocator on glibc only")
+    def test_second_large_u_ci_run_barely_faults(self, tmp_path):
+        # Each 200x200 matrix_lasso step frees and reallocates 320 KiB arrays.
+        # Once cli.main has set glibc's thresholds, a repeated run reuses the
+        # heap instead of faulting fresh zeroed pages in: about 4,000 faults
+        # per run with glibc's dynamic thresholds, about 140 with fixed ones.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kind": "coverage", "model": "trace", "method": "u_ci", "m1": 200,
+            "m2": 200, "n": 20000, "k_truth": 3, "reps": 2, "seed": 1,
+            "noise": {"kind": "scaled-rademacher", "sigma": 0.5, "U": 0.5}}))
+        faults = run_fresh(f"""
+import contextlib, io, json, resource
+from mcuq import cli
+argv = ["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]
+faults = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+""")
+        assert faults[1] < 1000, faults
 
 
 class TestSampleTrace:
