@@ -193,7 +193,7 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     a parallel map; replicate seeds are derived per index, so the result
     does not depend on the mapping strategy.
     """
-    if k > round(m ** (1 / 3)):
+    if k > m ** (1 / 3):
         import warnings
         warnings.warn(f"k={k} exceeds the recommended m^(1/3)={m ** (1/3):.2f}",
                       RuntimeWarning)

@@ -63,10 +63,17 @@ def _project_reference(X, k0, a):
 
 
 def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120,
-                            lam=None, extra_starts=None):
+                            lam=None, extra_starts=None, momentum=True,
+                            momentum_restarts=None):
     """The search as it was written before ``truncate_rank`` became the lean
     per-step kernel: ``np.max(np.abs(T))`` for the box rescale and
-    ``np.sum`` for the residual sum."""
+    ``np.sum`` for the residual sum.
+
+    With ``momentum`` each step starts from the FISTA extrapolation of the
+    last two iterates and falls back to the plain step when that does not
+    lower ``|g|``; without it every step is the plain step, which is the
+    search before momentum was added.  Each fallback appends the projection
+    count of its start to ``momentum_restarts`` when that list is given."""
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
     if a <= 0:
@@ -131,15 +138,28 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
         g = g_of(A)
         g_start = g
         consider(A, g)
-        for _ in range(max_iter):
-            A_new = _project_reference(np.where(mask, impute_base, A), k0, a)
+        A_prev, t = A, 1.0
+        for step in range(max_iter):
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            if t == 1.0:
+                Z = A
+            else:
+                Z = A + ((t - 1.0) / t_next) * (A - A_prev)
+            A_new = _project_reference(np.where(mask, impute_base, Z), k0, a)
             g_new = g_of(A_new)
             consider(A_new, g_new)
             if g_new < 0.0 and g_hi > 0.0:
                 break
             if abs(g_new) >= abs(g) * (1.0 - 1e-9):
-                break
-            A, g = A_new, g_new
+                if t == 1.0:
+                    break
+                if momentum_restarts is not None:
+                    momentum_restarts.append(step + 1)
+                t = 1.0
+                continue
+            A_prev, A, g = A, A_new, g_new
+            if momentum:
+                t = t_next
         if abs(g) < abs(g_start):
             improved_any = True
         if g_lo < -g_floor and g_hi > g_floor:
@@ -156,8 +176,9 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
 
 #: Searches for the reference test: (m1, m2, truth, k0, entry bound a).  The
 #: null truths have rank k0 and the signal truths rank 3.  Each search takes
-#: more than 100 steps, nearly all of which rescale into the box; the lbdemo
-#: case below ends with a bracketed zero.
+#: 34 to 51 steps, nearly all of which rescale into the box, and falls back
+#: from a momentum step to the plain step at least twice; the lbdemo case
+#: below ends with a bracketed zero.
 SEARCH_CASES = {
     "null-k0=1-20x20": (20, 20, "null", 1, 0.3),
     "signal-k0=1-20x20": (20, 20, "signal", 1, 3.0),
@@ -170,7 +191,7 @@ SEARCH_CASES = {
 def _search_case(case):
     if case == "lbdemo-h1-96":
         # One H1 dataset of the revealed lbdemo at m=96 (criterion 09
-        # shape), searched as lbdemo's infimum test does; 62 steps.
+        # shape), searched as lbdemo's infimum test does; 34 steps.
         m, n, k = 96, 2304, 8
         rho = lbdemo.rho_for(0.5, k, m, n)
         data = lbdemo.h1_dataset(lbdemo.sample_h1(m, k, rho, seed=62), n, seed=162)
@@ -267,9 +288,9 @@ class TestInfimumStat:
 
     @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
     def test_matches_helper_reference(self, case, monkeypatch):
-        # The search takes the same steps as the one it replaced: the same
+        # The search takes the same steps as the reference: the same
         # statistic, flags and minimizer bits, and the same number of rank
-        # truncations.
+        # truncations, with at least one momentum restart on the way.
         data, kw = _search_case(case)
         counts = {}
         for name, module in (("got", bernoulli_uq), ("want", sys.modules[__name__])):
@@ -281,12 +302,56 @@ class TestInfimumStat:
 
             monkeypatch.setattr(module, "truncate_rank", counting)
         got = infimum_stat(data, **kw)
-        want = _infimum_stat_reference(data, **kw)
+        momentum_restarts = []
+        want = _infimum_stat_reference(data, momentum_restarts=momentum_restarts, **kw)
+        assert momentum_restarts
         assert got.value == want.value
         assert got.gap_flag == want.gap_flag
         assert got.bracketed_zero == want.bracketed_zero
         np.testing.assert_array_equal(got.minimizer, want.minimizer)
-        assert len(counts["got"]) == len(counts["want"]) > 50
+        assert len(counts["got"]) == len(counts["want"]) > 30
+
+    @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
+    def test_every_step_candidate_lies_in_the_class(self, case, monkeypatch):
+        # The momentum extrapolation leaves the class; only its projection
+        # may be scored, so the statistic stays an attained upper bound.
+        data, kw = _search_case(case)
+        candidates = []
+        project = bernoulli_uq._project
+
+        def recording(X, k0, a):
+            T = project(X, k0, a)
+            candidates.append(T)
+            return T
+
+        monkeypatch.setattr(bernoulli_uq, "_project", recording)
+        res = infimum_stat(data, **kw)
+        assert len(candidates) > 30
+        # The box rescale T * (a / mx) rounds twice, so an entry may land
+        # about one ulp above a.
+        box = kw["a"] * (1.0 + 2.0 * np.finfo(float).eps)
+        for T in candidates:
+            assert core.numerical_rank(T) <= kw["k0"]
+            assert np.max(np.abs(T)) <= box
+        assert any(np.array_equal(res.minimizer, c * T)
+                   for T in candidates for c in (1.0, -1.0, -0.5, 0.5))
+
+    @pytest.mark.parametrize("max_iter", [1, 4, 6])
+    def test_max_iter_bounds_projections_per_start(self, max_iter, monkeypatch):
+        # A restart's plain step counts toward max_iter, so no start makes
+        # more projections than the plain-step search could.
+        data, kw = _search_case("signal-k0=1-20x20")
+        calls = []
+        project = bernoulli_uq._project
+
+        def counting(X, k0, a):
+            calls.append(k0)
+            return project(X, k0, a)
+
+        monkeypatch.setattr(bernoulli_uq, "_project", counting)
+        infimum_stat(data, **dict(kw, max_iter=max_iter))
+        starts = 2 + kw["restarts"]
+        assert len(calls) <= 1 + starts * max_iter  # +1: projecting the center
 
     @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
     def test_given_center_is_the_spectral_start(self, case):

@@ -10,6 +10,7 @@ column), run
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each entry whose digest changed, with its old and new digest,
 and commit the rewritten ``golden_records.json``.
 """
 
@@ -52,7 +53,10 @@ def test_records_match_golden_digest(name, tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for golden in GOLDEN["records"].values():
-            golden["sha256"] = records_sha256(golden["config"], Path(tmp))
+        for name, golden in sorted(GOLDEN["records"].items()):
+            new = records_sha256(golden["config"], Path(tmp))
+            if new != golden["sha256"]:
+                print(f"{name}: {golden['sha256']} -> {new}")
+            golden["sha256"] = new
     GOLDEN["environment"] = environment()
     GOLDEN_PATH.write_text(json.dumps(GOLDEN, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,15 @@ class TestIndistinguishability:
         ctx = {"k0": 1, "k": 3, "a": 1.0, "seed": 0}
         assert BUILTIN_TESTS["second_moment"](ds1, 1.0, ctx) == 0.0
         assert BUILTIN_TESTS["second_moment"](ds0, 1.0, ctx) == 0.0
+
+    def test_warns_above_cube_root_of_m(self):
+        # 96^(1/3) = 4.58: k = 5 lies above the recommended bound although
+        # it does not exceed round(4.58) = 5.
+        with pytest.warns(RuntimeWarning, match=r"m\^\(1/3\)=4\.58"):
+            indistinguishability_experiment(96, 2304, 5, 1, 0.05, reps=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            indistinguishability_experiment(96, 2304, 4, 1, 0.05, reps=0)
 
     def test_report_rows_structure(self):
         res = indistinguishability_experiment(24, 144, 2, 1, 0.05, reps=8,
