@@ -17,5 +17,5 @@ from .bernoulli_uq import (InfimumResult, TestVerdict, adaptive_ci,
                            infimum_stat, low_rank_test, u_alpha_calibrated,
                            u_alpha_theoretical)
 from .lbdemo import (PriorDraw, indistinguishability_experiment, rho_for,
-                     sample_h0, sample_h1, separation_check)
+                     sample_h1, separation_check)
 from .bench import ConfigError, ExperimentConfig, ExperimentReport, run

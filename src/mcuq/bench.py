@@ -80,12 +80,7 @@ class ExperimentConfig:
     out: str = "uq_out"
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["noise"] = {"kind": self.noise.kind, "sigma": self.noise.sigma, "U": self.noise.U}
-        d["separation_grid"] = list(self.separation_grid)
-        d["k_grid"] = list(self.k_grid)
-        d["n_grid"] = list(self.n_grid)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -316,8 +311,8 @@ def _build_ci(cfg: ExperimentConfig, data, extras: dict,
     if cfg.method == "u_ci":
         return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U, lam=cfg.lam)
     if cfg.method == "rss_ci":
-        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U,
-                               z=cfg.z, a=cfg.a, lam=cfg.lam)
+        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a,
+                               z=cfg.z, lam=cfg.lam)
     return bernoulli_uq.adaptive_ci(
         data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, extras["threshold"],
         K=cfg.K, lam=cfg.lam, restarts=cfg.restarts, seed=test_seed)
@@ -486,12 +481,18 @@ def separated_truth(m1: int, m2: int, k0: int, a: float, rho: float,
 
 
 def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
-    """Truth of power job ``idx``: ``s_mult`` rate units away from rank k0."""
-    k0 = max(cfg.k0, 1)
+    """Truth of power job ``idx``: ``s_mult`` rate units away from rank k0.
+
+    A null truth (``s_mult = 0``) lies in the rank-``k0`` class: the zero
+    matrix at ``k0 = 0``.  The rate unit takes rank ``max(k0, 1)``, since the
+    rate at rank 0 is zero.
+    """
     if s_mult == 0.0:
-        return make_low_rank(cfg.m1, cfg.m2, k0, cfg.a, child_seed(cfg.seed, 10, idx))
-    unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, k0, cfg.n))
-    return separated_truth(cfg.m1, cfg.m2, k0, cfg.a, s_mult * unit,
+        if cfg.k0 == 0:
+            return np.zeros((cfg.m1, cfg.m2))
+        return make_low_rank(cfg.m1, cfg.m2, cfg.k0, cfg.a, child_seed(cfg.seed, 10, idx))
+    unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.n))
+    return separated_truth(cfg.m1, cfg.m2, cfg.k0, cfg.a, s_mult * unit,
                            child_seed(cfg.seed, 10, idx))
 
 
@@ -543,7 +544,7 @@ def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:
         "min_error_sum": result["min_error_sum"],
         "error_sum": {row["test_name"]: row["error_sum"] for row in rows},
         "thresholds": result["thresholds"],
-        "rho": result["config"]["rho"],
+        "rho": result["rho"],
     }
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NoiseSpec, as_matrix, clip_entries, truncate_rank
+from .core import DomainError, NoiseSpec, clip_entries, truncate_rank
 from .estimate import lambda_data_driven, soft_threshold_estimator
 from .synth import BernoulliDataset, _noise_for_entries, rng_for
 from .trace_uq import FrobeniusBall
@@ -63,22 +63,24 @@ def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
     mx = max(T.max(), -T.min())
     if mx > a:
         T = T * (a / mx)
+        # The rescale rounds and can leave an entry one ulp outside [-a, a];
+        # clip in place (np.clip costs several times more at 20x20).
+        np.minimum(T, a, out=T)
+        np.maximum(T, -a, out=T)
     return T
 
 
 def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
                  restarts: int = 8, seed: int = 0, max_iter: int = 120,
-                 center: np.ndarray | None = None,
-                 extra_starts: list | None = None) -> InfimumResult:
+                 center: np.ndarray | None = None) -> InfimumResult:
     """Upper bound on inf over rank-``k0`` candidates of the centered residual sum.
 
     The objective for a candidate ``A`` is
     ``|sum over observed entries of ((Y - A)^2 - sigma^2)| / sqrt(2n)``.
     Starts are the zero matrix, a spectral fit of the data projected into
-    the class, ``restarts`` random rank-``k0`` matrices, and any
-    ``extra_starts``; each is refined by projected gradient steps on the
-    smooth residual sum (rank truncation plus box rescaling after every
-    step).  A step starts from the extrapolation
+    the class, and ``restarts`` random rank-``k0`` matrices; each is refined
+    by projected gradient steps on the smooth residual sum (rank truncation
+    plus box rescaling after every step).  A step starts from the extrapolation
     ``Z = A + ((t - 1)/t_next) (A - A_prev)`` with FISTA's
     ``t_next = (1 + sqrt(1 + 4 t^2))/2``; only its projection is scored.  A
     step that does not lower ``|g|`` resets ``t`` to 1, so the next step is
@@ -135,8 +137,6 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
         if mx > 0:
             X *= rng.uniform(0.1, 1.0) * a / mx
         starts.append(X)
-    for A in extra_starts or []:
-        starts.append(_project(as_matrix(A), k0, a))
 
     impute_base = np.where(mask, data.values, 0.0)
 
@@ -233,7 +233,7 @@ def u_alpha_calibrated(alpha: float, sigma: float, noise: NoiseSpec,
 
 def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
                   threshold: float, restarts: int = 8, seed: int = 0,
-                  max_iter: int = 120, center: np.ndarray | None = None) -> TestVerdict:
+                  center: np.ndarray | None = None) -> TestVerdict:
     """Reject the rank-``k0`` hypothesis when the infimum statistic exceeds
     ``threshold``.
 
@@ -243,8 +243,7 @@ def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
     conservative at small sizes).  ``center`` is passed on to
     :func:`infimum_stat` as its spectral start.
     """
-    res = infimum_stat(data, k0, a, sigma, restarts=restarts, seed=seed,
-                       max_iter=max_iter, center=center)
+    res = infimum_stat(data, k0, a, sigma, restarts=restarts, seed=seed, center=center)
     return TestVerdict(res.value, float(threshold), res.value > threshold, res.gap_flag)
 
 
@@ -257,7 +256,7 @@ ADAPTIVE_K_DEFAULT = 2.5
 def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
                 threshold: float, K: float = ADAPTIVE_K_DEFAULT,
                 lam: float | None = None, restarts: int = 8,
-                seed: int = 0, max_iter: int = 120) -> FrobeniusBall:
+                seed: int = 0) -> FrobeniusBall:
     """Two-valued adaptive confidence set driven by the low-rank test.
 
     The center is the clipped closed-form fit at ``lam`` (data-driven by
@@ -272,7 +271,7 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
         lam = lambda_data_driven(data)
     center = clip_entries(soft_threshold_estimator(data, lam), a)
     verdict = low_rank_test(data, k0, a, sigma, threshold, restarts=restarts,
-                            seed=seed, max_iter=max_iter, center=center)
+                            seed=seed, center=center)
     k_used = k if verdict.reject else k0
     radius_sq = K * K * k_used * (data.m1 + data.m2) / data.n
     return FrobeniusBall(center, radius_sq, data.n, a_bound=a, reject=verdict.reject,

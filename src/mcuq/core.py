@@ -260,9 +260,9 @@ def minimax_rate_sq(m1: int, m2: int, k: int, n: int) -> float:
     return m1 * m2 * k * (m1 + m2) / n
 
 
-def numerical_rank(A: np.ndarray, rel_tol: float = REL_RANK_TOL) -> int:
-    """Count singular values above ``rel_tol`` times the largest one."""
+def numerical_rank(A: np.ndarray) -> int:
+    """Count singular values above ``REL_RANK_TOL`` times the largest one."""
     s = np.linalg.svd(as_matrix(A), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > REL_RANK_TOL * s[0]))

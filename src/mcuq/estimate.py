@@ -38,13 +38,14 @@ def soft_threshold_estimator(data: BernoulliDataset, lam: float) -> np.ndarray:
     return singular_value_threshold(W, t)[0]
 
 
-def lambda_data_driven(data: BernoulliDataset, c: float = SOFT_LAMBDA_C) -> float:
+def lambda_data_driven(data: BernoulliDataset) -> float:
     """Energy-scaled tuning for :func:`soft_threshold_estimator`.
 
-    Sets the singular-value threshold to ``c`` times the operator-norm scale
-    of the deviation of ``W = (m1*m2/n)*Y`` from its mean, estimated from
-    the data's entrywise second moment.  This tracks both the observation
-    noise and the masking-design noise, which dominates at small sizes.
+    Sets the singular-value threshold to ``SOFT_LAMBDA_C`` times the
+    operator-norm scale of the deviation of ``W = (m1*m2/n)*Y`` from its
+    mean, estimated from the data's entrywise second moment.  This tracks
+    both the observation noise and the masking-design noise, which
+    dominates at small sizes.
     When no observed value is nonzero, ``W = 0`` and every positive level
     gives the zero fit; the level at unit second moment is returned then,
     so the result is always a valid ``lam``.
@@ -52,15 +53,14 @@ def lambda_data_driven(data: BernoulliDataset, c: float = SOFT_LAMBDA_C) -> floa
     m1, m2 = data.m1, data.m2
     W = (m1 * m2 / data.n) * data.values
     second_moment = float(np.mean(W * W)) or 1.0
-    t = c * math.sqrt(second_moment * max(m1, m2))
+    t = SOFT_LAMBDA_C * math.sqrt(second_moment * max(m1, m2))
     return 2.0 * t / (m1 * m2)
 
 
-def lambda_practical_trace(sigma: float, m1: int, m2: int, n: int,
-                           c: float = LASSO_LAMBDA_C) -> float:
-    """Desk-scale tuning for :func:`matrix_lasso`."""
+def lambda_practical_trace(sigma: float, m1: int, m2: int, n: int) -> float:
+    """Desk-scale tuning for :func:`matrix_lasso`, with multiplier ``LASSO_LAMBDA_C``."""
     d = m1 + m2
-    return c * sigma * math.sqrt(d * math.log(d) / (n * m1 * m2))
+    return LASSO_LAMBDA_C * sigma * math.sqrt(d * math.log(d) / (n * m1 * m2))
 
 
 @dataclass

@@ -73,11 +73,6 @@ def sample_h1(m: int, k: int, rho: float, seed: int) -> PriorDraw:
     return PriorDraw(M, u, labels, row_signs, col_signs)
 
 
-def sample_h0(m: int, seed: int = 0) -> tuple[np.ndarray, NoiseSpec]:
-    """Null configuration: zero matrix with symmetric unit-variance sign noise."""
-    return np.zeros((m, m)), NoiseSpec("scaled-rademacher", 1.0, 1.0)
-
-
 def separation_check(draw: PriorDraw, k0: int) -> tuple[bool, float]:
     """Certify the separation of the drawn alternative from rank ``k0``.
 
@@ -115,121 +110,98 @@ def h1_dataset(draw: PriorDraw, n: int, seed: int) -> BernoulliDataset:
 
 
 def h0_dataset(m: int, n: int, seed: int) -> BernoulliDataset:
-    """Sample the one-shot model under the null (values on {-1, 0, +1})."""
-    M, noise = sample_h0(m)
-    return sample_bernoulli(M, n, noise, seed)
+    """Sample the one-shot model under the null: the zero matrix with
+    symmetric unit-variance sign noise, so values lie on {-1, 0, +1}."""
+    return sample_bernoulli(np.zeros((m, m)), n, NoiseSpec("scaled-rademacher", 1.0, 1.0), seed)
 
 
-def _stat_second_moment(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
+#: Names of the four statistics, in the order of the report rows.
+_STATISTICS = ("second_moment", "observed_variance", "infimum_sigma_assumed", "rank_energy")
+
+
+def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
+                seed: int) -> dict:
+    """The four test statistics of one dataset at assumed noise variance ``sigma_sq``.
+
+    ``second_moment`` and ``observed_variance`` compare the observed values'
+    second moment and variance with ``sigma_sq``; ``infimum_sigma_assumed`` is
+    the rank-``k0`` infimum statistic in the unit box; ``rank_energy`` is the
+    energy of the top ``k`` singular values of the rescaled data.  ``seed``
+    seeds the infimum search's random starts.
+    """
     obs = ds.values[ds.mask]
-    return abs(float(np.sum(obs * obs)) - sigma_sq * obs.size) / math.sqrt(2.0 * ds.n)
-
-
-def _stat_observed_variance(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
-    obs = ds.values[ds.mask]
-    if obs.size == 0:
-        return 0.0
-    return math.sqrt(obs.size) * abs(float(np.var(obs)) - sigma_sq)
-
-
-def _stat_infimum(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
-    res = infimum_stat(ds, ctx["k0"], ctx["a"], math.sqrt(sigma_sq),
-                       restarts=ctx.get("restarts", 2), seed=ctx["seed"],
-                       max_iter=ctx.get("max_iter", 60))
-    return res.value
-
-
-def _stat_rank_energy(ds: BernoulliDataset, sigma_sq: float, ctx: dict) -> float:
+    second_moment = abs(float(np.sum(obs * obs)) - sigma_sq * obs.size) / math.sqrt(2.0 * ds.n)
+    observed_variance = (math.sqrt(obs.size) * abs(float(np.var(obs)) - sigma_sq)
+                         if obs.size else 0.0)
+    infimum = infimum_stat(ds, k0, 1.0, math.sqrt(sigma_sq), restarts=2, seed=seed,
+                           max_iter=60).value
     # Energy of the top k singular values: the top k Gram eigenvalues.
     W = (ds.m1 * ds.m2 / ds.n) * ds.values
-    return float(np.sum(gram_eigh(W, k=min(ctx["k"], min(W.shape)))[0]))
+    rank_energy = float(np.sum(gram_eigh(W, k=min(k, min(W.shape)))[0]))
+    return dict(zip(_STATISTICS, (second_moment, observed_variance, infimum, rank_energy)))
 
 
-BUILTIN_TESTS = {
-    "second_moment": _stat_second_moment,
-    "observed_variance": _stat_observed_variance,
-    "infimum_sigma_assumed": _stat_infimum,
-    "rank_energy": _stat_rank_energy,
-}
-
-
-def _run_family(test_family: dict, ds: BernoulliDataset, sigma_sq: float,
-                k0: int, k: int, rep_seed: int) -> dict:
-    ctx = {"k0": k0, "k": k, "a": 1.0, "seed": rep_seed}
-    return {name: fn(ds, sigma_sq, ctx) for name, fn in test_family.items()}
-
-
-def _calibration_replicate(test_family: dict, m: int, n: int, k0: int, k: int,
-                           seed: int, r: int) -> dict:
+def _calibration_replicate(m: int, n: int, k0: int, k: int, seed: int, r: int) -> dict:
     ds = h0_dataset(m, n, child_seed(seed, 0, r))
-    return _run_family(test_family, ds, 1.0, k0, k, child_seed(seed, 1, r))
+    return _statistics(ds, 1.0, k0, k, child_seed(seed, 1, r))
 
 
-def _pair_replicate(test_family: dict, m: int, n: int, k: int, k0: int,
-                    rho: float, reveal_sigma: bool, seed: int, r: int) -> tuple:
+def _pair_replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: bool,
+                    seed: int, r: int) -> tuple:
     ds0 = h0_dataset(m, n, child_seed(seed, 2, r))
-    stats0 = _run_family(test_family, ds0, 1.0, k0, k, child_seed(seed, 3, r))
+    stats0 = _statistics(ds0, 1.0, k0, k, child_seed(seed, 3, r))
     draw = sample_h1(m, k, rho, child_seed(seed, 4, r))
     ds1 = h1_dataset(draw, n, child_seed(seed, 5, r))
     sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
-    stats1 = _run_family(test_family, ds1, sigma_sq, k0, k, child_seed(seed, 6, r))
+    stats1 = _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, r))
     return stats0, stats1
 
 
 def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
-                                    reps: int, test_family: dict | None = None,
-                                    seed: int = 0, alpha_test: float = 0.05,
-                                    cal_reps: int = 200,
-                                    reveal_sigma: bool = False,
+                                    reps: int, seed: int = 0, alpha_test: float = 0.05,
+                                    cal_reps: int = 200, reveal_sigma: bool = False,
                                     map_fn=map) -> dict:
-    """Measure type I + type II error of each test against the hidden prior.
+    """Measure type I + type II error of each of the four tests against the
+    hidden prior.
 
-    Every test is a map (dataset, assumed noise variance, context) -> scalar
-    statistic, with its rejection threshold calibrated to level
-    ``alpha_test`` on simulated null datasets.  In blind mode tests assume
-    unit variance on both hypotheses; with ``reveal_sigma`` they are told
-    the true variance of the data in front of them, which is what a
-    known-variance procedure would use.  ``map_fn`` lets callers substitute
-    a parallel map; replicate seeds are derived per index, so the result
-    does not depend on the mapping strategy.
+    Every test is a statistic of :func:`_statistics`, with its rejection
+    threshold calibrated to level ``alpha_test`` on simulated null datasets.
+    In blind mode tests assume unit variance on both hypotheses; with
+    ``reveal_sigma`` they are told the true variance of the data in front of
+    them, which is what a known-variance procedure would use.  ``map_fn``
+    lets callers substitute a parallel map; replicate seeds are derived per
+    index, so the result does not depend on the mapping strategy.
     """
     if k > m ** (1 / 3):
         import warnings
         warnings.warn(f"k={k} exceeds the recommended m^(1/3)={m ** (1/3):.2f}",
                       RuntimeWarning)
-    if test_family is None:
-        test_family = BUILTIN_TESTS
-    if not test_family:
-        raise DomainError("test family is empty")
     rho = rho_for(v, k, m, n)
     if rho >= 0.5:
         raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
-    names = list(test_family)
 
     thresholds = {}
     if reps > 0:
-        cal = list(map_fn(
-            functools.partial(_calibration_replicate, test_family, m, n, k0, k, seed),
-            range(cal_reps)))
+        cal = list(map_fn(functools.partial(_calibration_replicate, m, n, k0, k, seed),
+                          range(cal_reps)))
         thresholds = {
             name: float(np.quantile(np.array([c[name] for c in cal]),
                                     1.0 - alpha_test, method="higher"))
-            for name in names
+            for name in _STATISTICS
         }
 
-    rej_h0 = {name: 0 for name in names}
-    rej_h1 = {name: 0 for name in names}
+    rej_h0 = {name: 0 for name in _STATISTICS}
+    rej_h1 = {name: 0 for name in _STATISTICS}
     pairs = list(map_fn(
-        functools.partial(_pair_replicate, test_family, m, n, k, k0, rho,
-                          reveal_sigma, seed),
+        functools.partial(_pair_replicate, m, n, k, k0, rho, reveal_sigma, seed),
         range(reps)))
     for stats0, stats1 in pairs:
-        for name in names:
+        for name in _STATISTICS:
             rej_h0[name] += stats0[name] > thresholds[name]
             rej_h1[name] += stats1[name] > thresholds[name]
 
     rows = []
-    for name in names:
+    for name in _STATISTICS:
         type1 = rej_h0[name] / reps if reps else 0.0
         type2 = 1.0 - rej_h1[name] / reps if reps else 0.0
         rows.append({
@@ -239,9 +211,7 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
         })
     return {
         "rows": rows,
-        "min_error_sum": min((r["error_sum"] for r in rows), default=0.0),
+        "min_error_sum": min(r["error_sum"] for r in rows),
         "thresholds": thresholds,
-        "config": {"m": m, "n": n, "k": k, "k0": k0, "v": v, "rho": rho,
-                   "reps": reps, "seed": seed, "alpha_test": alpha_test,
-                   "cal_reps": cal_reps, "reveal_sigma": reveal_sigma},
+        "rho": rho,
     }

@@ -124,9 +124,14 @@ def preload_noise(noise: NoiseSpec) -> None:
         _truncated_gaussian_scale(noise.sigma, noise.U)
 
 
-def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. draws with mean 0, variance sigma^2, and |draw| <= U;
-    two-point noise is matched to entries, see :func:`_noise_for_entries`."""
+def _noise_for_entries(noise: NoiseSpec, m_values: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One independent noise draw per entry of ``m_values``, with mean 0,
+    variance sigma^2 and |draw| <= U.  Only two-point noise reads the entry
+    values: at entry value ``mu`` it is ``1 - mu`` with probability
+    ``(1 + mu)/2``, else ``-1 - mu``, with variance ``1 - mu**2``, which must
+    equal ``sigma**2``; the other laws draw i.i.d."""
+    count = m_values.size
     if noise.kind == "scaled-rademacher":
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return noise.sigma * signs
@@ -146,19 +151,7 @@ def _draw_noise_rng(noise: NoiseSpec, count: int, rng: np.random.Generator) -> n
             out = np.concatenate([out, cand[np.abs(cand) <= noise.U]])
         return out[:count]
 
-    raise DomainError(f"{noise.kind} noise is matched to entry values; "
-                      f"draw it with _noise_for_entries")
-
-
-def _noise_for_entries(noise: NoiseSpec, m_values: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Noise draws for specific entries.  Two-point noise at entry value ``mu``
-    is ``1 - mu`` with probability ``(1 + mu)/2``, else ``-1 - mu``: mean zero
-    and variance ``1 - mu**2``, which must equal ``sigma**2``."""
-    count = m_values.size
-    if noise.kind != "two-point-skewed":
-        return _draw_noise_rng(noise, count, rng)
-    mus = m_values.ravel()
+    mus = m_values.ravel()  # two-point-skewed, the last of NOISE_KINDS
     if np.any(np.abs((1.0 - mus * mus) - noise.sigma ** 2) > 1e-9):
         raise DomainError("two-point noise requires entries with 1 - M_ij^2 == sigma^2")
     plus = rng.random(count) < (1.0 + mus) / 2.0

@@ -215,15 +215,13 @@ def rss_radius_sq(R_hat: float, n: int, d: int, sigma: float,
     return max(candidates)
 
 
-def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float,
-           z: float = 1.0, a: float | None = None, lam: float | None = None,
-           max_iter: int = 300, tol: float = 1e-6) -> FrobeniusBall:
+def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float,
+           z: float = 1.0, lam: float | None = None) -> FrobeniusBall:
     """Residual-sum confidence set for known noise standard deviation.
 
     The quantile constants are ``z_alpha = log(3/alpha)`` and
     ``xi = sqrt(2)*sigma*U*log(3/alpha)``; ``z`` is a free positive constant
-    of the construction.  ``a`` bounds the entries of the center fit and
-    defaults to a bound implied by the observed values.
+    of the construction.  ``a`` bounds the entries of the center fit.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -232,9 +230,7 @@ def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float,
     first, second = split_sample(data)
     if lam is None:
         lam = lambda_practical_trace(max(sigma, 1e-12), data.m1, data.m2, second.n)
-    if a is None:
-        a = max(1.0, float(np.max(np.abs(data.y))))
-    fit = matrix_lasso(second, lam, a=a, max_iter=max_iter, tol=tol)
+    fit = matrix_lasso(second, lam, a=a)
     R_hat = rss_statistic(first, fit.estimate, sigma)
     n_eff = 2 * first.n
     d = data.m1 + data.m2

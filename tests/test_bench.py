@@ -259,6 +259,22 @@ class TestTestPower:
         assert rep.aggregates["size"] == pytest.approx(
             np.mean([r["reject"] for r in rep.records if r["separation"] == 0.0]))
 
+    def test_rank_zero_truths(self):
+        # The rank-0 class is {0}: its null truth is the zero matrix, and a
+        # separated truth has rank 1 at the asked distance, in rank-1 rate
+        # units (the rate at rank 0 is zero).
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20,
+                               n=300, k0=0, a=30.0, noise=RADEMACHER, alpha=0.1,
+                               reps=30, seed=7, separation_grid=(0.0, 25.0))
+        rep = run(cfg)
+        assert rep.aggregates["size"] == 0.0
+        assert rep.aggregates["power_max_separation"] == 1.0
+        assert not np.any(bench._power_truth(cfg, 0.0, 0))
+        M = bench._power_truth(cfg, 25.0, 30)
+        assert core.numerical_rank(M) == 1
+        unit = math.sqrt(core.minimax_rate_sq(20, 20, 1, 300))
+        assert np.linalg.norm(M) == pytest.approx(25.0 * unit, rel=1e-12)
+
     def test_rejects_trace_model(self):
         cfg = ExperimentConfig(kind="test_power", model="trace", m1=10, m2=10,
                                n=60, k0=1, a=5.0, noise=RADEMACHER, alpha=0.1,

@@ -8,7 +8,7 @@ from mcuq import bernoulli_uq, core, lbdemo
 from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, InfimumResult, adaptive_ci,
                                infimum_stat, low_rank_test, u_alpha_calibrated,
                                u_alpha_theoretical)
-from mcuq.core import DomainError, NoiseSpec, as_matrix, clip_entries, truncate_rank
+from mcuq.core import DomainError, NoiseSpec, clip_entries, truncate_rank
 from mcuq.estimate import lambda_data_driven, soft_threshold_estimator
 from mcuq.synth import child_seed, make_low_rank, rng_for, sample_bernoulli
 from test_core import _svd_deterministic_loop
@@ -58,12 +58,12 @@ def _project_reference(X, k0, a):
     T = truncate_rank(X, k0)
     mx = np.max(np.abs(T))
     if mx > a:
-        T = T * (a / mx)
+        T = np.clip(T * (a / mx), -a, a)
     return T
 
 
 def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120,
-                            lam=None, extra_starts=None, momentum=True,
+                            lam=None, momentum=True,
                             momentum_restarts=None):
     """The search as it was written before ``truncate_rank`` became the lean
     per-step kernel: ``np.max(np.abs(T))`` for the box rescale and
@@ -116,8 +116,6 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
         if mx > 0:
             X *= rng.uniform(0.1, 1.0) * a / mx
         starts.append(X)
-    for A in extra_starts or []:
-        starts.append(_project_reference(as_matrix(A), k0, a))
 
     impute_base = np.where(mask, data.values, 0.0)
 
@@ -216,13 +214,13 @@ class TestInfimumStat:
     def test_noiseless_truth_in_class_gives_zero(self):
         M = make_low_rank(6, 6, 2, 1.0, seed=2)
         data = sample_bernoulli(M, 24, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=3)
-        res = infimum_stat(data, 2, 1.0, 0.0, seed=4, extra_starts=[M])
+        res = infimum_stat(data, 2, 1.0, 0.0, seed=4, center=M)
         assert res.value == 0.0
 
     def test_never_exceeds_supplied_candidate(self):
         M = make_low_rank(6, 6, 1, 1.0, seed=5)
         data = sample_bernoulli(M, 24, RADEMACHER, seed=6)
-        res = infimum_stat(data, 1, 1.0, 0.5, seed=7, extra_starts=[M])
+        res = infimum_stat(data, 1, 1.0, 0.5, seed=7, center=M)
         at_truth = abs(centered_residual_sum(data, M, 0.5)) / math.sqrt(2 * 24)
         assert res.value <= at_truth + 1e-12
 
@@ -232,7 +230,13 @@ class TestInfimumStat:
         res = infimum_stat(data, 1, 1.0, 0.5, seed=10)
         s = np.linalg.svd(res.minimizer, compute_uv=False)
         assert np.sum(s > 1e-10 * max(s[0], 1e-300)) <= 1
-        assert np.max(np.abs(res.minimizer)) <= 1.0 + 1e-12
+        assert np.max(np.abs(res.minimizer)) <= 1.0
+
+    def test_projection_lands_inside_the_box(self):
+        # T * (a / mx) rounds twice; unclipped, this entry lands at
+        # 0.30000000000000004.
+        X = np.random.default_rng(15).standard_normal((20, 20))
+        assert np.max(np.abs(bernoulli_uq._project(X, 1, 0.3))) <= 0.3
 
     def test_zero_certificate_under_null_noise(self):
         M = make_low_rank(10, 10, 1, 1.0, seed=11)
@@ -327,12 +331,9 @@ class TestInfimumStat:
         monkeypatch.setattr(bernoulli_uq, "_project", recording)
         res = infimum_stat(data, **kw)
         assert len(candidates) > 30
-        # The box rescale T * (a / mx) rounds twice, so an entry may land
-        # about one ulp above a.
-        box = kw["a"] * (1.0 + 2.0 * np.finfo(float).eps)
         for T in candidates:
             assert core.numerical_rank(T) <= kw["k0"]
-            assert np.max(np.abs(T)) <= box
+            assert np.max(np.abs(T)) <= kw["a"]
         assert any(np.array_equal(res.minimizer, c * T)
                    for T in candidates for c in (1.0, -1.0, -0.5, 0.5))
 

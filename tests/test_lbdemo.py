@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mcuq.core import DomainError
-from mcuq.lbdemo import (BUILTIN_TESTS, h0_dataset, h1_dataset,
-                         indistinguishability_experiment, rho_for, sample_h0,
-                         sample_h1, separation_check)
+from mcuq.lbdemo import (_statistics, h0_dataset, h1_dataset,
+                         indistinguishability_experiment, rho_for, sample_h1,
+                         separation_check)
 from mcuq.synth import child_seed
 
 
@@ -72,11 +72,6 @@ class TestSampleH1:
 
 
 class TestSampleH0:
-    def test_zero_matrix_and_unit_noise(self):
-        M, noise = sample_h0(6)
-        assert np.all(M == 0.0)
-        assert noise.sigma == 1.0 and noise.U == 1.0
-
     def test_observed_values_signs(self):
         ds = h0_dataset(10, 50, seed=6)
         assert set(np.unique(ds.values)) <= {-1.0, 0.0, 1.0}
@@ -153,20 +148,14 @@ class TestIndistinguishability:
         assert res["rows"] == [] or all(row["reps"] == 0 for row in res["rows"])
         assert res["min_error_sum"] == 0.0
 
-    def test_empty_family_rejected(self):
-        with pytest.raises(DomainError):
-            indistinguishability_experiment(12, 36, 2, 1, 0.05, reps=5,
-                                            test_family={}, seed=0)
-
     def test_blind_second_moment_statistic_exactly_zero(self):
         # Observed values live on {-1, +1} under both hypotheses, so the
         # unit-variance second-moment statistic is exactly zero.
         draw = sample_h1(12, 3, 0.1, seed=15)
         ds1 = h1_dataset(draw, 60, seed=16)
         ds0 = h0_dataset(12, 60, seed=17)
-        ctx = {"k0": 1, "k": 3, "a": 1.0, "seed": 0}
-        assert BUILTIN_TESTS["second_moment"](ds1, 1.0, ctx) == 0.0
-        assert BUILTIN_TESTS["second_moment"](ds0, 1.0, ctx) == 0.0
+        assert _statistics(ds1, 1.0, 1, 3, seed=0)["second_moment"] == 0.0
+        assert _statistics(ds0, 1.0, 1, 3, seed=0)["second_moment"] == 0.0
 
     def test_warns_above_cube_root_of_m(self):
         # 96^(1/3) = 4.58: k = 5 lies above the recommended bound although
@@ -180,7 +169,8 @@ class TestIndistinguishability:
     def test_report_rows_structure(self):
         res = indistinguishability_experiment(24, 144, 2, 1, 0.05, reps=8,
                                               seed=18, cal_reps=12)
-        assert len(res["rows"]) == len(BUILTIN_TESTS)
+        assert [row["test_name"] for row in res["rows"]] == [
+            "second_moment", "observed_variance", "infimum_sigma_assumed", "rank_energy"]
         for row in res["rows"]:
             assert set(row) == {"test_name", "type1", "type2", "error_sum",
                                 "v", "rho", "m", "n", "k", "reps"}

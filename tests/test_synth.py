@@ -14,8 +14,8 @@ from scipy.stats import norm
 import mcuq
 from mcuq import synth
 from mcuq.core import DomainError, NoiseSpec
-from mcuq.synth import (_draw_noise_rng, _noise_for_entries, child_seed,
-                        make_low_rank, rng_for, sample_bernoulli, sample_trace)
+from mcuq.synth import (_noise_for_entries, child_seed, make_low_rank, rng_for,
+                        sample_bernoulli, sample_trace)
 
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
@@ -82,26 +82,27 @@ class TestMakeLowRank:
 
 class TestDrawNoise:
     def test_rademacher_support(self):
-        draws = _draw_noise_rng(NoiseSpec("scaled-rademacher", 1.0, 2.0), 1000, rng_for(0))
+        draws = _noise_for_entries(NoiseSpec("scaled-rademacher", 1.0, 2.0), np.zeros(1000),
+                                   rng_for(0))
         assert set(np.unique(draws)) == {-1.0, 1.0}
 
     def test_mean_near_zero(self):
-        draws = _draw_noise_rng(RADEMACHER, 10 ** 6, rng_for(1))
+        draws = _noise_for_entries(RADEMACHER, np.zeros(10 ** 6), rng_for(1))
         assert abs(np.mean(draws)) <= 4 * 0.5 / 10 ** 3
 
     def test_uniform_moments_and_bound(self):
         spec = NoiseSpec("uniform", 0.5, 1.0)
-        draws = _draw_noise_rng(spec, 10 ** 6, rng_for(2))
+        draws = _noise_for_entries(spec, np.zeros(10 ** 6), rng_for(2))
         assert np.max(np.abs(draws)) <= spec.U
         assert np.var(draws) == pytest.approx(0.25, rel=0.01)
 
     def test_uniform_needs_room(self):
         with pytest.raises(DomainError):
-            _draw_noise_rng(NoiseSpec("uniform", 0.9, 1.0), 10, rng_for(0))
+            _noise_for_entries(NoiseSpec("uniform", 0.9, 1.0), np.zeros(10), rng_for(0))
 
     def test_truncated_gaussian_variance(self):
         spec = NoiseSpec("truncated-gaussian", 1.0, 2.0)
-        draws = _draw_noise_rng(spec, 10 ** 6, rng_for(3))
+        draws = _noise_for_entries(spec, np.zeros(10 ** 6), rng_for(3))
         assert np.max(np.abs(draws)) <= 2.0
         assert np.var(draws) == pytest.approx(1.0, rel=0.01)
         assert abs(np.mean(draws)) < 0.005
@@ -109,7 +110,8 @@ class TestDrawNoise:
     def test_truncated_gaussian_unreachable_variance(self):
         # The family's variance supremum on [-U, U] is U^2/3.
         with pytest.raises(DomainError):
-            _draw_noise_rng(NoiseSpec("truncated-gaussian", 0.99, 1.0), 10, rng_for(0))
+            _noise_for_entries(NoiseSpec("truncated-gaussian", 0.99, 1.0), np.zeros(10),
+                               rng_for(0))
 
     def test_two_point_moments(self):
         spec = NoiseSpec("two-point-skewed", math.sqrt(0.96), 2.0)
@@ -131,10 +133,6 @@ class TestDrawNoise:
         np.testing.assert_array_equal(draws, np.where(rng_for(5).random(1000) < 0.5, 1.0, -1.0))
         # A calibration replicate may observe nothing.
         assert _noise_for_entries(spec, np.zeros(0), rng_for(5)).shape == (0,)
-
-    def test_symmetric_sampler_refuses_two_point(self):
-        with pytest.raises(DomainError, match="_noise_for_entries"):
-            _draw_noise_rng(NoiseSpec("two-point-skewed", 1.0, 2.0), 10, rng_for(0))
 
     def test_sigma_above_bound_rejected(self):
         with pytest.raises(DomainError):
@@ -169,9 +167,10 @@ class TestTruncatedGaussianScale:
         with monkeypatch.context() as m:
             m.setattr(synth, "_truncated_gaussian_scale",
                       _truncated_gaussian_scale_reference)
-            ref_noise = _draw_noise_rng(self.SPEC, 5000, rng_for(seed))
+            ref_noise = _noise_for_entries(self.SPEC, np.zeros(5000), rng_for(seed))
             ref_data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
-        np.testing.assert_array_equal(_draw_noise_rng(self.SPEC, 5000, rng_for(seed)), ref_noise)
+        np.testing.assert_array_equal(
+            _noise_for_entries(self.SPEC, np.zeros(5000), rng_for(seed)), ref_noise)
         data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
         np.testing.assert_array_equal(data.rows, ref_data.rows)
         np.testing.assert_array_equal(data.cols, ref_data.cols)
@@ -180,7 +179,7 @@ class TestTruncatedGaussianScale:
     def test_scale_solved_once_per_law(self):
         synth._truncated_gaussian_scale.cache_clear()
         for seed in range(5):
-            _draw_noise_rng(self.SPEC, 10, rng_for(seed))
+            _noise_for_entries(self.SPEC, np.zeros(10), rng_for(seed))
         info = synth._truncated_gaussian_scale.cache_info()
         assert (info.misses, info.hits) == (1, 4)
         assert (synth._truncated_gaussian_scale(0.5, 1.0)
@@ -206,17 +205,18 @@ class TestImportFootprint:
             "noise": {"kind": "scaled-rademacher", "sigma": 0.5, "U": 0.5}}))
         codes, before, linalg, after = run_fresh(f"""
 import contextlib, io, json
+import numpy as np
 import mcuq
 from mcuq import cli
 from mcuq.core import NoiseSpec
-from mcuq.synth import _draw_noise_rng, rng_for
+from mcuq.synth import _noise_for_entries, rng_for
 lazy = ("scipy.stats", "scipy.optimize")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", "--config", {str(config)!r}]),
              cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
 before = [name for name in lazy if name in sys.modules]
 linalg = [name for name in sys.modules if name.split(".")[:2] == ["scipy", "linalg"]]
-_draw_noise_rng(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, rng_for(0))
+_noise_for_entries(NoiseSpec("truncated-gaussian", 0.5, 1.0), np.zeros(10), rng_for(0))
 after = [name for name in lazy if name in sys.modules]
 print(json.dumps([codes, before, linalg, after]))
 """)

@@ -316,15 +316,15 @@ class TestRssCi:
     def test_ball_contains_truth_smoke(self):
         M = make_low_rank(8, 8, 1, 1.0, seed=29)
         data = sample_trace(M, 128, RADEMACHER, seed=30)
-        ball = rss_ci(data, alpha=0.1, sigma=0.5, U=0.5)
+        ball = rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0)
         assert ball.contains(M)
 
     def test_invalid_params(self):
         data = sample_trace(np.zeros((4, 4)), 16, RADEMACHER, seed=31)
         with pytest.raises(DomainError):
-            rss_ci(data, alpha=0.0, sigma=0.5, U=0.5)
+            rss_ci(data, alpha=0.0, sigma=0.5, U=0.5, a=1.0)
         with pytest.raises(DomainError):
-            rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, z=0.0)
+            rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0, z=0.0)
 
 
 class TestUCiCoverageOtherNoise:
