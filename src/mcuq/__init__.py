@@ -10,8 +10,8 @@ from .synth import (BernoulliDataset, GenerationError, TraceDataset,
 from .estimate import (LassoFit, estimator_risk, lambda_data_driven,
                        lambda_practical_trace, matrix_lasso,
                        soft_threshold_estimator)
-from .trace_uq import (FrobeniusBall, PairedSet, n_pairs_bound, pair_repeats,
-                       rss_ci, rss_statistic, split_sample, u_ci, u_quantile,
+from .trace_uq import (FrobeniusBall, PairedSet, pair_repeats, rss_ci,
+                       rss_statistic, split_sample, u_ci, u_quantile,
                        u_statistic)
 from .bernoulli_uq import (InfimumResult, TestVerdict, adaptive_ci,
                            infimum_stat, low_rank_test, u_alpha_calibrated,

@@ -99,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"noise: must be an object with kind, sigma and U, "
                               f"got {type(d['noise']).__name__}")
         for key in ("separation_grid", "k_grid", "n_grid"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         if "kind" not in d:
             raise ConfigError("kind: required field is missing")
@@ -128,8 +128,11 @@ class ExperimentConfig:
             errors.append(f"reveal_sigma: must be true or false, got {self.reveal_sigma!r}")
         for key, ok, what in (("k_grid", _is_int, "integers"), ("n_grid", _is_int, "integers"),
                               ("separation_grid", _is_finite, "finite numbers")):
-            if not all(ok(x) for x in getattr(self, key)):
-                errors.append(f"{key}: entries must be {what}, got {list(getattr(self, key))}")
+            grid = getattr(self, key)
+            if not isinstance(grid, (list, tuple)):
+                errors.append(f"{key}: must be an array, got {grid!r}")
+            elif not all(ok(x) for x in grid):
+                errors.append(f"{key}: entries must be {what}, got {list(grid)}")
         return errors
 
     def _errors(self) -> list[str]:
@@ -154,9 +157,6 @@ class ExperimentConfig:
             errors.append(f"reps: must be >= 0, got {self.reps}")
         if self.seed < 0:
             errors.append(f"seed: must be >= 0, got {self.seed}")
-        if self.kind != "lbdemo" and self.noise.kind == "two-point-skewed":
-            errors.append("noise: two-point-skewed noise is matched to lbdemo's prior "
-                          "and cannot match the entries of any other kind")
         if self.kind in ("coverage", "diameter"):
             if self.method not in METHODS:
                 errors.append(f"method: must be one of {METHODS}, got {self.method!r}")
@@ -519,10 +519,11 @@ def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dic
         vals = [rec["reject"] for rec in records if rec["separation"] == s]
         rates[s] = float(np.mean(vals)) if vals else float("nan")
     power_vals = [rates[s] for s in sorted(cfg.separation_grid)]
+    size = rates.get(0.0, float("nan"))
     return {
         "rejection_rate": {repr(float(s)): rates[s] for s in cfg.separation_grid},
-        "size": rates.get(0.0, float("nan")),
-        "size_se": rate_se(rates.get(0.0, 0.0), cfg.reps),
+        "size": size,
+        "size_se": float("nan") if math.isnan(size) else rate_se(size, cfg.reps),
         "power_max_separation": rates[max(cfg.separation_grid)],
         "monotone_within": float(max(
             (power_vals[i] - power_vals[j]

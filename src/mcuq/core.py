@@ -59,7 +59,6 @@ NOISE_KINDS = (
     "scaled-rademacher",
     "uniform",
     "truncated-gaussian",
-    "two-point-skewed",
 )
 
 
@@ -92,6 +91,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DomainError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
+        if isinstance(self.sigma, (bool, np.bool_)) or isinstance(self.U, (bool, np.bool_)):
+            raise DomainError(f"sigma and U must be numbers, not booleans, "
+                              f"got sigma={self.sigma!r}, U={self.U!r}")
         if not (math.isfinite(self.sigma) and math.isfinite(self.U)):
             raise DomainError(f"sigma and U must be finite, got sigma={self.sigma}, U={self.U}")
         if self.sigma < 0:

@@ -124,14 +124,9 @@ def preload_noise(noise: NoiseSpec) -> None:
         _truncated_gaussian_scale(noise.sigma, noise.U)
 
 
-def _noise_for_entries(noise: NoiseSpec, m_values: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One independent noise draw per entry of ``m_values``, with mean 0,
-    variance sigma^2 and |draw| <= U.  Only two-point noise reads the entry
-    values: at entry value ``mu`` it is ``1 - mu`` with probability
-    ``(1 + mu)/2``, else ``-1 - mu``, with variance ``1 - mu**2``, which must
-    equal ``sigma**2``; the other laws draw i.i.d."""
-    count = m_values.size
+def _draw_noise(noise: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. noise draws with mean 0, variance sigma^2 and
+    |draw| <= U."""
     if noise.kind == "scaled-rademacher":
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return noise.sigma * signs
@@ -140,22 +135,16 @@ def _noise_for_entries(noise: NoiseSpec, m_values: np.ndarray,
         half = math.sqrt(3.0) * noise.sigma  # NoiseSpec guarantees half <= U
         return rng.uniform(-half, half, size=count)
 
-    if noise.kind == "truncated-gaussian":
-        if noise.sigma == 0.0:
-            return np.zeros(count)
-        s = _truncated_gaussian_scale(noise.sigma, noise.U)
-        out = np.empty(0)
-        while out.size < count:
-            need = count - out.size
-            cand = rng.normal(0.0, s, size=int(need * 1.3) + 16)
-            out = np.concatenate([out, cand[np.abs(cand) <= noise.U]])
-        return out[:count]
-
-    mus = m_values.ravel()  # two-point-skewed, the last of NOISE_KINDS
-    if np.any(np.abs((1.0 - mus * mus) - noise.sigma ** 2) > 1e-9):
-        raise DomainError("two-point noise requires entries with 1 - M_ij^2 == sigma^2")
-    plus = rng.random(count) < (1.0 + mus) / 2.0
-    return np.where(plus, 1.0 - mus, -1.0 - mus)
+    # truncated-gaussian, the last of NOISE_KINDS
+    if noise.sigma == 0.0:
+        return np.zeros(count)
+    s = _truncated_gaussian_scale(noise.sigma, noise.U)
+    out = np.empty(0)
+    while out.size < count:
+        need = count - out.size
+        cand = rng.normal(0.0, s, size=int(need * 1.3) + 16)
+        out = np.concatenate([out, cand[np.abs(cand) <= noise.U]])
+    return out[:count]
 
 
 def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
@@ -197,7 +186,7 @@ def sample_trace(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> TraceDat
     pos = rng.integers(0, m1 * m2, size=n)
     rows, cols = np.divmod(pos, m2)
     values = M[rows, cols]
-    eps = _noise_for_entries(noise, values, rng)
+    eps = _draw_noise(noise, n, rng)
     return TraceDataset(m1, m2, rows, cols, values + eps)
 
 
@@ -210,6 +199,6 @@ def sample_bernoulli(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> Bern
     p = n / (m1 * m2)
     rng = rng_for(seed)
     mask = rng.random((m1, m2)) < p
-    eps = _noise_for_entries(noise, M, rng).reshape(m1, m2)
+    eps = _draw_noise(noise, M.size, rng).reshape(m1, m2)
     values = np.where(mask, M + eps, 0.0)
     return BernoulliDataset(mask, values, p, n)

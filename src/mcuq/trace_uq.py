@@ -161,18 +161,6 @@ def u_ci(data: TraceDataset, alpha: float, a: float, U: float,
     return FrobeniusBall(fit.estimate, radius_sq, N, a_bound=a, flags=_fit_flags(fit))
 
 
-def n_pairs_bound(n: int, m1: int, m2: int) -> tuple[float, float]:
-    """High-probability lower bound on the number of couples.
-
-    Returns ``(n^2/(64*m1*m2), 1 - exp(-n^2/(372*m1*m2)))``: the bound and
-    the probability with which it holds.
-    """
-    if n > m1 * m2:
-        raise DomainError(f"n={n} exceeds m1*m2={m1 * m2}")
-    x = n * n / (m1 * m2)
-    return x / 64.0, 1.0 - math.exp(-x / 372.0)
-
-
 def rss_statistic(half: TraceDataset, M_hat: np.ndarray, sigma: float) -> float:
     """Mean squared residual over the half-sample minus sigma^2.
 

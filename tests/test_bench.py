@@ -112,9 +112,10 @@ class TestConfig:
         (dict(kind="risk", m1=4, m2=4, n=16, k_grid=[1, 9]),
          "k_grid: entries must lie in [1, 4], got [1, 9]"),
         (dict(kind="risk", n_grid=[0]), "n_grid: entries must lie in [1, inf], got [0]"),
+        # lbdemo draws its two-point prior itself; no config names that law.
         (dict(noise={"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
-         "noise: two-point-skewed noise is matched to lbdemo's prior and cannot "
-         "match the entries of any other kind"),
+         "noise: unknown noise kind 'two-point-skewed', expected one of "
+         "('scaled-rademacher', 'uniform', 'truncated-gaussian')"),
         # Found by the property test in test_validate_property.py.
         (dict(n=1), "n: u_ci splits the sample and needs >= 2, got 1"),
         (dict(kind="test_power", model="bernoulli", a=30.0, threshold_mode="theoretical",
@@ -124,13 +125,19 @@ class TestConfig:
          "lam: the practical lam is zero at sigma=0; set lam > 0"),
         (dict(kind="lbdemo", m1=8, m2=8, n=64, k=3, k0=1, v=0.1),
          "n: must be <= 48 for lbdemo, whose alternative keeps 6 of 8 columns at k=3"),
+        # These two ran: the first echoed "sigma": true, the second raised a
+        # message naming no field.
+        (dict(noise={"kind": "uniform", "sigma": True, "U": 2}),
+         "noise: sigma and U must be numbers, not booleans, got sigma=True, U=2"),
+        (dict(kind="risk", k_grid=5), "k_grid: must be an array, got 5"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
             "m1-bool", "power-restarts-float", "lbdemo-alpha_test", "lbdemo-alpha_test-nan",
             "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
             "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
-            "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n"])
+            "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
+            "noise-sigma-bool", "risk-k_grid-scalar"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(ConfigError) as exc:
@@ -201,6 +208,20 @@ class TestCoverage:
         synth._truncated_gaussian_scale.cache_clear()
         assert run(cfg, threads=1).records == rep2.records
 
+    @pytest.mark.filterwarnings("ignore:n=9000 outside the recommended range:RuntimeWarning")
+    def test_center_beats_the_zero_matrix(self):
+        # The radius is nearly all slack at every shape the criteria run, so
+        # coverage and the radius ratio pass with a zero center too.  Here,
+        # with about 2,000 couples, the center's risk is about a fifth of the
+        # zero matrix's.
+        cfg = coverage_config(m1=30, m2=30, n=9000, reps=20, seed=111)
+        rep = run(cfg)
+        zero_risk = np.median([
+            estimate.estimator_risk(np.zeros((30, 30)), synth.make_low_rank(
+                30, 30, 1, 1.0, synth.child_seed(cfg.seed, 10, r)))
+            for r in range(cfg.reps)])
+        assert rep.aggregates["risk_median"] < 0.5 * zero_risk
+
     def test_adaptive_method(self):
         cfg = coverage_config(model="bernoulli", method="adaptive_ci",
                               m1=12, m2=12, n=100, k0=1, k=3, reps=8)
@@ -258,6 +279,14 @@ class TestTestPower:
         rep = run(cfg)
         assert rep.aggregates["size"] == pytest.approx(
             np.mean([r["reject"] for r in rep.records if r["separation"] == 0.0]))
+
+    def test_no_zero_separation_has_no_size(self):
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", reps=2,
+                               separation_grid=(4.0,))
+        records = [{"separation": 4.0, "reject": 1}, {"separation": 4.0, "reject": 0}]
+        agg = bench._power_aggregates(cfg, records, {})
+        assert math.isnan(agg["size"]) and math.isnan(agg["size_se"])
+        assert agg["power_max_separation"] == 0.5
 
     def test_rank_zero_truths(self):
         # The rank-0 class is {0}: its null truth is the zero matrix, and a

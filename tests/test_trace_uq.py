@@ -7,7 +7,7 @@ import pytest
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.estimate import estimator_risk
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, rng_for, sample_trace
-from mcuq.trace_uq import (PairedSet, n_pairs_bound, pair_repeats, rss_ci,
+from mcuq.trace_uq import (PairedSet, pair_repeats, rss_ci,
                            rss_radius_sq, rss_statistic, split_sample, u_ci,
                            u_quantile, u_statistic)
 
@@ -206,22 +206,6 @@ class TestUCi:
             A = make_low_rank(6, 6, 1, 1.0, seed=100 + trial)
             if ball.contains(A):
                 assert bigger.contains(A)
-
-
-class TestNPairsBound:
-    def test_reference_values(self):
-        bound, prob = n_pairs_bound(64, 8, 8)
-        assert bound == 1.0
-        bound2, _ = n_pairs_bound(400, 20, 20)
-        assert bound2 == 6.25
-
-    def test_probability_formula(self):
-        _, prob = n_pairs_bound(400, 20, 20)
-        assert prob == pytest.approx(1 - math.exp(-400 ** 2 / (372 * 400)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            n_pairs_bound(401, 20, 20)
 
 
 class TestRssStatistic:

@@ -60,7 +60,7 @@ def configs(draw):
         "method": "adaptive_ci" if model == "bernoulli" else draw(st.sampled_from(METHODS)),
         "k_truth": draw(st.integers(1, d)), "k0": k0, "k": k0 + draw(st.integers(1, 2)),
         "a": draw(st.sampled_from([0.5, 1.0, 30.0])),
-        "noise": {"kind": draw(st.sampled_from(NOISE_KINDS[:3])), "sigma": sigma,
+        "noise": {"kind": draw(st.sampled_from(NOISE_KINDS)), "sigma": sigma,
                   "U": draw(st.sampled_from([sigma or 0.5, 1.0]))},  # sigma = U is drawn
         "reps": 1, "seed": draw(st.integers(0, 3)),
         "threshold_mode": draw(st.sampled_from(["calibrated", "theoretical"])),
