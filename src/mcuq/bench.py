@@ -24,8 +24,7 @@ import numpy as np
 
 from . import bernoulli_uq, estimate, lbdemo, trace_uq
 from .core import DomainError, NoiseSpec, clip_entries, minimax_rate_sq
-from .synth import (child_seed, make_low_rank, preload_noise, rng_for, sample_bernoulli,
-                    sample_trace)
+from .synth import child_seed, make_low_rank, rng_for, sample_bernoulli, sample_trace
 
 
 class ConfigError(ValueError):
@@ -36,6 +35,7 @@ MODELS = ("trace", "bernoulli")
 METHODS = ("u_ci", "rss_ci", "adaptive_ci")
 INT_FIELDS = ("m1", "m2", "n", "k_truth", "k0", "k", "reps", "seed", "restarts", "cal_reps")
 FLOAT_FIELDS = ("a", "alpha", "z", "K", "v", "alpha_test")
+STR_FIELDS = ("kind", "model", "method", "threshold_mode", "out")
 
 
 def _is_int(value) -> bool:
@@ -116,10 +116,12 @@ class ExperimentConfig:
             raise ConfigError("; ".join(errors))
 
     def _type_errors(self) -> list[str]:
-        """Integer fields hold integers, not booleans; float fields and grid
-        values hold finite numbers."""
-        errors = [f"{name}: must be an integer, got {getattr(self, name)!r}"
-                  for name in INT_FIELDS if not _is_int(getattr(self, name))]
+        """String fields hold strings; integer fields hold integers, not
+        booleans; float fields and grid values hold finite numbers."""
+        errors = [f"{name}: must be a string, got {getattr(self, name)!r}"
+                  for name in STR_FIELDS if not isinstance(getattr(self, name), str)]
+        errors += [f"{name}: must be an integer, got {getattr(self, name)!r}"
+                   for name in INT_FIELDS if not _is_int(getattr(self, name))]
         errors += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
                    for name in FLOAT_FIELDS if not _is_finite(getattr(self, name))]
         if self.lam is not None and not _is_finite(self.lam):
@@ -288,10 +290,9 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
-def _map_for(threads: int, noise: NoiseSpec | None = None):
+def _map_for(threads: int):
     """``(map, None)`` for one thread, else ``(pool.map, pool)`` of a fork
-    pool of ``threads`` workers for the caller to close and join.  ``noise``
-    is preloaded first, so the workers inherit its one-off work; a platform
+    pool of ``threads`` workers for the caller to close and join; a platform
     without the ``fork`` start method raises :class:`ConfigError`."""
     if threads <= 1:
         return map, None
@@ -300,8 +301,6 @@ def _map_for(threads: int, noise: NoiseSpec | None = None):
     except ValueError as e:
         raise ConfigError(f"--threads {threads} needs the 'fork' start method, which this "
                           f"platform lacks ({e}); run with --threads 1") from e
-    if noise is not None:
-        preload_noise(noise)  # once here, not once in every forked worker
     pool = ctx.Pool(threads)
     return pool.map, pool
 
@@ -324,17 +323,25 @@ def _sample(cfg: ExperimentConfig, M, r: int):
     return sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
 
 
-def _coverage_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
-    _, r = job
-    M = make_low_rank(cfg.m1, cfg.m2, cfg.k_truth, cfg.a, child_seed(cfg.seed, 10, r))
+def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+    """One confidence set, for a coverage job ``(r, r)`` or a diameter job
+    ``(idx, k_truth, r)``; the record holds the columns of both kinds."""
+    # Common random numbers: the sampling stream depends on the replicate
+    # only, so the two truth-rank cells of a diameter run share masks,
+    # positions, and noise and their radius difference isolates the rank effect.
+    idx, *cell, r = job
+    k_t = cell[0] if cell else cfg.k_truth
+    M = make_low_rank(cfg.m1, cfg.m2, k_t, cfg.a, child_seed(cfg.seed, 10, r, *cell))
     data = _sample(cfg, M, r)
     ball = _build_ci(cfg, data, extras, child_seed(cfg.seed, 12, r))
     return {
-        "replicate": r,
+        "replicate": idx,
+        "k_truth": k_t,
         "covered": int(ball.contains(M)),
         "radius_sq": ball.radius_sq,
         "risk": estimate.estimator_risk(ball.center, M),
         "n_aux": ball.n_aux,
+        "reject": -1 if ball.reject is None else int(ball.reject),
         "flag": int(bool(ball.flags)),
     }
 
@@ -349,25 +356,6 @@ def _coverage_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> 
         "radius_sq_median": float(np.median(radius)) if records else 0.0,
         "radius_sq_q90": float(np.quantile(radius, 0.9)) if records else 0.0,
         "risk_median": float(np.median([rec["risk"] for rec in records])) if records else 0.0,
-    }
-
-
-def _diameter_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
-    # Common random numbers: the sampling stream depends on the replicate
-    # only, so the two truth-rank cells share masks, positions, and noise
-    # and their radius difference isolates the rank effect.
-    idx, k_t, r = job
-    sub = replace(cfg, k_truth=k_t)
-    M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, r, k_t))
-    data = _sample(sub, M, r)
-    ball = _build_ci(sub, data, extras, child_seed(cfg.seed, 12, r))
-    return {
-        "replicate": idx,
-        "k_truth": k_t,
-        "radius_sq": ball.radius_sq,
-        "covered": int(ball.contains(M)),
-        "reject": -1 if ball.reject is None else int(ball.reject),
-        "flag": int(bool(ball.flags)),
     }
 
 
@@ -561,8 +549,7 @@ def _prepare_extras(config: ExperimentConfig) -> dict:
         return {}
     if config.threshold_mode == "calibrated":
         return {"threshold": bernoulli_uq.u_alpha_calibrated(
-            config.alpha, config.noise.sigma, config.noise,
-            (config.m1, config.m2), config.n, reps=config.cal_reps,
+            config.alpha, config.noise, (config.m1, config.m2), config.n, reps=config.cal_reps,
             seed=child_seed(config.seed, 999))}
     return {"threshold": bernoulli_uq.u_alpha_theoretical(
         config.alpha, config.noise.sigma, config.noise.U)}
@@ -576,10 +563,9 @@ class Kind:
     ``itertools.product(*grids(cfg), range(cfg.reps))``; ``replicate(cfg,
     extras, job)`` turns one into a record with ``columns``, with ``extras``
     from :func:`_prepare_extras`, and ``aggregate(cfg, records, extras)``
-    summarises the records.  With ``grids=None`` the kind maps its own stages
-    and draws nothing from ``cfg.noise``: ``replicate(cfg, map_fn)`` returns
-    a result whose ``rows`` are the records and which ``aggregate`` gets as
-    ``extras``.
+    summarises the records.  With ``grids=None`` the kind maps its own
+    stages: ``replicate(cfg, map_fn)`` returns a result whose ``rows`` are
+    the records and which ``aggregate`` gets as ``extras``.
     """
 
     columns: tuple
@@ -591,9 +577,9 @@ class Kind:
 #: The experiment kinds, keyed by the config's ``kind``.
 KINDS = {
     "coverage": Kind(("replicate", "covered", "radius_sq", "risk", "n_aux", "flag"),
-                     _coverage_replicate, _coverage_aggregates),
+                     _ci_replicate, _coverage_aggregates),
     "diameter": Kind(("replicate", "k_truth", "radius_sq", "covered", "reject", "flag"),
-                     _diameter_replicate, _diameter_aggregates,
+                     _ci_replicate, _diameter_aggregates,
                      lambda cfg: ((cfg.k0, cfg.k_truth),)),
     "risk": Kind(("replicate", "k", "n", "risk", "flag"),
                  _risk_replicate, _risk_aggregates, _risk_grids),
@@ -617,7 +603,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     config.validate()
     t0 = time.perf_counter()
     kind = KINDS[config.kind]
-    map_fn, pool = _map_for(threads, None if kind.grids is None else config.noise)
+    map_fn, pool = _map_for(threads)
     try:
         if kind.grids is None:
             extras = kind.replicate(config, map_fn)

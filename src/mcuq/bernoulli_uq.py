@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import DomainError, NoiseSpec, clip_entries, truncate_rank
 from .estimate import lambda_data_driven, soft_threshold_estimator
-from .synth import BernoulliDataset, _draw_noise, rng_for
+from .synth import BernoulliDataset, bernoulli_mask, rng_for
 from .trace_uq import FrobeniusBall
 
 
@@ -206,29 +206,27 @@ def u_alpha_theoretical(alpha: float, sigma: float, U: float) -> float:
     return sigma * math.sqrt(3.0 * (U * U - sigma * sigma) / (2.0 * alpha))
 
 
-def u_alpha_calibrated(alpha: float, sigma: float, noise: NoiseSpec,
-                       shape: tuple[int, int], n: int, reps: int = 400,
-                       seed: int = 0) -> float:
+def u_alpha_calibrated(alpha: float, noise: NoiseSpec, shape: tuple[int, int], n: int,
+                       reps: int = 400, seed: int = 0) -> float:
     """Empirical (1 - alpha/3)-quantile of the null noise statistic.
 
     Simulates ``reps`` draws of ``|sum over observed entries of
-    (eps^2 - sigma^2)| / sqrt(2n)`` under the given mask rate and noise law.
+    (eps^2 - sigma^2)| / sqrt(2n)`` under the one-shot mask of ``n`` in
+    ``shape`` and the noise law ``noise``, whose ``sigma`` it centres at.
     """
     if reps < 100:
         raise DomainError(f"need reps >= 100 for a stable quantile, got {reps}")
     m1, m2 = shape
-    p = n / (m1 * m2)
-    if not 0 < p <= 1:
-        raise DomainError(f"n={n} incompatible with shape {shape}")
-    sig_sq = sigma * sigma
-    scale = math.sqrt(2.0 * n)
+    sig_sq = noise.sigma * noise.sigma
     stats = np.empty(reps)
     for r in range(reps):
         rng = rng_for(seed, r)
-        mask = rng.random((m1, m2)) < p
-        eps = _draw_noise(noise, int(mask.sum()), rng)
-        stats[r] = abs(float(np.sum(eps * eps)) - sig_sq * eps.size) / scale
-    return float(np.quantile(stats, 1.0 - alpha / 3.0, method="higher"))
+        mask = bernoulli_mask(m1, m2, n, rng)
+        eps = noise.draw(int(mask.sum()), rng)
+        stats[r] = abs(float(np.sum(eps * eps)) - sig_sq * eps.size)
+    # Division by a positive number keeps the order, so the quantile of the
+    # scaled statistics is the scaled quantile.
+    return float(np.quantile(stats, 1.0 - alpha / 3.0, method="higher")) / math.sqrt(2.0 * n)
 
 
 def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,

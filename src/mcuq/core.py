@@ -81,7 +81,9 @@ class NoiseSpec:
     Construction rejects a law that cannot have both: ``uniform`` needs a
     half-width ``sqrt(3)*sigma <= U``, and ``truncated-gaussian`` needs
     ``sigma^2 < U^2/3``, the variance supremum of Gaussians truncated to
-    ``[-U, U]``.
+    ``[-U, U]``.  A ``truncated-gaussian`` spec with ``sigma > 0`` also
+    solves its base scale when built, so a scale that cannot be bracketed
+    fails there and not in the middle of a run.
     """
 
     kind: str
@@ -111,6 +113,59 @@ class NoiseSpec:
             raise DomainError(
                 f"truncated Gaussian on [-{self.U}, {self.U}] cannot reach variance "
                 f"{self.sigma**2:.6g} (supremum {self.U**2/3.0:.6g})")
+        if self.kind == "truncated-gaussian" and self.sigma > 0:
+            # Solved now, so a pool forked after the spec is built inherits it.
+            _truncated_gaussian_scale(self.sigma, self.U)
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` i.i.d. draws with mean 0, variance sigma^2 and |draw| <= U."""
+        if self.kind == "scaled-rademacher":
+            signs = rng.integers(0, 2, size=count) * 2 - 1
+            return self.sigma * signs
+
+        if self.kind == "uniform":
+            half = math.sqrt(3.0) * self.sigma  # construction guarantees half <= U
+            return rng.uniform(-half, half, size=count)
+
+        # truncated-gaussian, the last of NOISE_KINDS
+        if self.sigma == 0.0:
+            return np.zeros(count)
+        s = _truncated_gaussian_scale(self.sigma, self.U)
+        out = np.empty(0)
+        while out.size < count:
+            need = count - out.size
+            cand = rng.normal(0.0, s, size=int(need * 1.3) + 16)
+            out = np.concatenate([out, cand[np.abs(cand) <= self.U]])
+        return out[:count]
+
+
+@functools.lru_cache(maxsize=64)
+def _truncated_gaussian_scale(sigma: float, U: float) -> float:
+    """Base scale s such that N(0, s^2) conditioned on [-U, U] has variance sigma^2.
+
+    :class:`NoiseSpec` guarantees ``sigma^2 < U^2/3``, the family's variance
+    supremum (its uniform limit), with margin.  Memoised per ``(sigma, U)``:
+    every draw of a run asks for the same scale.
+    """
+    # Imported here, not at module level: they cost most of ``import mcuq``
+    # in time and memory, and only this noise law needs them.
+    from scipy.optimize import brentq
+    from scipy.stats import norm
+
+    def trunc_var(s):
+        alpha = U / s
+        z = 2 * norm.cdf(alpha) - 1
+        return s * s * (1 - 2 * alpha * norm.pdf(alpha) / z)
+
+    lo = sigma
+    hi = sigma
+    while trunc_var(hi) < sigma ** 2:
+        hi *= 2.0
+        if hi > 1e6 * U:
+            raise DomainError("failed to bracket the truncated Gaussian scale")
+    if trunc_var(lo) >= sigma ** 2:
+        return lo
+    return brentq(lambda s: trunc_var(s) - sigma ** 2, lo, hi, xtol=1e-14, rtol=1e-14)
 
 
 def svd_deterministic(A: np.ndarray):

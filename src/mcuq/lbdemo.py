@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DomainError, NoiseSpec, gram_eigh
 from .bernoulli_uq import infimum_stat
-from .synth import BernoulliDataset, child_seed, rng_for, sample_bernoulli
+from .synth import BernoulliDataset, bernoulli_mask, child_seed, rng_for, sample_bernoulli
 
 
 @dataclass
@@ -99,14 +99,11 @@ def h1_dataset(draw: PriorDraw, n: int, seed: int) -> BernoulliDataset:
     statistics exactly zero instead of zero up to rounding.
     """
     m1, m2 = draw.M.shape
-    if not 1 <= n <= m1 * m2:
-        raise DomainError(f"n must lie in [1, {m1 * m2}], got {n}")
-    p = n / (m1 * m2)
     rng = rng_for(seed)
-    mask = rng.random((m1, m2)) < p
+    mask = bernoulli_mask(m1, m2, n, rng)
     plus = rng.random((m1, m2)) < (1.0 + draw.M) / 2.0
     values = np.where(mask, np.where(plus, 1.0, -1.0), 0.0)
-    return BernoulliDataset(mask, values, p, n)
+    return BernoulliDataset(mask, values, n)
 
 
 def h0_dataset(m: int, n: int, seed: int) -> BernoulliDataset:

@@ -149,7 +149,7 @@ def test_criterion_06_soft_thresholding():
     worst = 0.0
     for trial in range(100):
         Y = rng.standard_normal((8, 8))
-        data = BernoulliDataset(np.ones((8, 8), dtype=bool), Y, 1.0, 64)
+        data = BernoulliDataset(np.ones((8, 8), dtype=bool), Y, 64)
         lam = float(rng.uniform(0.001, 0.06))
         t = lam * 64 / 2.0
         expected = np.maximum(np.linalg.svd(Y, compute_uv=False) - t, 0.0)
@@ -215,7 +215,7 @@ def test_criterion_08_adaptive_bernoulli_set():
     m, n, k0, k, a, sigma, alpha, reps = 20, 300, 1, 3, 2.0, 0.25, 0.1, 300
     noise = NoiseSpec("scaled-rademacher", sigma, sigma)
     unit = math.sqrt(m * m * k0 * 2 * m / n)
-    threshold = u_alpha_calibrated(alpha, sigma, noise, (m, m), n,
+    threshold = u_alpha_calibrated(alpha, noise, (m, m), n,
                                    reps=400, seed=801)
 
     covered_k0, small_k0 = 0, 0

@@ -130,6 +130,11 @@ class TestConfig:
         (dict(noise={"kind": "uniform", "sigma": True, "U": 2}),
          "noise: sigma and U must be numbers, not booleans, got sigma=True, U=2"),
         (dict(kind="risk", k_grid=5), "k_grid: must be an array, got 5"),
+        # The first printed "unhashable type: 'list'"; the other two passed
+        # `uq validate`, and `uq run` then ended in a traceback from Path().
+        (dict(kind=["coverage"]), "kind: must be a string, got ['coverage']"),
+        (dict(out=5), "out: must be a string, got 5"),
+        (dict(out=None), "out: must be a string, got None"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -137,15 +142,16 @@ class TestConfig:
             "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
             "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
-            "noise-sigma-bool", "risk-k_grid-scalar"])
+            "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
-        raw = {**coverage_config().to_dict(), **overrides}
+        # The config names the output directory, so `run --out` cannot mend a bad `out`.
+        raw = {**coverage_config(out=str(tmp_path / "out")).to_dict(), **overrides}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw).validate()
         assert str(exc.value) == message
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        for command in (["validate"], ["run"]):
             assert cli.main([*command, "--config", str(path)]) == 2
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -159,6 +165,20 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "config error: noise: truncated Gaussian on [-0.5, 0.5] cannot reach "
             "variance 0.25 (supremum 0.0833333)\n")
+
+    def test_unbracketed_noise_scale_fails_validation(self, tmp_path, capsys, monkeypatch):
+        # The scale is solved when the spec is built, so `uq validate` sees
+        # a failure that used to surface only when a run first drew noise.
+        def unbracketed(sigma, U):
+            raise DomainError("failed to bracket the truncated Gaussian scale")
+        monkeypatch.setattr(core, "_truncated_gaussian_scale", unbracketed)
+        cfg = coverage_config().to_dict()
+        cfg["noise"] = {"kind": "truncated-gaussian", "sigma": 0.25, "U": 0.5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: noise: failed to bracket the truncated Gaussian scale\n")
 
     def test_lbdemo_requires_square(self):
         cfg = ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
@@ -199,13 +219,13 @@ class TestCoverage:
         assert rep.aggregates["coverage"] >= 0.9
 
     def test_truncated_gaussian_pool(self):
-        # The pool's parent solves the noise scale before forking, so the
-        # workers inherit it; the records do not depend on where it was solved.
+        # Building the spec solves the noise scale before the pool forks, so
+        # the workers inherit it; the records do not depend on where it was solved.
+        core._truncated_gaussian_scale.cache_clear()
         cfg = coverage_config(noise=NoiseSpec("truncated-gaussian", 0.25, 0.5), reps=6)
-        synth._truncated_gaussian_scale.cache_clear()
+        assert core._truncated_gaussian_scale.cache_info().currsize == 1
         rep2 = run(cfg, threads=2)
-        assert synth._truncated_gaussian_scale.cache_info().currsize == 1
-        synth._truncated_gaussian_scale.cache_clear()
+        assert core._truncated_gaussian_scale.cache_info().misses == 1
         assert run(cfg, threads=1).records == rep2.records
 
     @pytest.mark.filterwarnings("ignore:n=9000 outside the recommended range:RuntimeWarning")
@@ -338,13 +358,6 @@ class TestEngine:
         assert [(rec["replicate"], rec["k"], rec["n"]) for rec in rep.records] == [
             (0, 1, 30), (1, 1, 30), (2, 2, 30), (3, 2, 30)]
 
-    @pytest.mark.parametrize("kind, preloads", [("coverage", 1), ("lbdemo", 0)])
-    def test_pool_preloads_only_noise_the_kind_draws(self, monkeypatch, kind, preloads):
-        # lbdemo draws its own noise laws, never the config's.
-        calls = []
-        monkeypatch.setattr(bench, "preload_noise", calls.append)
-        run(self.CONFIGS[kind], threads=2)
-        assert len(calls) == preloads
 
 
 class TestSeparatedTruth:

@@ -385,23 +385,23 @@ class TestThresholds:
             u_alpha_theoretical(0.1, 1.0, 2.0) * math.sqrt(2), rel=1e-12)
 
     def test_calibrated_rademacher_is_zero(self):
-        thr = u_alpha_calibrated(0.1, 0.5, RADEMACHER, (10, 10), 50, reps=150, seed=0)
+        thr = u_alpha_calibrated(0.1, RADEMACHER, (10, 10), 50, reps=150, seed=0)
         assert thr == 0.0
 
     def test_calibrated_below_theoretical(self):
         noise = NoiseSpec("scaled-rademacher", 0.5, 1.0)
-        cal = u_alpha_calibrated(0.1, 0.5, noise, (10, 10), 50, reps=300, seed=1)
+        cal = u_alpha_calibrated(0.1, noise, (10, 10), 50, reps=300, seed=1)
         assert cal <= u_alpha_theoretical(0.1, 0.5, 1.0)
 
     def test_calibrated_stability_in_reps(self):
         noise = NoiseSpec("uniform", 0.5, 1.0)
-        a = u_alpha_calibrated(0.1, 0.5, noise, (12, 12), 72, reps=2000, seed=2)
-        b = u_alpha_calibrated(0.1, 0.5, noise, (12, 12), 72, reps=4000, seed=3)
+        a = u_alpha_calibrated(0.1, noise, (12, 12), 72, reps=2000, seed=2)
+        b = u_alpha_calibrated(0.1, noise, (12, 12), 72, reps=4000, seed=3)
         assert abs(a - b) / a < 0.05
 
     def test_calibrated_needs_enough_reps(self):
         with pytest.raises(DomainError):
-            u_alpha_calibrated(0.1, 0.5, RADEMACHER, (5, 5), 10, reps=50)
+            u_alpha_calibrated(0.1, RADEMACHER, (5, 5), 10, reps=50)
 
 
 class TestLowRankTest:
@@ -409,7 +409,7 @@ class TestLowRankTest:
         M = make_low_rank(8, 8, 1, 1.0, seed=21)
         noise0 = NoiseSpec("scaled-rademacher", 0.0, 1.0)
         data = sample_bernoulli(M, 40, noise0, seed=22)
-        threshold = u_alpha_calibrated(0.1, 0.0, noise0, (8, 8), 40, reps=100, seed=23)
+        threshold = u_alpha_calibrated(0.1, noise0, (8, 8), 40, reps=100, seed=23)
         verdict = low_rank_test(data, 1, 1.0, 0.0, threshold, seed=23)
         assert not verdict.reject
 
@@ -494,7 +494,7 @@ class TestTypeIControlGrid:
         for k0 in (1, 2):
             for sigma in (0.25, 0.5):
                 noise = NoiseSpec("scaled-rademacher", sigma, sigma)
-                thr = u_alpha_calibrated(alpha, sigma, noise, (m, m), n,
+                thr = u_alpha_calibrated(alpha, noise, (m, m), n,
                                          reps=200, seed=child_seed(50, k0))
                 rejections = 0
                 for r in range(reps):

@@ -17,7 +17,7 @@ RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 def bernoulli_all_observed(values):
     values = np.asarray(values, dtype=float)
     m1, m2 = values.shape
-    return BernoulliDataset(np.ones((m1, m2), dtype=bool), values, 1.0, m1 * m2)
+    return BernoulliDataset(np.ones((m1, m2), dtype=bool), values, m1 * m2)
 
 
 def objective(data, A, lam):
@@ -286,7 +286,7 @@ class TestDataDrivenLambda:
         # With no nonzero observed value the energy is zero; the level must
         # still be positive, and the estimator then gives the zero fit.
         mask = np.full((2, 3), observed)
-        data = BernoulliDataset(mask, np.zeros((2, 3)), 1 / 6, 1)
+        data = BernoulliDataset(mask, np.zeros((2, 3)), 1)
         lam = lambda_data_driven(data)
         assert lam > 0
         assert np.all(soft_threshold_estimator(data, lam) == 0.0)

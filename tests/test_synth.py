@@ -12,9 +12,9 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import mcuq
-from mcuq import synth
+from mcuq import core, synth
 from mcuq.core import DomainError, NoiseSpec
-from mcuq.synth import (_draw_noise, child_seed, make_low_rank, rng_for,
+from mcuq.synth import (BernoulliDataset, bernoulli_mask, child_seed, make_low_rank, rng_for,
                         sample_bernoulli, sample_trace)
 
 
@@ -82,26 +82,26 @@ class TestMakeLowRank:
 
 class TestDrawNoise:
     def test_rademacher_support(self):
-        draws = _draw_noise(NoiseSpec("scaled-rademacher", 1.0, 2.0), 1000, rng_for(0))
+        draws = NoiseSpec("scaled-rademacher", 1.0, 2.0).draw(1000, rng_for(0))
         assert set(np.unique(draws)) == {-1.0, 1.0}
 
     def test_mean_near_zero(self):
-        draws = _draw_noise(RADEMACHER, 10 ** 6, rng_for(1))
+        draws = RADEMACHER.draw(10 ** 6, rng_for(1))
         assert abs(np.mean(draws)) <= 4 * 0.5 / 10 ** 3
 
     def test_uniform_moments_and_bound(self):
         spec = NoiseSpec("uniform", 0.5, 1.0)
-        draws = _draw_noise(spec, 10 ** 6, rng_for(2))
+        draws = spec.draw(10 ** 6, rng_for(2))
         assert np.max(np.abs(draws)) <= spec.U
         assert np.var(draws) == pytest.approx(0.25, rel=0.01)
 
     def test_uniform_needs_room(self):
         with pytest.raises(DomainError):
-            _draw_noise(NoiseSpec("uniform", 0.9, 1.0), 10, rng_for(0))
+            NoiseSpec("uniform", 0.9, 1.0)
 
     def test_truncated_gaussian_variance(self):
         spec = NoiseSpec("truncated-gaussian", 1.0, 2.0)
-        draws = _draw_noise(spec, 10 ** 6, rng_for(3))
+        draws = spec.draw(10 ** 6, rng_for(3))
         assert np.max(np.abs(draws)) <= 2.0
         assert np.var(draws) == pytest.approx(1.0, rel=0.01)
         assert abs(np.mean(draws)) < 0.005
@@ -109,11 +109,11 @@ class TestDrawNoise:
     def test_truncated_gaussian_unreachable_variance(self):
         # The family's variance supremum on [-U, U] is U^2/3.
         with pytest.raises(DomainError):
-            _draw_noise(NoiseSpec("truncated-gaussian", 0.99, 1.0), 10, rng_for(0))
+            NoiseSpec("truncated-gaussian", 0.99, 1.0)
 
     def test_zero_count_draws_nothing(self):
         # A calibration replicate may observe nothing.
-        assert _draw_noise(RADEMACHER, 0, rng_for(5)).shape == (0,)
+        assert RADEMACHER.draw(0, rng_for(5)).shape == (0,)
 
     def test_sigma_above_bound_rejected(self):
         with pytest.raises(DomainError):
@@ -146,25 +146,33 @@ class TestTruncatedGaussianScale:
     def test_draws_bit_identical_to_unmemoised_solve(self, monkeypatch, seed):
         M = make_low_rank(10, 12, 2, 1.0, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(synth, "_truncated_gaussian_scale",
+            m.setattr(core, "_truncated_gaussian_scale",
                       _truncated_gaussian_scale_reference)
-            ref_noise = _draw_noise(self.SPEC, 5000, rng_for(seed))
-            ref_data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
-        np.testing.assert_array_equal(
-            _draw_noise(self.SPEC, 5000, rng_for(seed)), ref_noise)
+            spec = NoiseSpec("truncated-gaussian", 0.5, 1.0)
+            ref_noise = spec.draw(5000, rng_for(seed))
+            ref_data = sample_trace(M, 500, spec, seed=seed + 1)
+        np.testing.assert_array_equal(self.SPEC.draw(5000, rng_for(seed)), ref_noise)
         data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
         np.testing.assert_array_equal(data.rows, ref_data.rows)
         np.testing.assert_array_equal(data.cols, ref_data.cols)
         np.testing.assert_array_equal(data.y, ref_data.y)
 
-    def test_scale_solved_once_per_law(self):
-        synth._truncated_gaussian_scale.cache_clear()
+    def test_building_the_spec_solves_its_scale(self):
+        core._truncated_gaussian_scale.cache_clear()
+        spec = NoiseSpec("truncated-gaussian", 0.5, 1.0)
+        assert core._truncated_gaussian_scale.cache_info().misses == 1
         for seed in range(5):
-            _draw_noise(self.SPEC, 10, rng_for(seed))
-        info = synth._truncated_gaussian_scale.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
-        assert (synth._truncated_gaussian_scale(0.5, 1.0)
+            spec.draw(10, rng_for(seed))
+        assert core._truncated_gaussian_scale.cache_info().misses == 1
+        assert (core._truncated_gaussian_scale(0.5, 1.0)
                 == _truncated_gaussian_scale_reference(0.5, 1.0))
+
+    @pytest.mark.parametrize("kind, sigma", [("scaled-rademacher", 0.5),
+                                             ("uniform", 0.5), ("truncated-gaussian", 0.0)])
+    def test_other_specs_solve_nothing(self, kind, sigma):
+        core._truncated_gaussian_scale.cache_clear()
+        NoiseSpec(kind, sigma, 1.0).draw(10, rng_for(0))
+        assert core._truncated_gaussian_scale.cache_info().misses == 0
 
 
 def run_fresh(script: str) -> list:
@@ -190,14 +198,13 @@ import numpy as np
 import mcuq
 from mcuq import cli
 from mcuq.core import NoiseSpec
-from mcuq.synth import _draw_noise, rng_for
 lazy = ("scipy.stats", "scipy.optimize")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["validate", "--config", {str(config)!r}]),
              cli.main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
 before = [name for name in lazy if name in sys.modules]
 linalg = [name for name in sys.modules if name.split(".")[:2] == ["scipy", "linalg"]]
-_draw_noise(NoiseSpec("truncated-gaussian", 0.5, 1.0), 10, rng_for(0))
+NoiseSpec("truncated-gaussian", 0.5, 1.0)
 after = [name for name in lazy if name in sys.modules]
 print(json.dumps([codes, before, linalg, after]))
 """)
@@ -304,7 +311,7 @@ class TestSampleBernoulli:
         M = make_low_rank(4, 4, 1, 1.0, seed=15)
         data = sample_bernoulli(M, 16, RADEMACHER, seed=16)
         assert data.n_hat == 16
-        assert data.p == 1.0
+        assert data.mask.all()
 
     def test_noiseless_values(self):
         M = make_low_rank(5, 5, 2, 1.0, seed=17)
@@ -329,6 +336,13 @@ class TestSampleBernoulli:
     def test_n_out_of_range(self):
         with pytest.raises(DomainError):
             sample_bernoulli(np.zeros((3, 3)), 10, RADEMACHER, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_mask_and_dataset_check_n(self, n):
+        with pytest.raises(DomainError, match=rf"n must lie in \[1, 9\], got {n}"):
+            bernoulli_mask(3, 3, n, rng_for(0))
+        with pytest.raises(DomainError, match=rf"n must lie in \[1, 9\], got {n}"):
+            BernoulliDataset(np.ones((3, 3), dtype=bool), np.zeros((3, 3)), n)
 
 
 class TestSeedStreams:

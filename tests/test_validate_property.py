@@ -35,6 +35,7 @@ BAD_VALUES = [
     ("noise", {"kind": "scaled-rademacher", "sigma": 0.5, "U": math.inf}),
     ("noise", {"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
     ("noise", {"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
+    ("kind", ["coverage"]), ("model", 5), ("method", None), ("threshold_mode", 1),
 ]
 
 
