@@ -42,9 +42,17 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+#: Largest size numpy can index: a shape or sample count beyond it cannot be drawn.
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass
@@ -117,11 +125,19 @@ class ExperimentConfig:
 
     def _type_errors(self) -> list[str]:
         """String fields hold strings; integer fields hold integers, not
-        booleans; float fields and grid values hold finite numbers."""
+        booleans; float fields and grid values hold finite numbers; the
+        shape ``m1 x m2``, ``n`` and ``n_grid`` are sizes numpy can index."""
         errors = [f"{name}: must be a string, got {getattr(self, name)!r}"
                   for name in STR_FIELDS if not isinstance(getattr(self, name), str)]
         errors += [f"{name}: must be an integer, got {getattr(self, name)!r}"
                    for name in INT_FIELDS if not _is_int(getattr(self, name))]
+        sizes = [("m1", self.m1), ("m2", self.m2), ("n", self.n)]
+        if all(_is_int(size) for _, size in sizes):
+            sizes.append(("m1*m2", self.m1 * self.m2))
+        if isinstance(self.n_grid, (list, tuple)):
+            sizes += [("n_grid", n_t) for n_t in self.n_grid]
+        errors += [f"{name}: must be at most {INTP_MAX}, got {size}"
+                   for name, size in sizes if _is_int(size) and size > INTP_MAX]
         errors += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
                    for name in FLOAT_FIELDS if not _is_finite(getattr(self, name))]
         if self.lam is not None and not _is_finite(self.lam):

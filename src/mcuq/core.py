@@ -96,7 +96,11 @@ class NoiseSpec:
         if isinstance(self.sigma, (bool, np.bool_)) or isinstance(self.U, (bool, np.bool_)):
             raise DomainError(f"sigma and U must be numbers, not booleans, "
                               f"got sigma={self.sigma!r}, U={self.U!r}")
-        if not (math.isfinite(self.sigma) and math.isfinite(self.U)):
+        try:
+            finite = math.isfinite(self.sigma) and math.isfinite(self.U)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise DomainError(f"sigma and U must be finite, got sigma={self.sigma}, U={self.U}")
         if self.sigma < 0:
             raise DomainError(f"sigma must be non-negative, got {self.sigma}")

@@ -135,6 +135,21 @@ class TestConfig:
         (dict(kind=["coverage"]), "kind: must be a string, got ['coverage']"),
         (dict(out=5), "out: must be a string, got 5"),
         (dict(out=None), "out: must be a string, got None"),
+        # Each config below ended `uq validate` in an OverflowError traceback.
+        (dict(a=10 ** 400), f"a: must be a finite number, got {10 ** 400}"),
+        (dict(noise={"kind": "uniform", "sigma": 10 ** 400, "U": 1}),
+         f"noise: sigma and U must be finite, got sigma={10 ** 400}, U=1"),
+        (dict(kind="test_power", model="bernoulli", a=30.0, separation_grid=[0.0, 10 ** 400]),
+         f"separation_grid: entries must be finite numbers, got [0.0, {10 ** 400}]"),
+        # Each config below passed `uq validate`, and `uq run` then ended in
+        # "ValueError: Maximum allowed dimension exceeded".
+        (dict(m1=10 ** 20, m2=2), f"m1: must be at most {bench.INTP_MAX}, got {10 ** 20}; "
+                                  f"m1*m2: must be at most {bench.INTP_MAX}, got {2 * 10 ** 20}"),
+        (dict(m1=2 ** 32, m2=2 ** 32),
+         f"m1*m2: must be at most {bench.INTP_MAX}, got {2 ** 64}"),
+        (dict(n=10 ** 20), f"n: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
+        (dict(kind="risk", n_grid=[10 ** 20]),
+         f"n_grid: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -142,7 +157,9 @@ class TestConfig:
             "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
             "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
-            "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null"])
+            "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null",
+            "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
+            "m1*m2-huge", "n-huge", "risk-n_grid-huge"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         # The config names the output directory, so `run --out` cannot mend a bad `out`.
         raw = {**coverage_config(out=str(tmp_path / "out")).to_dict(), **overrides}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcuq import bernoulli_uq, core, lbdemo
+from mcuq.bench import ExperimentConfig, _power_truth
 from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, InfimumResult, adaptive_ci,
                                infimum_stat, low_rank_test, u_alpha_calibrated,
                                u_alpha_theoretical)
@@ -63,7 +64,7 @@ def _project_reference(X, k0, a):
 
 
 def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120,
-                            lam=None, momentum=True,
+                            lam=None, momentum=True, rejoin=True,
                             momentum_restarts=None):
     """The search as it was written before ``truncate_rank`` became the lean
     per-step kernel: ``np.max(np.abs(T))`` for the box rescale and
@@ -72,8 +73,12 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
     With ``momentum`` each step starts from the FISTA extrapolation of the
     last two iterates and falls back to the plain step when that does not
     lower ``|g|``; without it every step is the plain step, which is the
-    search before momentum was added.  Each fallback appends the projection
-    count of its start to ``momentum_restarts`` when that list is given."""
+    search before momentum was added.  With ``momentum`` and ``rejoin`` a
+    start also ends once an accepted iterate comes within
+    ``REJOIN_RADIUS`` of where an earlier start stalled; ``rejoin=False`` is
+    the momentum search before that rule.  Each fallback appends the
+    projection count of its start to ``momentum_restarts`` when that list is
+    given."""
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
     if a <= 0:
@@ -124,6 +129,7 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
     g_lo = math.inf
     g_hi = -math.inf
     improved_any = False
+    stalls = [] if momentum and rejoin else None
 
     def consider(A, g):
         nonlocal g_best, A_best, g_lo, g_hi
@@ -137,6 +143,7 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
         g_start = g
         consider(A, g)
         A_prev, t = A, 1.0
+        stalled = True
         for step in range(max_iter):
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             if t == 1.0:
@@ -147,6 +154,7 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
             g_new = g_of(A_new)
             consider(A_new, g_new)
             if g_new < 0.0 and g_hi > 0.0:
+                stalled = False
                 break
             if abs(g_new) >= abs(g) * (1.0 - 1e-9):
                 if t == 1.0:
@@ -158,6 +166,13 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
             A_prev, A, g = A, A_new, g_new
             if momentum:
                 t = t_next
+            if stalls is not None and any(
+                    np.sum((A - S) ** 2) <= bernoulli_uq.REJOIN_RADIUS ** 2 * np.sum(S ** 2)
+                    for S in stalls):
+                stalled = False
+                break
+        if stalled and stalls is not None:
+            stalls.append(A)
         if abs(g) < abs(g_start):
             improved_any = True
         if g_lo < -g_floor and g_hi > g_floor:
@@ -202,6 +217,21 @@ def _search_case(case):
         M = make_low_rank(m1, m2, 3, 3.0, seed=72 + k0)
     data = sample_bernoulli(M, 3 * m1 * m2 // 4, RADEMACHER, seed=74 + k0)
     return data, dict(k0=k0, a=a, sigma=0.5, restarts=8, seed=76 + k0)
+
+def _count_truncations(monkeypatch) -> dict:
+    """Rank truncations of ``infimum_stat`` ("got") and of the reference
+    search ("want"), each appended to its list as it happens."""
+    counts = {}
+    for name, module in (("got", bernoulli_uq), ("want", sys.modules[__name__])):
+        calls = counts.setdefault(name, [])
+
+        def counting(A, k, calls=calls):
+            calls.append(k)
+            return core.truncate_rank(A, k)
+
+        monkeypatch.setattr(module, "truncate_rank", counting)
+    return counts
+
 
 class TestInfimumStat:
     def test_k0_zero_is_exact(self):
@@ -294,17 +324,11 @@ class TestInfimumStat:
     def test_matches_helper_reference(self, case, monkeypatch):
         # The search takes the same steps as the reference: the same
         # statistic, flags and minimizer bits, and the same number of rank
-        # truncations, with at least one momentum restart on the way.
+        # truncations, with at least one momentum restart on the way; in every
+        # SEARCH_CASES entry but null-k0=2, later starts also end on rejoining
+        # an earlier start's basin.
         data, kw = _search_case(case)
-        counts = {}
-        for name, module in (("got", bernoulli_uq), ("want", sys.modules[__name__])):
-            calls = counts.setdefault(name, [])
-
-            def counting(A, k, calls=calls):
-                calls.append(k)
-                return core.truncate_rank(A, k)
-
-            monkeypatch.setattr(module, "truncate_rank", counting)
+        counts = _count_truncations(monkeypatch)
         got = infimum_stat(data, **kw)
         momentum_restarts = []
         want = _infimum_stat_reference(data, momentum_restarts=momentum_restarts, **kw)
@@ -314,6 +338,28 @@ class TestInfimumStat:
         assert got.bracketed_zero == want.bracketed_zero
         np.testing.assert_array_equal(got.minimizer, want.minimizer)
         assert len(counts["got"]) == len(counts["want"]) > 30
+
+    def test_power_small_starts_end_on_rejoining_a_stalled_basin(self, monkeypatch):
+        # Every start of a separated power-small search runs into the same
+        # basin, so the later ones end on rejoining it: fewer projections than
+        # the search without that rule, the same decision (the calibrated
+        # threshold under rademacher noise with sigma = U is 0) and the same
+        # statistic up to rounding.
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
+                               k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
+                               restarts=8, reps=30, seed=8)
+        counts = _count_truncations(monkeypatch)
+        for idx in range(30, 33):  # the first separated replicates
+            data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, RADEMACHER,
+                                    child_seed(cfg.seed, 11, idx))
+            kw = dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, idx))
+            del counts["got"][:], counts["want"][:]
+            got = infimum_stat(data, **kw)
+            want = _infimum_stat_reference(data, rejoin=False, **kw)
+            assert len(counts["got"]) < len(counts["want"])
+            assert want.value > 0.0 and got.value > 0.0
+            assert got.value == pytest.approx(want.value, rel=1e-8, abs=0.0)
+            assert got.gap_flag == want.gap_flag
 
     @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
     def test_every_step_candidate_lies_in_the_class(self, case, monkeypatch):

@@ -36,6 +36,9 @@ BAD_VALUES = [
     ("noise", {"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
     ("noise", {"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
     ("kind", ["coverage"]), ("model", 5), ("method", None), ("threshold_mode", 1),
+    ("a", 10 ** 400), ("separation_grid", [10 ** 400]),
+    ("noise", {"kind": "uniform", "sigma": 10 ** 400, "U": 1.0}),
+    ("m1", 10 ** 20), ("n", 10 ** 20), ("n_grid", [10 ** 20]),
 ]
 
 
