@@ -45,6 +45,20 @@ def _is_int(value) -> bool:
 #: Largest size numpy can index: a shape or sample count beyond it cannot be drawn.
 INTP_MAX = int(np.iinfo(np.intp).max)
 
+#: Most replicates of one run (``reps`` times the grid cells of its kind), and
+#: most calibration draws (``cal_reps``).  A run keeps every job and its
+#: record until it aggregates, about 1.3 KiB each, and lbdemo keeps a dict of
+#: four statistics per calibration draw: about 130 MiB at the cap.  The
+#: ``test_power`` dry run in ``validate`` builds every separated truth first,
+#: 0.24 ms each at 20x20, so it finishes in about 25 s at the cap.
+MAX_REPLICATES = 10 ** 5
+
+#: Most random starts of one infimum search.  Each start makes up to 120
+#: projections (58 us each at 20x20), so one search at the cap takes up to
+#: about 7 s there, and the search keeps one ``m1 x m2`` stall point per
+#: start that stalls.
+MAX_RESTARTS = 1000
+
 
 def _is_finite(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -173,6 +187,13 @@ class ExperimentConfig:
             errors.append(f"alpha: must lie in (0, 1), got {self.alpha}")
         if self.reps < 0:
             errors.append(f"reps: must be >= 0, got {self.reps}")
+        kind = KINDS.get(self.kind)
+        cells = math.prod(map(len, kind.grids(self))) if kind and kind.grids else 1
+        if self.reps * cells > MAX_REPLICATES:
+            errors.append(f"reps: times the {cells} grid cell(s) of {self.kind} must be at "
+                          f"most {MAX_REPLICATES}, got {self.reps}")
+        if self.cal_reps > MAX_REPLICATES:
+            errors.append(f"cal_reps: must be at most {MAX_REPLICATES}, got {self.cal_reps}")
         if self.seed < 0:
             errors.append(f"seed: must be >= 0, got {self.seed}")
         if self.kind in ("coverage", "diameter"):
@@ -205,6 +226,8 @@ class ExperimentConfig:
             errors.append(f"lam: must be positive or null, got {self.lam}")
         if self.restarts < 0:
             errors.append(f"restarts: must be >= 0, got {self.restarts}")
+        elif self.restarts > MAX_RESTARTS:
+            errors.append(f"restarts: must be at most {MAX_RESTARTS}, got {self.restarts}")
         if _needs_test(self) and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":

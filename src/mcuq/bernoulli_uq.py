@@ -19,10 +19,13 @@ leave the class, so it is never scored: only its projection is.  When that
 projection does not lower the magnitude of the centered sum, the momentum
 restarts and the next step is the plain one from the current iterate, as in
 the function-value restart of :func:`mcuq.estimate.matrix_lasso`.  A start
-that comes back within ``REJOIN_RADIUS`` of the point where an earlier start
-stalled ends there: it would only run down the same basin again.  Against
-the plain-step search, this keeps the bracketed share and the summed excess
-over a strong reference search no worse on every group of
+that comes back into the ball around the point ``S`` where an earlier start
+stalled ends there.  The ball's radius ``d_S`` is certified from the data:
+``|g(A) - g(S)| <= 2 r_S |A - S|_F + |A - S|_F^2`` with ``r_S`` the observed
+residual norm at ``S``, so the centered sum ``g`` keeps its sign inside the
+ball and no candidate there could bracket zero.  Against the plain-step
+search, this keeps the bracketed share and the summed excess over a strong
+reference search no worse on every group of
 ``tests/test_search_quality.py``'s panel, with fewer projections.
 """
 
@@ -72,14 +75,18 @@ def _project(X: np.ndarray, k0: int, a: float) -> np.ndarray:
     return T
 
 
-#: Relative Frobenius radius within which a start counts as having rejoined
-#: the basin of an earlier start that stalled.  Its remaining steps would
-#: retrace that descent to about the same stall point, so the start ends
-#: there.  On power-small's separated datasets every start runs into one
-#: basin; at this radius the later starts end about halfway down, which halves
-#: the search's projections while its statistic rises by at most about 1e-9
-#: relative.
-REJOIN_RADIUS = 3e-3
+def _rejoin_radius_sq(g_S: float, sig_sq_hat: float) -> float:
+    """Squared radius ``d_S^2`` of the ball around a stall point ``S`` in
+    which the centered sum keeps the sign of ``g_S`` (see :func:`infimum_stat`).
+
+    ``d_S`` is the positive root of ``d^2 + 2 r_S d = |g_S|/2`` with
+    ``r_S = sqrt(g_S + sig_sq_hat)``, taken in the form that does not cancel
+    when ``|g_S|`` is small against ``r_S^2``.
+    """
+    h = 0.5 * abs(g_S)
+    r = math.sqrt(max(g_S + sig_sq_hat, 0.0))
+    d = h / (r + math.sqrt(r * r + h))
+    return d * d
 
 
 def _sq_dist(A: np.ndarray, B: np.ndarray) -> float:
@@ -106,9 +113,15 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     A start that stalls (its plain step fails, or ``max_iter`` runs out)
     without a bracket leaves its last iterate ``S`` as a stall point; a later
     start ends as soon as an accepted iterate ``A`` satisfies
-    ``|A - S|_F^2 <= REJOIN_RADIUS^2 |S|_F^2`` for a stall point ``S``, and
-    leaves none itself.  Ending a start only drops candidates, each of them a
-    projection, so the statistic stays an attained upper bound.
+    ``|A - S|_F^2 <= d_S^2`` for a stall point ``S``, and leaves none itself.
+    ``d_S`` solves ``d_S^2 + 2 r_S d_S = |g_S|/2``, where ``g_S`` is the
+    centered sum at ``S`` and ``r_S = sqrt(g_S + n_hat sigma^2)`` the norm of
+    its observed residual ``R = P_Omega(Y - S)``.  For ``D = A - S``,
+    ``g(A) - g_S = |P_Omega D|_F^2 - 2 <R, P_Omega D>``, so
+    ``|g(A) - g_S| <= 2 r_S |D|_F + |D|_F^2 <= |g_S|/2`` in that ball: every
+    candidate there has the sign of ``g_S`` and ``|g(A)| >= |g_S|/2``, and
+    none could bracket zero.  Ending a start only drops candidates, each of
+    them a projection, so the statistic stays an attained upper bound.
     The spectral fit is ``center`` when given, else the clipped
     soft-threshold fit at the data-driven ``lam``, which is also the default
     center of :func:`adaptive_ci`.  ``k0 = 0`` evaluates the single class
@@ -147,19 +160,24 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     if abs(g_zero) <= g_floor:
         return InfimumResult(0.0, A_zero, False, False)
 
-    rng = rng_for(seed)
-    starts = [A_zero]
     if center is None:
         center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
-    starts.append(_project(center, k0, a))
-    for _ in range(restarts):
-        L = rng.standard_normal((data.m1, k0))
-        R = rng.standard_normal((data.m2, k0))
-        X = L @ R.T
-        mx = np.max(np.abs(X))
-        if mx > 0:
-            X *= rng.uniform(0.1, 1.0) * a / mx
-        starts.append(X)
+    A_center = _project(center, k0, a)
+
+    def starts():
+        # Each random start is drawn when its turn comes, so a bracket skips
+        # the draws it no longer needs; the generator feeds only the starts.
+        yield A_zero
+        yield A_center
+        rng = rng_for(seed)
+        for _ in range(restarts):
+            L = rng.standard_normal((data.m1, k0))
+            R = rng.standard_normal((data.m2, k0))
+            X = L @ R.T
+            mx = np.max(np.abs(X))
+            if mx > 0:
+                X *= rng.uniform(0.1, 1.0) * a / mx
+            yield X
 
     impute_base = np.where(mask, data.values, 0.0)
 
@@ -168,7 +186,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     g_lo = math.inf
     g_hi = -math.inf
     improved_any = False
-    stalls = []  # (S, REJOIN_RADIUS^2 |S|_F^2) per stall point
+    stalls = []  # (S, d_S^2) per stall point
 
     def consider(A, g):
         nonlocal g_best, A_best, g_lo, g_hi
@@ -177,7 +195,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
         if g_best is None or abs(g) < abs(g_best):
             g_best, A_best = g, A
 
-    for A in starts:
+    for A in starts():
         g = g_of(A)
         g_start = g
         consider(A, g)
@@ -206,7 +224,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
                 stalled = False
                 break  # rejoined an earlier start's basin
         if stalled:
-            stalls.append((A, REJOIN_RADIUS * REJOIN_RADIUS * float(np.vdot(A, A))))
+            stalls.append((A, _rejoin_radius_sq(g, sig_sq_hat)))
         if abs(g) < abs(g_start):
             improved_any = True
         if g_lo < -g_floor and g_hi > g_floor:

@@ -150,6 +150,26 @@ class TestConfig:
         (dict(n=10 ** 20), f"n: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
         (dict(kind="risk", n_grid=[10 ** 20]),
          f"n_grid: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
+        # The first passed `uq validate`, and `uq run` then ended in
+        # "ValueError: Maximum allowed dimension exceeded"; the second ran out
+        # of memory building its random starts; the third's dry run of every
+        # separated truth did not return; the fourth ended `uq run` in a
+        # MemoryError while building its jobs.
+        (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, reps=1,
+              separation_grid=[0.0], cal_reps=10 ** 20),
+         f"cal_reps: must be at most {bench.MAX_REPLICATES}, got {10 ** 20}"),
+        (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, reps=1,
+              separation_grid=[0.0], restarts=10 ** 20),
+         f"restarts: must be at most {bench.MAX_RESTARTS}, got {10 ** 20}"),
+        (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, a=30.0, reps=10 ** 20,
+              separation_grid=[0.0, 5.0]),
+         f"reps: times the 2 grid cell(s) of test_power must be at most "
+         f"{bench.MAX_REPLICATES}, got {10 ** 20}"),
+        (dict(reps=10 ** 12), f"reps: times the 1 grid cell(s) of coverage must be at most "
+                              f"{bench.MAX_REPLICATES}, got {10 ** 12}"),
+        (dict(kind="diameter", k0=1, reps=bench.MAX_REPLICATES // 2 + 1),
+         f"reps: times the 2 grid cell(s) of diameter must be at most "
+         f"{bench.MAX_REPLICATES}, got {bench.MAX_REPLICATES // 2 + 1}"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -159,7 +179,8 @@ class TestConfig:
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
             "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null",
             "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
-            "m1*m2-huge", "n-huge", "risk-n_grid-huge"])
+            "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
+            "power-reps-huge", "reps-huge", "diameter-reps-times-cells"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         # The config names the output directory, so `run --out` cannot mend a bad `out`.
         raw = {**coverage_config(out=str(tmp_path / "out")).to_dict(), **overrides}

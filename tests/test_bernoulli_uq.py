@@ -65,7 +65,7 @@ def _project_reference(X, k0, a):
 
 def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120,
                             lam=None, momentum=True, rejoin=True,
-                            momentum_restarts=None):
+                            momentum_restarts=None, stall_points=None):
     """The search as it was written before ``truncate_rank`` became the lean
     per-step kernel: ``np.max(np.abs(T))`` for the box rescale and
     ``np.sum`` for the residual sum.
@@ -74,11 +74,12 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
     last two iterates and falls back to the plain step when that does not
     lower ``|g|``; without it every step is the plain step, which is the
     search before momentum was added.  With ``momentum`` and ``rejoin`` a
-    start also ends once an accepted iterate comes within
-    ``REJOIN_RADIUS`` of where an earlier start stalled; ``rejoin=False`` is
-    the momentum search before that rule.  Each fallback appends the
-    projection count of its start to ``momentum_restarts`` when that list is
-    given."""
+    start also ends once an accepted iterate comes within Frobenius distance
+    ``d_S`` of a point ``S`` where an earlier start stalled, with
+    ``d_S^2 + 2 r_S d_S = |g_S|/2``; ``rejoin=False`` is the momentum search
+    before that rule.  Each fallback appends the projection count of its
+    start to ``momentum_restarts``, and each stall point appends ``(S, g_S)``
+    to ``stall_points``, when that list is given."""
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
     if a <= 0:
@@ -166,13 +167,16 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
             A_prev, A, g = A, A_new, g_new
             if momentum:
                 t = t_next
-            if stalls is not None and any(
-                    np.sum((A - S) ** 2) <= bernoulli_uq.REJOIN_RADIUS ** 2 * np.sum(S ** 2)
-                    for S in stalls):
+            if stalls is not None and any(np.sum((A - S) ** 2) <= d_S ** 2
+                                          for S, d_S in stalls):
                 stalled = False
                 break
         if stalled and stalls is not None:
-            stalls.append(A)
+            half = abs(g) / 2.0
+            r_S = math.sqrt(g + sig_sq_hat)
+            stalls.append((A, half / (r_S + math.sqrt(r_S ** 2 + half))))
+            if stall_points is not None:
+                stall_points.append((A, g))
         if abs(g) < abs(g_start):
             improved_any = True
         if g_lo < -g_floor and g_hi > g_floor:
@@ -189,9 +193,9 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
 
 #: Searches for the reference test: (m1, m2, truth, k0, entry bound a).  The
 #: null truths have rank k0 and the signal truths rank 3.  Each search takes
-#: 34 to 51 steps, nearly all of which rescale into the box, and falls back
-#: from a momentum step to the plain step at least twice; the lbdemo case
-#: below ends with a bracketed zero.
+#: 14 to 24 steps, nearly all of which rescale into the box (42 to 50 without
+#: the rejoin rule), and falls back from a momentum step to the plain step at
+#: least once; the lbdemo case below ends with a bracketed zero.
 SEARCH_CASES = {
     "null-k0=1-20x20": (20, 20, "null", 1, 0.3),
     "signal-k0=1-20x20": (20, 20, "signal", 1, 3.0),
@@ -217,6 +221,18 @@ def _search_case(case):
         M = make_low_rank(m1, m2, 3, 3.0, seed=72 + k0)
     data = sample_bernoulli(M, 3 * m1 * m2 // 4, RADEMACHER, seed=74 + k0)
     return data, dict(k0=k0, a=a, sigma=0.5, restarts=8, seed=76 + k0)
+
+
+def _power_small_h1(idx):
+    """Separated replicate ``idx`` of power-small (criterion 07 shape, seed
+    8) and the keywords of its search."""
+    cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
+                           k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
+                           restarts=8, reps=30, seed=8)
+    data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, RADEMACHER,
+                            child_seed(cfg.seed, 11, idx))
+    return data, dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, idx))
+
 
 def _count_truncations(monkeypatch) -> dict:
     """Rank truncations of ``infimum_stat`` ("got") and of the reference
@@ -325,8 +341,9 @@ class TestInfimumStat:
         # The search takes the same steps as the reference: the same
         # statistic, flags and minimizer bits, and the same number of rank
         # truncations, with at least one momentum restart on the way; in every
-        # SEARCH_CASES entry but null-k0=2, later starts also end on rejoining
-        # an earlier start's basin.
+        # SEARCH_CASES entry, later starts also end on rejoining an earlier
+        # start's basin, so the search makes fewer truncations than without
+        # that rule.
         data, kw = _search_case(case)
         counts = _count_truncations(monkeypatch)
         got = infimum_stat(data, **kw)
@@ -337,7 +354,11 @@ class TestInfimumStat:
         assert got.gap_flag == want.gap_flag
         assert got.bracketed_zero == want.bracketed_zero
         np.testing.assert_array_equal(got.minimizer, want.minimizer)
-        assert len(counts["got"]) == len(counts["want"]) > 30
+        assert len(counts["got"]) == len(counts["want"]) > 10
+        if case in SEARCH_CASES:
+            del counts["want"][:]
+            _infimum_stat_reference(data, rejoin=False, **kw)
+            assert len(counts["got"]) < len(counts["want"])
 
     def test_power_small_starts_end_on_rejoining_a_stalled_basin(self, monkeypatch):
         # Every start of a separated power-small search runs into the same
@@ -345,14 +366,9 @@ class TestInfimumStat:
         # the search without that rule, the same decision (the calibrated
         # threshold under rademacher noise with sigma = U is 0) and the same
         # statistic up to rounding.
-        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
-                               k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
-                               restarts=8, reps=30, seed=8)
         counts = _count_truncations(monkeypatch)
         for idx in range(30, 33):  # the first separated replicates
-            data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, RADEMACHER,
-                                    child_seed(cfg.seed, 11, idx))
-            kw = dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, idx))
+            data, kw = _power_small_h1(idx)
             del counts["got"][:], counts["want"][:]
             got = infimum_stat(data, **kw)
             want = _infimum_stat_reference(data, rejoin=False, **kw)
@@ -360,6 +376,32 @@ class TestInfimumStat:
             assert want.value > 0.0 and got.value > 0.0
             assert got.value == pytest.approx(want.value, rel=1e-8, abs=0.0)
             assert got.gap_flag == want.gap_flag
+
+    @pytest.mark.parametrize("case", ["power-small-h1", "lbdemo-h1-96"])
+    def test_rejoin_ball_keeps_the_sign_of_g(self, case):
+        # Inside the ball of radius d_S around a stall point S, the centered
+        # sum stays within |g_S|/2 of g_S, so no candidate there can bracket
+        # zero.  The bound is tight along the observed residual: the point
+        # S - d_S R/|R|_F reaches g_S + |g_S|/2.
+        data, kw = _power_small_h1(30) if case == "power-small-h1" else _search_case(case)
+        stall_points = []
+        _infimum_stat_reference(data, stall_points=stall_points, **kw)
+        assert stall_points
+        sig_sq_hat = kw["sigma"] ** 2 * data.n_hat
+        rng = np.random.default_rng(5)
+        for S, g_S in stall_points:
+            assert centered_residual_sum(data, S, kw["sigma"]) == pytest.approx(g_S, rel=1e-12)
+            d_S = math.sqrt(bernoulli_uq._rejoin_radius_sq(g_S, sig_sq_hat))
+            assert d_S > 0.0
+            R = np.where(data.mask, data.values - S, 0.0)
+            directions = [-R] + [rng.standard_normal(S.shape) for _ in range(200)]
+            for i, D in enumerate(directions):
+                length = d_S if i < 101 else d_S * rng.uniform()  # on the sphere, then inside
+                A = S + (length / np.linalg.norm(D)) * D
+                shift = centered_residual_sum(data, A, kw["sigma"]) - g_S
+                assert abs(shift) <= abs(g_S) / 2.0 * (1.0 + 1e-9)
+                if i == 0:
+                    assert shift == pytest.approx(abs(g_S) / 2.0, rel=1e-6)
 
     @pytest.mark.parametrize("case", [*SEARCH_CASES, "lbdemo-h1-96"])
     def test_every_step_candidate_lies_in_the_class(self, case, monkeypatch):
@@ -376,7 +418,7 @@ class TestInfimumStat:
 
         monkeypatch.setattr(bernoulli_uq, "_project", recording)
         res = infimum_stat(data, **kw)
-        assert len(candidates) > 30
+        assert len(candidates) > 10
         for T in candidates:
             assert core.numerical_rank(T) <= kw["k0"]
             assert np.max(np.abs(T)) <= kw["a"]

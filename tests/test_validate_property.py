@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mcuq import cli
-from mcuq.bench import KINDS, METHODS, MODELS
+from mcuq.bench import KINDS, MAX_REPLICATES, MAX_RESTARTS, METHODS, MODELS
 from mcuq.core import NOISE_KINDS
 
 #: Values that some or all kinds reject, one of which may replace a field of
@@ -39,6 +39,9 @@ BAD_VALUES = [
     ("a", 10 ** 400), ("separation_grid", [10 ** 400]),
     ("noise", {"kind": "uniform", "sigma": 10 ** 400, "U": 1.0}),
     ("m1", 10 ** 20), ("n", 10 ** 20), ("n_grid", [10 ** 20]),
+    ("reps", 10 ** 20), ("cal_reps", 10 ** 20), ("restarts", 10 ** 20),
+    ("reps", MAX_REPLICATES + 1), ("cal_reps", MAX_REPLICATES + 1),
+    ("restarts", MAX_RESTARTS + 1),
 ]
 
 
