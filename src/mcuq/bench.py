@@ -6,6 +6,11 @@ Experiments are pure functions of their configuration, seed included.
 replicate derives its own generator stream from (seed, replicate index),
 and records are emitted in replicate order, so serial and parallel runs
 produce byte-identical output.
+
+A parallel run spends its workers' time on replicates.  The parent loads
+``numpy.random`` just before the fork, so no worker imports it again; each
+worker gets the job function and the job list once and then takes one job
+at a time from a shared counter, so a slow job holds up no batch behind it.
 """
 
 from __future__ import annotations
@@ -329,10 +334,48 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
+#: The shared job counter of a pool worker, set by the pool's initializer.
+_next_job = None
+
+
+def _share_counter(counter) -> None:
+    global _next_job
+    _next_job = counter
+
+
+def _drain(fn: Callable, jobs: list) -> list:
+    """Run ``fn`` over ``jobs`` in a pool worker, one job at a time: take the
+    next index from the shared counter until it passes the end, and return
+    ``(index, result)`` pairs.  A job that raises moves the counter to the
+    end, so the other workers stop after the job they hold."""
+    done = []
+    while True:
+        with _next_job.get_lock():
+            i = _next_job.value
+            _next_job.value = i + 1
+        if i >= len(jobs):
+            return done
+        try:
+            done.append((i, fn(jobs[i])))
+        except Exception:
+            with _next_job.get_lock():
+                _next_job.value = len(jobs)
+            raise
+
+
 def _map_for(threads: int):
-    """``(map, None)`` for one thread, else ``(pool.map, pool)`` of a fork
-    pool of ``threads`` workers for the caller to close and join; a platform
-    without the ``fork`` start method raises :class:`ConfigError`."""
+    """``(map, None)`` for one thread, else ``(map_fn, pool)`` over a fork
+    pool of ``threads`` workers, for the caller to close and join; a
+    platform without the ``fork`` start method raises :class:`ConfigError`.
+
+    ``map_fn(fn, jobs)`` hands each worker ``fn`` and the job list once; the
+    workers then take jobs one at a time from a shared counter, and the
+    results come back as a list in job order.  numpy imports
+    ``numpy.random`` lazily (about 23 ms, half of it OpenSSL through
+    ``secrets``), and the parent of a run never draws a number, so it is
+    loaded here, once, before the fork: otherwise every worker of every run
+    imports it again.
+    """
     if threads <= 1:
         return map, None
     try:
@@ -340,8 +383,24 @@ def _map_for(threads: int):
     except ValueError as e:
         raise ConfigError(f"--threads {threads} needs the 'fork' start method, which this "
                           f"platform lacks ({e}); run with --threads 1") from e
-    pool = ctx.Pool(threads)
-    return pool.map, pool
+    import numpy.random  # noqa: F401  (inherited by the workers)
+
+    counter = ctx.Value("q", 0)
+    pool = ctx.Pool(threads, initializer=_share_counter, initargs=(counter,))
+
+    def map_fn(fn: Callable, jobs) -> list:
+        jobs = list(jobs)
+        counter.value = 0
+        pending = [pool.apply_async(_drain, (fn, jobs)) for _ in range(threads)]
+        for p in pending:
+            p.wait()  # no worker still holds a job when the map returns or raises
+        results = [None] * len(jobs)
+        for p in pending:
+            for i, value in p.get():
+                results[i] = value
+        return results
+
+    return map_fn, pool
 
 
 def _build_ci(cfg: ExperimentConfig, data, extras: dict,
@@ -560,7 +619,7 @@ def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dic
 
 
 def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
-    """Indistinguishability demo; it maps its calibration and its pairs itself."""
+    """Indistinguishability demo; it maps its pairs and calibration draws itself."""
     return lbdemo.indistinguishability_experiment(
         cfg.m1, cfg.n, cfg.k, cfg.k0, cfg.v, cfg.reps, seed=cfg.seed,
         alpha_test=cfg.alpha_test, cal_reps=cfg.cal_reps,
@@ -603,7 +662,7 @@ class Kind:
     extras, job)`` turns one into a record with ``columns``, with ``extras``
     from :func:`_prepare_extras`, and ``aggregate(cfg, records, extras)``
     summarises the records.  With ``grids=None`` the kind maps its own
-    stages: ``replicate(cfg, map_fn)`` returns a result whose ``rows`` are
+    jobs: ``replicate(cfg, map_fn)`` returns a result whose ``rows`` are
     the records and which ``aggregate`` gets as ``extras``.
     """
 

@@ -109,7 +109,9 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     ``t_next = (1 + sqrt(1 + 4 t^2))/2``; only its projection is scored.  A
     step that does not lower ``|g|`` resets ``t`` to 1, so the next step is
     the plain one from ``A``; when the plain step fails too, the start ends.
-    ``max_iter`` bounds the projections of each start, restarts included.
+    A start also ends as soon as the candidates so far give ``g`` both
+    signs, whichever came first: the statistic is then 0.  ``max_iter``
+    bounds the projections of each start, restarts included.
     A start that stalls (its plain step fails, or ``max_iter`` runs out)
     without a bracket leaves its last iterate ``S`` as a stall point; a later
     start ends as soon as an accepted iterate ``A`` satisfies
@@ -124,8 +126,8 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     them a projection, so the statistic stays an attained upper bound.
     The spectral fit is ``center`` when given, else the clipped
     soft-threshold fit at the data-driven ``lam``, which is also the default
-    center of :func:`adaptive_ci`.  ``k0 = 0`` evaluates the single class
-    member ``A = 0`` exactly.
+    center of :func:`adaptive_ci`; it is built only when its start comes up.
+    ``k0 = 0`` evaluates the single class member ``A = 0`` exactly.
     """
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
@@ -160,15 +162,15 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     if abs(g_zero) <= g_floor:
         return InfimumResult(0.0, A_zero, False, False)
 
-    if center is None:
-        center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
-    A_center = _project(center, k0, a)
-
     def starts():
-        # Each random start is drawn when its turn comes, so a bracket skips
-        # the draws it no longer needs; the generator feeds only the starts.
+        # Each start after the first is built or drawn when its turn comes,
+        # so a bracket skips the spectral fit and the draws it no longer
+        # needs; the generator feeds only the starts.
         yield A_zero
-        yield A_center
+        fit = center
+        if fit is None:
+            fit = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
+        yield _project(fit, k0, a)
         rng = rng_for(seed)
         for _ in range(restarts):
             L = rng.standard_normal((data.m1, k0))
@@ -202,6 +204,9 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
         A_prev, t = A, 1.0
         stalled = True
         for _ in range(max_iter):
+            if g_lo < 0.0 < g_hi:
+                stalled = False
+                break  # opposite signs seen; the infimum is certified zero
             # Projected gradient step on the residual sum with the exact
             # 1/L step (replace observed entries by their data values),
             # taken from the FISTA extrapolation Z of the last two iterates.
@@ -211,9 +216,6 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
             A_new = _project(np.where(mask, impute_base, Z), k0, a)
             g_new = g_of(A_new)
             consider(A_new, g_new)
-            if g_new < 0.0 and g_hi > 0.0:
-                stalled = False
-                break  # opposite signs seen; the infimum is certified zero
             if abs(g_new) >= abs(g) * (1.0 - 1e-9):
                 if t == 1.0:
                     break  # the plain step stalls: no meaningful decrease left
@@ -227,8 +229,8 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
             stalls.append((A, _rejoin_radius_sq(g, sig_sq_hat)))
         if abs(g) < abs(g_start):
             improved_any = True
-        if g_lo < -g_floor and g_hi > g_floor:
-            break
+        if g_lo < 0.0 < g_hi:
+            break  # the statistic is 0 whatever the later starts find
 
     # Scaling probes stay inside the class and often straddle the zero level.
     for c in (-1.0, -0.5, 0.5):

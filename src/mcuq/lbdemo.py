@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NoiseSpec, gram_eigh
+from .core import DomainError, NoiseSpec, gram_eigvals
 from .bernoulli_uq import infimum_stat
 from .synth import BernoulliDataset, bernoulli_mask, child_seed, rng_for, sample_bernoulli
 
@@ -134,7 +134,7 @@ def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
                            max_iter=60).value
     # Energy of the top k singular values: the top k Gram eigenvalues.
     W = (ds.m1 * ds.m2 / ds.n) * ds.values
-    rank_energy = float(np.sum(gram_eigh(W, k=min(k, min(W.shape)))[0]))
+    rank_energy = float(np.sum(gram_eigvals(W)[-min(k, min(W.shape)):]))
     return dict(zip(_STATISTICS, (second_moment, observed_variance, infimum, rank_energy)))
 
 
@@ -152,6 +152,15 @@ def _pair_replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: b
     sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
     stats1 = _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, r))
     return stats0, stats1
+
+
+def _replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: bool,
+               seed: int, reps: int, j: int):
+    """Job ``j`` of the experiment's one map: pair ``j`` for ``j < reps``,
+    else calibration draw ``j - reps``."""
+    if j < reps:
+        return _pair_replicate(m, n, k, k0, rho, reveal_sigma, seed, j)
+    return _calibration_replicate(m, n, k0, k, seed, j - reps)
 
 
 def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
@@ -177,21 +186,21 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     if rho >= 0.5:
         raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
 
-    thresholds = {}
-    if reps > 0:
-        cal = list(map_fn(functools.partial(_calibration_replicate, m, n, k0, k, seed),
-                          range(cal_reps)))
-        thresholds = {
-            name: float(np.quantile(np.array([c[name] for c in cal]),
-                                    1.0 - alpha_test, method="higher"))
-            for name in _STATISTICS
-        }
+    # The pairs and the calibration draws run as one map, the costlier pairs
+    # first; the thresholds are needed only to count rejections afterwards.
+    # Without pairs there is nothing to calibrate for.
+    jobs = range(reps + cal_reps if reps > 0 else 0)
+    done = list(map_fn(functools.partial(_replicate, m, n, k, k0, rho, reveal_sigma, seed,
+                                         reps), jobs))
+    pairs, cal = done[:reps], done[reps:]
+    thresholds = {
+        name: float(np.quantile(np.array([c[name] for c in cal]),
+                                1.0 - alpha_test, method="higher"))
+        for name in _STATISTICS
+    } if reps > 0 else {}
 
     rej_h0 = {name: 0 for name in _STATISTICS}
     rej_h1 = {name: 0 for name in _STATISTICS}
-    pairs = list(map_fn(
-        functools.partial(_pair_replicate, m, n, k, k0, rho, reveal_sigma, seed),
-        range(reps)))
     for stats0, stats1 in pairs:
         for name in _STATISTICS:
             rej_h0[name] += stats0[name] > thresholds[name]

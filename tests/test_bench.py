@@ -2,6 +2,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +401,91 @@ class TestEngine:
         assert [(rec["replicate"], rec["k"], rec["n"]) for rec in rep.records] == [
             (0, 1, 30), (1, 1, 30), (2, 2, 30), (3, 2, 30)]
 
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_records_byte_identical_across_pool_sizes(self, kind, tmp_path):
+        # Every job keeps its own seed and results come back in job order,
+        # whichever worker ran them.
+        written = set()
+        for threads in (1, 2, 3):
+            path = tmp_path / f"threads{threads}.csv"
+            write_records_csv(run(self.CONFIGS[kind], threads=threads), path)
+            written.add(path.read_bytes())
+        assert len(written) == 1
+
+
+def _fail_at_three(x):
+    if x == 3:
+        raise DomainError("job 3 is out of range")
+    return x
+
+
+#: Per-job run counts shared with forked pool workers (see TestPoolMap).
+_RUNS = None
+
+
+def _count_run(i):
+    with _RUNS.get_lock():
+        _RUNS[i] += 1
+    return i
+
+
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+class TestPoolMap:
+    def test_results_in_job_order_and_the_pool_closes(self):
+        map_fn, pool = bench._map_for(2)
+        try:
+            assert map_fn(abs, range(-9, 0)) == list(range(9, 0, -1))
+            # The shared counter starts again at every map.
+            assert map_fn(abs, []) == []
+            assert map_fn(abs, (-1,)) == [1]
+        finally:
+            pool.close()
+            pool.join()
+
+    def test_jobs_are_handed_out_one_at_a_time(self):
+        # While one worker holds the slow first job, the other takes every
+        # job after it; a chunked map would have sent job 1 with job 0.
+        map_fn, pool = bench._map_for(2)
+        try:
+            pids = map_fn(_pid_after, [0.5] + [0.0] * 8)
+        finally:
+            pool.close()
+            pool.join()
+        assert pids[0] not in pids[1:] and len(set(pids[1:])) == 1
+
+    def test_every_job_runs_once_with_more_workers_than_cores(self, monkeypatch):
+        # A lost update of the shared counter would hand one index to two
+        # workers; the forked workers count every run in shared memory.
+        jobs = 2000
+        monkeypatch.setattr(sys.modules[__name__], "_RUNS",
+                            multiprocessing.get_context("fork").Array("i", jobs))
+        map_fn, pool = bench._map_for(min((os.cpu_count() or 1) + 1, 9))
+        got = []
+        try:
+            mapper = threading.Thread(target=lambda: got.append(map_fn(_count_run, range(jobs))))
+            mapper.start()
+            mapper.join(timeout=60)
+            assert not mapper.is_alive()
+        finally:
+            pool.close()
+            pool.join()
+        assert got == [list(range(jobs))]
+        assert list(_RUNS) == [1] * jobs
+
+    def test_worker_error_reaches_the_caller(self):
+        map_fn, pool = bench._map_for(2)
+        try:
+            with pytest.raises(DomainError, match="job 3 is out of range"):
+                map_fn(_fail_at_three, range(40))
+            assert map_fn(_fail_at_three, range(3)) == [0, 1, 2]
+        finally:
+            pool.close()
+            pool.join()
+
 
 
 class TestSeparatedTruth:
@@ -492,6 +582,24 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "config error: separated truth needs entries up to 21\n")
+
+    def test_worker_domain_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A replicate that raises inside a pool worker ends the run as a
+        # serial one would: exit 2 with one line, and no output written.
+        path = self.write_config(tmp_path)
+        real = bench.make_low_rank
+
+        def failing(m1, m2, k, a, seed):
+            if seed == synth.child_seed(5, 10, 3):
+                raise DomainError("replicate 3 cannot draw its truth")
+            return real(m1, m2, k, a, seed)
+
+        monkeypatch.setattr(bench, "make_low_rank", failing)  # inherited by the fork
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--threads", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: replicate 3 cannot draw its truth\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_rejects_small_entry_bound(self, tmp_path, capsys):
         cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20,

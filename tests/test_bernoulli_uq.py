@@ -360,6 +360,68 @@ class TestInfimumStat:
             _infimum_stat_reference(data, rejoin=False, **kw)
             assert len(counts["got"]) < len(counts["want"])
 
+    def test_start_ends_on_an_upward_bracket(self, monkeypatch):
+        # With sum(y^2) < n_hat sigma^2 the zero start has g < 0, so a later
+        # start whose point has g > 0 brackets zero before its first step.
+        # The search ends that start there: the same result as the reference,
+        # which stops a start only on a downward crossing, with fewer
+        # projections.
+        M = make_low_rank(10, 10, 2, 1.0, seed=100)
+        data = sample_bernoulli(M, 60, RADEMACHER, seed=200)
+        kw = dict(k0=1, a=5.0, sigma=1.0, restarts=8, seed=300)
+        y = data.values[data.mask]
+        assert np.sum(y * y) < data.n_hat * kw["sigma"] ** 2
+        counts = _count_truncations(monkeypatch)
+        got = infimum_stat(data, **kw)
+        want = _infimum_stat_reference(data, **kw)
+        assert got.value == want.value == 0.0
+        assert got.bracketed_zero and want.bracketed_zero
+        assert got.gap_flag == want.gap_flag
+        assert len(counts["got"]) < len(counts["want"])
+
+    def test_spectral_fit_waits_for_its_start(self, monkeypatch):
+        # The zero start brackets zero on nearly every power-small null
+        # dataset; the search then returns without building the spectral fit.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the spectral fit was built for a bracketed search")
+
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
+                               k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
+                               restarts=8, reps=30, seed=8)
+        data = sample_bernoulli(_power_truth(cfg, 0.0, 0), cfg.n, RADEMACHER,
+                                child_seed(cfg.seed, 11, 0))
+        kw = dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, 0))
+        want = infimum_stat(data, **kw)
+        monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", unreachable)
+        got = infimum_stat(data, **kw)
+        assert got.bracketed_zero and got.value == want.value == 0.0
+        np.testing.assert_array_equal(got.minimizer, want.minimizer)
+
+    def test_search_ends_on_a_bracket_inside_the_noise_floor(self, monkeypatch):
+        # sigma is set so that the zero start's first step lands a few ulps
+        # below zero, inside the noise floor, while g(0) is far above it.
+        # That bracket already makes the statistic 0, so the search ends
+        # there without fitting the spectral start.
+        M = make_low_rank(12, 12, 1, 1.0, seed=40)
+        data = sample_bernoulli(M, 80, RADEMACHER, seed=41)
+        y = data.values[data.mask]
+        first = bernoulli_uq._project(np.where(data.mask, data.values, 0.0), 1, 1.0)
+        r = y - first[data.mask]
+        rss = float(np.add.reduce(r * r))
+        sigma = math.sqrt(rss / data.n_hat)
+        while rss - sigma * sigma * data.n_hat >= 0.0:
+            sigma = np.nextafter(sigma, math.inf)
+        g_floor = 64.0 * np.finfo(float).eps * (float(np.sum(y * y)) + sigma * sigma * data.n_hat)
+        assert -g_floor < rss - sigma * sigma * data.n_hat < 0.0
+        assert float(np.sum(y * y)) - sigma * sigma * data.n_hat > g_floor
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the spectral fit was built after a bracket")
+
+        monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", unreachable)
+        res = infimum_stat(data, 1, 1.0, float(sigma), restarts=4, seed=42)
+        assert res.bracketed_zero and res.value == 0.0
+
     def test_power_small_starts_end_on_rejoining_a_stalled_basin(self, monkeypatch):
         # Every start of a separated power-small search runs into the same
         # basin, so the later ones end on rejoining it: fewer projections than

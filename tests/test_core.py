@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mcuq import core
 from mcuq.bernoulli_uq import _project
 from mcuq.core import (DimensionError, DomainError, NoiseSpec, clip_entries,
-                       gram_eigh, minimax_rate_sq, numerical_rank,
+                       gram_eigh, gram_eigvals, minimax_rate_sq, numerical_rank,
                        singular_value_threshold, svd_deterministic,
                        truncate_rank)
 from mcuq.estimate import estimator_risk
@@ -377,6 +377,17 @@ class TestGramEigh:
                                                driver="evr")):
             assert_bits_equal(got, want)
 
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (96, 96)], ids=["tall", "wide", "96"])
+    def test_eigvals_are_the_whole_gram_spectrum(self, shape):
+        A = random_matrix(*shape, 47)
+        w = gram_eigvals(A)
+        s = np.linalg.svd(A, compute_uv=False)
+        assert w.shape == (min(shape),) and np.all(np.diff(w) >= 0)
+        np.testing.assert_allclose(w, s[::-1] ** 2, rtol=0, atol=64 * EPS * s[0] ** 2)
+        # The top values agree with the subset solve to rounding.
+        np.testing.assert_allclose(w[-2:], gram_eigh(A, k=2)[0], rtol=0,
+                                   atol=64 * EPS * s[0] ** 2)
+
     def test_nothing_above_threshold(self):
         w, V = gram_eigh(random_matrix(5, 3, 42), above=1e6)
         assert w.shape == (0,) and V.shape == (3, 0)
@@ -390,6 +401,8 @@ class TestGramEigh:
             gram_eigh(random_matrix(5, 5, 43), k=1)
         with pytest.raises(np.linalg.LinAlgError):
             truncate_rank(random_matrix(5, 5, 43), 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            gram_eigvals(random_matrix(5, 5, 43))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_gram_never_reaches_lapack(self, bad, monkeypatch):
@@ -403,6 +416,8 @@ class TestGramEigh:
             for selector in (dict(k=1), dict(above=0.5)):
                 with np.errstate(over="ignore"), pytest.raises(DomainError):
                     gram_eigh(A, **selector)
+            with np.errstate(over="ignore"), pytest.raises(DomainError):
+                gram_eigvals(A)
         if not np.isfinite(bad):
             # A non-finite threshold made dsyevr return info=-8.
             with pytest.raises(DomainError, match="above must be finite"):
