@@ -23,7 +23,7 @@ import math
 import multiprocessing
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class ConfigError(ValueError):
 
 MODELS = ("trace", "bernoulli")
 METHODS = ("u_ci", "rss_ci", "adaptive_ci")
-INT_FIELDS = ("m1", "m2", "n", "k_truth", "k0", "k", "reps", "seed", "restarts", "cal_reps")
-FLOAT_FIELDS = ("a", "alpha", "z", "K", "v", "alpha_test")
-STR_FIELDS = ("kind", "model", "method", "threshold_mode", "out")
+
+#: The experiment kinds, keyed by ``kind``; filled in where their functions are.
+KINDS: dict = {}
 
 
 def _is_int(value) -> bool:
@@ -74,37 +74,128 @@ def _is_finite(value) -> bool:
         return False
 
 
+#: JSON type: (test, what a value must be, what an array's entries must be).
+_JSON_TYPES = {"string": (lambda v: isinstance(v, str), "a string", ""),
+               "integer": (_is_int, "an integer", "integers"),
+               "number": (_is_finite, "a finite number", "finite numbers"),
+               "boolean": (lambda v: isinstance(v, bool), "true or false", ""),
+               "array": (lambda v: isinstance(v, (list, tuple)), "an array", "")}
+
+
+@dataclass(frozen=True)
+class FieldRule:
+    """What one config field may hold and which runs read it; README's schema
+    table shows each field's rule.
+
+    ``json`` is the field's JSON type and ``entries`` the type of an array's
+    entries; ``nullable`` also allows ``null``.  An ``"object"``, the noise
+    law, is checked by ``from_dict`` and :class:`NoiseSpec`.  A string must
+    be one of ``choices``, and ``says`` words that rule where "must be one
+    of" does not.  ``ge``, ``gt``, ``le`` and ``lt`` bound a number or each
+    entry of an array.  An upper bound of ``INTP_MAX`` marks a size, checked
+    with the type since numpy cannot index past it; with ``per_cell``,
+    ``le`` bounds the value times the grid cells of the kind, a cross-field
+    rule.  ``readers`` are the kinds and methods that read the field, every
+    kind when ``None``; with ``where_read`` its bounds hold only there.
+    """
+
+    json: str
+    entries: str = ""
+    nullable: bool = False
+    choices: tuple | dict | None = None
+    says: str = ""
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    lt: float | None = None
+    per_cell: bool = False
+    readers: tuple | None = None
+    where_read: bool = False
+
+    def type_errors(self, name: str, value) -> list[str]:
+        """Type errors of ``value``, with each size past ``INTP_MAX``."""
+        if self.json == "object" or (value is None and self.nullable):
+            return []
+        test, what, _ = _JSON_TYPES[self.json]
+        if not test(value):
+            return [f"{name}: must be {what}{' or null' * self.nullable}, got {value!r}"]
+        values = list(value) if self.entries else [value]
+        errors = [f"{name}: must be at most {INTP_MAX}, got {x}" for x in values
+                  if self.le == INTP_MAX and _is_int(x) and x > INTP_MAX]
+        if self.entries and not all(map(_JSON_TYPES[self.entries][0], values)):
+            errors.append(f"{name}: entries must be {_JSON_TYPES[self.entries][2]}, got {values}")
+        return errors
+
+    def range_error(self, name: str, value) -> str | None:
+        """The error of a ``value`` of the right type that breaks the bounds."""
+        if self.choices is not None and value not in self.choices:
+            return f"{name}: {self.says or f'must be one of {tuple(self.choices)}'}, got {value!r}"
+        got = list(value) if self.entries else value
+        broken = [phrase for x in (got if self.entries else [] if value is None else [value])
+                  if (phrase := self._broken(x))]
+        return f"{name}: {broken[0]}, got {got}" if broken else None
+
+    def _broken(self, x) -> str | None:
+        """How ``x`` breaks the bounds: an integer's read ``>= ge`` and ``at
+        most le``; a number's read ``positive`` or ``non-negative`` alone,
+        else as an interval open at ``gt``."""
+        low = x < self.ge if self.ge is not None else self.gt is not None and x <= self.gt
+        high = (not self.per_cell and self.le is not None and x > self.le
+                or self.lt is not None and x >= self.lt)
+        if not (low or high):
+            return None
+        if (self.entries or self.json) == "integer":
+            return f"must be >= {self.ge}" if low else f"must be at most {self.le}"
+        if self.le is None and self.lt is None:
+            return ("must be positive" if self.gt is not None else "must be non-negative"
+                    ) + " or null" * self.nullable
+        return f"must lie in ({self.gt}, " + (f"{self.lt})" if self.lt is not None else f"{self.le}]")
+
+
+def _field(default, json: str, **rule):
+    """A config field: its default, and beside it its :class:`FieldRule`."""
+    return field(default=default, metadata={"rule": FieldRule(json, **rule)})
+
+
+_SETS = ("coverage", "diameter")  # the kinds that build a confidence set by ``method``
+_DRAWN = _SETS + ("risk", "test_power")  # lbdemo draws its own truth and noise
+_TESTED = ("adaptive_ci", "test_power")  # the runs of the low-rank test
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs.  See README for the JSON schema."""
+    """Everything a run needs.  Each field declares its :class:`FieldRule`
+    beside its default; README's schema table lists them."""
 
-    kind: str
-    model: str = "trace"
-    m1: int = 20
-    m2: int = 20
-    n: int = 200
-    k_truth: int = 1
-    k0: int = 1
-    k: int = 3
-    a: float = 1.0
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec("scaled-rademacher", 0.5, 0.5))
-    alpha: float = 0.1
-    reps: int = 100
-    seed: int = 0
-    method: str = "u_ci"
-    threshold_mode: str = "calibrated"
-    z: float = 1.0
-    K: float = bernoulli_uq.ADAPTIVE_K_DEFAULT
-    lam: float | None = None
-    restarts: int = 8
-    separation_grid: tuple = (0.0, 5.0, 10.0, 25.0)
-    k_grid: tuple = ()
-    n_grid: tuple = ()
-    v: float = 0.05
-    alpha_test: float = 0.05
-    cal_reps: int = 200
-    reveal_sigma: bool = False
-    out: str = "uq_out"
+    kind: str = _field(MISSING, "string", choices=KINDS)
+    model: str = _field("trace", "string", choices=MODELS, readers=_DRAWN)
+    m1: int = _field(20, "integer", le=INTP_MAX)
+    m2: int = _field(20, "integer", le=INTP_MAX)
+    n: int = _field(200, "integer", ge=1, le=INTP_MAX)
+    k_truth: int = _field(1, "integer", readers=_SETS + ("risk",))
+    k0: int = _field(1, "integer", readers=("diameter", "lbdemo") + _TESTED)
+    k: int = _field(3, "integer", readers=("adaptive_ci", "lbdemo"))
+    a: float = _field(1.0, "number", gt=0, readers=_DRAWN)
+    noise: NoiseSpec = _field(NoiseSpec("scaled-rademacher", 0.5, 0.5), "object", readers=_DRAWN)
+    alpha: float = _field(0.1, "number", gt=0, lt=1, readers=_SETS + ("test_power",))
+    reps: int = _field(100, "integer", ge=0, le=MAX_REPLICATES, per_cell=True)
+    cal_reps: int = _field(200, "integer", le=MAX_REPLICATES, readers=("lbdemo",) + _TESTED)
+    seed: int = _field(0, "integer", ge=0)
+    method: str = _field("u_ci", "string", choices=METHODS, readers=_SETS, where_read=True)
+    threshold_mode: str = _field("calibrated", "string", choices=("calibrated", "theoretical"),
+                                 says="must be 'calibrated' or 'theoretical'", readers=_TESTED)
+    z: float = _field(1.0, "number", gt=0, readers=("rss_ci",))
+    K: float = _field(bernoulli_uq.ADAPTIVE_K_DEFAULT, "number", gt=0, readers=("adaptive_ci",))
+    lam: float | None = _field(None, "number", nullable=True, gt=0, readers=_SETS + ("risk",))
+    restarts: int = _field(8, "integer", ge=0, le=MAX_RESTARTS, readers=_TESTED)
+    separation_grid: tuple = _field((0.0, 5.0, 10.0, 25.0), "array", entries="number", ge=0,
+                                    readers=("test_power",), where_read=True)
+    k_grid: tuple = _field((), "array", entries="integer", readers=("risk",))
+    n_grid: tuple = _field((), "array", entries="integer", le=INTP_MAX, readers=("risk",))
+    v: float = _field(0.05, "number", gt=0, le=1, readers=("lbdemo",), where_read=True)
+    alpha_test: float = _field(0.05, "number", gt=0, lt=1, readers=("lbdemo",), where_read=True)
+    reveal_sigma: bool = _field(False, "boolean", readers=("lbdemo",))
+    out: str = _field("uq_out", "string")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,7 +205,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
+        unknown = set(d) - set(RULES)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if isinstance(d.get("noise"), dict):
@@ -125,120 +216,78 @@ class ExperimentConfig:
         elif "noise" in d and not isinstance(d["noise"], NoiseSpec):
             raise ConfigError(f"noise: must be an object with kind, sigma and U, "
                               f"got {type(d['noise']).__name__}")
-        for key in ("separation_grid", "k_grid", "n_grid"):
-            if isinstance(d.get(key), list):
+        for key, rule in RULES.items():
+            if rule.entries and isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         if "kind" not in d:
             raise ConfigError("kind: required field is missing")
         return cls(**d)
 
+    def reads(self, name: str) -> bool:
+        """Whether a run of this config reads field ``name``."""
+        readers = RULES[name].readers
+        return readers is None or self.kind in readers or (
+            self.kind in _SETS and self.method in METHODS and self.method in readers)
+
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every field of a wrong type or,
         when the types are right, every field that is out of range."""
         try:
-            errors = self._type_errors() or self._errors()
+            errors = [e for name, rule in RULES.items()
+                      for e in rule.type_errors(name, getattr(self, name))]
+            if _is_int(self.m1) and _is_int(self.m2) and self.m1 * self.m2 > INTP_MAX:
+                errors.append(f"m1*m2: must be at most {INTP_MAX}, got {self.m1 * self.m2}")
+            errors = errors or self._errors()
         except TypeError as e:
             raise ConfigError(str(e)) from e
         if errors:
             raise ConfigError("; ".join(errors))
 
-    def _type_errors(self) -> list[str]:
-        """String fields hold strings; integer fields hold integers, not
-        booleans; float fields and grid values hold finite numbers; the
-        shape ``m1 x m2``, ``n`` and ``n_grid`` are sizes numpy can index."""
-        errors = [f"{name}: must be a string, got {getattr(self, name)!r}"
-                  for name in STR_FIELDS if not isinstance(getattr(self, name), str)]
-        errors += [f"{name}: must be an integer, got {getattr(self, name)!r}"
-                   for name in INT_FIELDS if not _is_int(getattr(self, name))]
-        sizes = [("m1", self.m1), ("m2", self.m2), ("n", self.n)]
-        if all(_is_int(size) for _, size in sizes):
-            sizes.append(("m1*m2", self.m1 * self.m2))
-        if isinstance(self.n_grid, (list, tuple)):
-            sizes += [("n_grid", n_t) for n_t in self.n_grid]
-        errors += [f"{name}: must be at most {INTP_MAX}, got {size}"
-                   for name, size in sizes if _is_int(size) and size > INTP_MAX]
-        errors += [f"{name}: must be a finite number, got {getattr(self, name)!r}"
-                   for name in FLOAT_FIELDS if not _is_finite(getattr(self, name))]
-        if self.lam is not None and not _is_finite(self.lam):
-            errors.append(f"lam: must be a finite number or null, got {self.lam!r}")
-        if not isinstance(self.reveal_sigma, bool):
-            errors.append(f"reveal_sigma: must be true or false, got {self.reveal_sigma!r}")
-        for key, ok, what in (("k_grid", _is_int, "integers"), ("n_grid", _is_int, "integers"),
-                              ("separation_grid", _is_finite, "finite numbers")):
-            grid = getattr(self, key)
-            if not isinstance(grid, (list, tuple)):
-                errors.append(f"{key}: must be an array, got {grid!r}")
-            elif not all(ok(x) for x in grid):
-                errors.append(f"{key}: entries must be {what}, got {list(grid)}")
-        return errors
+    def _bound_errors(self, first: str, last: str) -> list[str]:
+        """Range errors of the fields from ``first`` to ``last``, in declaration order."""
+        names = list(RULES)[list(RULES).index(first):list(RULES).index(last) + 1]
+        return [e for name in names if self.reads(name) or not RULES[name].where_read
+                if (e := RULES[name].range_error(name, getattr(self, name)))]
 
     def _errors(self) -> list[str]:
-        errors = []
-        if self.kind not in KINDS:
-            errors.append(f"kind: must be one of {tuple(KINDS)}, got {self.kind!r}")
-        if self.model not in MODELS:
-            errors.append(f"model: must be one of {MODELS}, got {self.model!r}")
+        """Range errors.  Each run of fields has its bounds checked just before
+        the cross-field rules that read it, which fixes the order in which a
+        config's errors are listed."""
+        d = min(self.m1, self.m2)
+        errors = self._bound_errors("kind", "method")
         if self.m1 < 1 or self.m2 < 1:
             errors.append(f"m1/m2: must be >= 1, got {self.m1}x{self.m2}")
-        if self.n < 1:
-            errors.append(f"n: must be >= 1, got {self.n}")
         if (self.model == "bernoulli" or self.kind == "lbdemo") and self.n > self.m1 * self.m2:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
-        if not 1 <= self.k_truth <= min(self.m1, self.m2):
-            errors.append(f"k_truth: must lie in [1, {min(self.m1, self.m2)}], got {self.k_truth}")
-        if self.a <= 0:
-            errors.append(f"a: must be positive, got {self.a}")
-        if not 0 < self.alpha < 1:
-            errors.append(f"alpha: must lie in (0, 1), got {self.alpha}")
-        if self.reps < 0:
-            errors.append(f"reps: must be >= 0, got {self.reps}")
+        if not 1 <= self.k_truth <= d:
+            errors.append(f"k_truth: must lie in [1, {d}], got {self.k_truth}")
         kind = KINDS.get(self.kind)
         cells = math.prod(map(len, kind.grids(self))) if kind and kind.grids else 1
-        if self.reps * cells > MAX_REPLICATES:
+        if self.reps * cells > RULES["reps"].le:
             errors.append(f"reps: times the {cells} grid cell(s) of {self.kind} must be at "
-                          f"most {MAX_REPLICATES}, got {self.reps}")
-        if self.cal_reps > MAX_REPLICATES:
-            errors.append(f"cal_reps: must be at most {MAX_REPLICATES}, got {self.cal_reps}")
-        if self.seed < 0:
-            errors.append(f"seed: must be >= 0, got {self.seed}")
-        if self.kind in ("coverage", "diameter"):
-            if self.method not in METHODS:
-                errors.append(f"method: must be one of {METHODS}, got {self.method!r}")
-            elif self.method == "adaptive_ci" and self.model != "bernoulli":
+                          f"most {RULES['reps'].le}, got {self.reps}")
+        if self.reads("method"):
+            if self.method == "adaptive_ci" and self.model != "bernoulli":
                 errors.append("method: adaptive_ci needs model='bernoulli'")
             elif self.method in ("u_ci", "rss_ci") and self.model != "trace":
                 errors.append(f"method: {self.method} needs model='trace'")
             elif self.method in ("u_ci", "rss_ci") and self.n < 2:
                 errors.append(f"n: {self.method} splits the sample and needs >= 2, got {self.n}")
-        if self.kind == "diameter" and not 1 <= self.k0 <= min(self.m1, self.m2):
-            errors.append(f"k0: must lie in [1, {min(self.m1, self.m2)}] "
-                          f"for a diameter run, got {self.k0}")
+        if self.kind == "diameter" and not 1 <= self.k0 <= d:
+            errors.append(f"k0: must lie in [1, {d}] for a diameter run, got {self.k0}")
         if self.kind == "test_power" and self.model != "bernoulli":
             errors.append("model: test_power runs in the bernoulli model")
         if self.method == "adaptive_ci" or self.kind == "test_power":
-            if not 0 <= self.k0 < min(self.m1, self.m2):
-                errors.append(f"k0: must lie in [0, {min(self.m1, self.m2) - 1}], got {self.k0}")
+            if not 0 <= self.k0 < d:
+                errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
             if self.method == "adaptive_ci" and not self.k0 < self.k:
                 errors.append(f"k: must exceed k0={self.k0}, got {self.k}")
-        if self.threshold_mode not in ("calibrated", "theoretical"):
-            errors.append(f"threshold_mode: must be 'calibrated' or 'theoretical', "
-                          f"got {self.threshold_mode!r}")
-        if self.z <= 0:
-            errors.append(f"z: must be positive, got {self.z}")
-        if self.K <= 0:
-            errors.append(f"K: must be positive, got {self.K}")
-        if self.lam is not None and not self.lam > 0:
-            errors.append(f"lam: must be positive or null, got {self.lam}")
-        if self.restarts < 0:
-            errors.append(f"restarts: must be >= 0, got {self.restarts}")
-        elif self.restarts > MAX_RESTARTS:
-            errors.append(f"restarts: must be at most {MAX_RESTARTS}, got {self.restarts}")
+        errors += self._bound_errors("threshold_mode", "restarts")
         if _needs_test(self) and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":
             if self.model == "trace" and self.noise.sigma == 0 and self.lam is None:
                 errors.append("lam: the practical lam is zero at sigma=0; set lam > 0")
-            d = min(self.m1, self.m2)
             if not all(1 <= k_t <= d for k_t in self.k_grid):
                 errors.append(f"k_grid: entries must lie in [1, {d}], got {list(self.k_grid)}")
             n_max = self.m1 * self.m2 if self.model == "bernoulli" else math.inf
@@ -246,16 +295,10 @@ class ExperimentConfig:
                 errors.append(f"n_grid: entries must lie in [1, {n_max}], got {list(self.n_grid)}")
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
-        elif self.kind == "test_power" and min(self.separation_grid) < 0:
-            errors.append(f"separation_grid: must be non-negative, got "
-                          f"{list(self.separation_grid)}")
+        if self.kind == "lbdemo" and self.m1 != self.m2:
+            errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
+        errors += self._bound_errors("separation_grid", "out")
         if self.kind == "lbdemo":
-            if self.m1 != self.m2:
-                errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
-            if not 0 < self.v <= 1:
-                errors.append(f"v: must lie in (0, 1], got {self.v}")
-            if not 0 < self.alpha_test < 1:
-                errors.append(f"alpha_test: must lie in (0, 1), got {self.alpha_test}")
             if not 0 <= self.k0 < self.k:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
             if self.k > self.m1:
@@ -283,6 +326,10 @@ class ExperimentConfig:
             except DomainError as e:
                 errors.append(f"a: {e}")
         return errors
+
+
+#: Each config field's :class:`FieldRule`, in declaration order.
+RULES = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)}
 
 
 @dataclass
@@ -445,15 +492,18 @@ def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
 
 
 def _coverage_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
-    """Empirical coverage of the configured confidence set."""
-    cov = float(np.mean([rec["covered"] for rec in records])) if records else 0.0
-    radius = np.array([rec["radius_sq"] for rec in records]) if records else np.zeros(0)
+    """Empirical coverage of the configured confidence set; NaN without records."""
+    if not records:
+        return dict.fromkeys(("coverage", "coverage_se", "radius_sq_median", "radius_sq_q90",
+                              "risk_median"), float("nan"))
+    cov = float(np.mean([rec["covered"] for rec in records]))
+    radius = np.array([rec["radius_sq"] for rec in records])
     return {
         "coverage": cov,
         "coverage_se": rate_se(cov, len(records)),
-        "radius_sq_median": float(np.median(radius)) if records else 0.0,
-        "radius_sq_q90": float(np.quantile(radius, 0.9)) if records else 0.0,
-        "risk_median": float(np.median([rec["risk"] for rec in records])) if records else 0.0,
+        "radius_sq_median": float(np.median(radius)),
+        "radius_sq_q90": float(np.quantile(radius, 0.9)),
+        "risk_median": float(np.median([rec["risk"] for rec in records])),
     }
 
 
@@ -462,19 +512,19 @@ def _diameter_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> 
 
     ``reps`` replicates run with truth rank ``k0`` and another ``reps``
     with truth rank ``k_truth``; the adaptivity ratio is that of their
-    median squared radii.
+    median squared radii, NaN without records.
     """
     med = {}
     for k_t in (cfg.k0, cfg.k_truth):
         vals = [rec["radius_sq"] for rec in records if rec["k_truth"] == k_t]
-        med[k_t] = float(np.median(vals)) if vals else 0.0
+        med[k_t] = float(np.median(vals)) if vals else float("nan")
     small = [1 - rec["reject"] for rec in records
              if rec["k_truth"] == cfg.k0 and rec["reject"] >= 0]
     return {
         "radius_sq_median_k0": med[cfg.k0],
         "radius_sq_median_k": med[cfg.k_truth],
-        "adaptivity_ratio": (med[cfg.k_truth] / med[cfg.k0]
-                             if med[cfg.k0] > 0 else float("inf")),
+        "adaptivity_ratio": (float("inf") if med[cfg.k0] <= 0
+                             else med[cfg.k_truth] / med[cfg.k0]),
         "small_radius_freq_k0": float(np.mean(small)) if small else float("nan"),
     }
 
@@ -614,7 +664,7 @@ def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dic
         "monotone_within": float(max(
             (power_vals[i] - power_vals[j]
              for i in range(len(power_vals)) for j in range(i + 1, len(power_vals))),
-            default=0.0)),
+            default=0.0 if records else float("nan"))),
     }
 
 
@@ -672,8 +722,7 @@ class Kind:
     grids: Callable | None = lambda cfg: ()
 
 
-#: The experiment kinds, keyed by the config's ``kind``.
-KINDS = {
+KINDS.update({
     "coverage": Kind(("replicate", "covered", "radius_sq", "risk", "n_aux", "flag"),
                      _ci_replicate, _coverage_aggregates),
     "diameter": Kind(("replicate", "k_truth", "radius_sq", "covered", "reject", "flag"),
@@ -687,7 +736,7 @@ KINDS = {
     "lbdemo": Kind(("test_name", "type1", "type2", "error_sum", "v", "rho", "m", "n", "k",
                     "reps"),
                    _lbdemo_experiment, _lbdemo_aggregates, None),
-}
+})
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:

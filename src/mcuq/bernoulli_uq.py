@@ -81,11 +81,12 @@ def _rejoin_radius_sq(g_S: float, sig_sq_hat: float) -> float:
 
     ``d_S`` is the positive root of ``d^2 + 2 r_S d = |g_S|/2`` with
     ``r_S = sqrt(g_S + sig_sq_hat)``, taken in the form that does not cancel
-    when ``|g_S|`` is small against ``r_S^2``.
+    when ``|g_S|`` is small against ``r_S^2``.  At ``g_S = 0`` the ball is a
+    point, also when ``r_S = 0``.
     """
     h = 0.5 * abs(g_S)
     r = math.sqrt(max(g_S + sig_sq_hat, 0.0))
-    d = h / (r + math.sqrt(r * r + h))
+    d = h / (r + math.sqrt(r * r + h)) if h else 0.0
     return d * d
 
 

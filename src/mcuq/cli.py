@@ -44,8 +44,41 @@ def _keep_freed_heap() -> None:
             mallopt(-1, 64 << 20)
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    """Parse the config at ``path``; validation is left to the command."""
+def _one_blas_thread() -> None:
+    """Run both OpenBLAS copies that the numpy and scipy wheels bundle on one
+    thread.
+
+    numpy's ``libscipy_openblas64_`` serves its matrix products and scipy's
+    ``libscipy_openblas`` serves ``dsyevr``; each starts one thread per CPU
+    unless ``OPENBLAS_NUM_THREADS`` says otherwise.  A multithreaded
+    reduction sums in another order, so ``records.csv`` would depend on the
+    host and the environment, and the workers of a pool would oversubscribe
+    the CPUs.  Each copy is set through its exported thread setter; a
+    missing library or symbol leaves that copy alone, and so does ``import
+    mcuq``, so library callers keep their own BLAS threads.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+    import scipy
+
+    for package, lib, setter in (
+            (numpy, "libscipy_openblas64_-*", "scipy_openblas_set_num_threads64_"),
+            (scipy, "libscipy_openblas-*", "scipy_openblas_set_num_threads")):
+        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in glob.glob(str(libs_dir / lib)):
+            try:
+                set_threads = getattr(ctypes.CDLL(path), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+
+
+def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
+    """Parse the config at ``path`` into its JSON object and the config;
+    validation is left to the command."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -57,11 +90,11 @@ def _load_config(path: str) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(raw)
     except (DomainError, TypeError) as e:
         raise ConfigError(str(e)) from e
-    return cfg
+    return raw, cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    _, cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.reps is not None:
@@ -81,15 +114,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
+    raw, cfg = _load_config(args.config)
     cfg.validate()
     print(f"config ok: kind={cfg.kind} model={cfg.model} "
           f"{cfg.m1}x{cfg.m2} n={cfg.n} reps={cfg.reps} seed={cfg.seed}")
+    ignored = [name for name in raw if not cfg.reads(name)]
+    if ignored:
+        run_of = f"kind={cfg.kind}" + (f" method={cfg.method}" if cfg.reads("method") else "")
+        print(f"ignored by {run_of}: {', '.join(ignored)}")
     return 0
 
 
 def main(argv=None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     parser = argparse.ArgumentParser(prog="uq",
                                      description="Monte Carlo experiments for "
                                                  "matrix-completion confidence sets")

@@ -176,7 +176,8 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     ``reveal_sigma`` they are told the true variance of the data in front of
     them, which is what a known-variance procedure would use.  ``map_fn``
     lets callers substitute a parallel map; replicate seeds are derived per
-    index, so the result does not depend on the mapping strategy.
+    index, so the result does not depend on the mapping strategy.  Without
+    pairs (``reps`` 0) every error rate is NaN.
     """
     if k > m ** (1 / 3):
         import warnings
@@ -208,8 +209,8 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
 
     rows = []
     for name in _STATISTICS:
-        type1 = rej_h0[name] / reps if reps else 0.0
-        type2 = 1.0 - rej_h1[name] / reps if reps else 0.0
+        type1 = rej_h0[name] / reps if reps else math.nan
+        type2 = 1.0 - rej_h1[name] / reps if reps else math.nan
         rows.append({
             "test_name": name, "type1": type1, "type2": type2,
             "error_sum": type1 + type2, "v": v, "rho": rho,

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -28,7 +29,48 @@ def coverage_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _load_perfbench(name="tracer"):
+    # A perfbench module is loaded from its file and only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _schema_row(name: str) -> list[str]:
+    """README's schema columns type, bounds, read by and default for a field,
+    as its rule and its dataclass default give them."""
+    rule, f = bench.RULES[name], bench.ExperimentConfig.__dataclass_fields__[name]
+    kind = rule.json + (f" of {rule.entries}s" if rule.entries else "") + (
+        " or null" if rule.nullable else "")
+    shown = {bench.INTP_MAX: "INTP_MAX"}
+    bounds = [f"{op} {shown.get(b, b)}" for op, b in (
+        ("≥", rule.ge), (">", rule.gt), ("× grid cells ≤" if rule.per_cell else "≤", rule.le),
+        ("<", rule.lt)) if b is not None]
+    bounds = (", ".join(f"`{c}`" for c in rule.choices) if rule.choices is not None
+              else ("entries " if rule.entries and bounds else "") + ", ".join(bounds) or "—")
+    bounds += " (where read)" * rule.where_read
+    readers = ", ".join(f"`{r}`" for r in rule.readers) if rule.readers else "all"
+    default = f.default
+    if dataclasses.is_dataclass(default):
+        default = dataclasses.asdict(default)
+    default = "required" if default is dataclasses.MISSING else f"`{json.dumps(default)}`"
+    return [f"`{name}`", kind, bounds, readers, default]
+
+
 class TestConfig:
+    def test_readme_schema_table_follows_the_rules(self):
+        # README lists every field once, in declaration order, with the type,
+        # bounds, readers and default that validate() and the dataclass use.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+        assert [row[0].lstrip("| ") for row in rows] == [f"`{name}`" for name in bench.RULES]
+        for row in rows:
+            name = row[0].strip("|` ")
+            assert [row[0].lstrip("| ")] + row[1:5] == _schema_row(name), name
+
     def test_round_trip(self):
         cfg = coverage_config()
         back = ExperimentConfig.from_dict(cfg.to_dict())
@@ -396,6 +438,19 @@ class TestEngine:
         assert rep.records and all(set(rep.columns) <= set(rec) for rec in rep.records)
         assert rep.aggregates["flagged"] == sum(rec.get("flag", 0) for rec in rep.records)
 
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_a_run_without_records_reports_no_result(self, kind):
+        # Every aggregate computed from records is NaN, and so is each error
+        # rate of an lbdemo row; only the count of flagged records and lbdemo's
+        # rho, which the config fixes, are numbers.
+        rep = run(dataclasses.replace(self.CONFIGS[kind], reps=0))
+        aggregates = {k: v for k, v in rep.aggregates.items() if k not in ("flagged", "rho")}
+        values = [x for v in aggregates.values()
+                  for x in (v.values() if isinstance(v, dict) else [v])]
+        values += [row[c] for row in rep.records for c in ("type1", "type2", "error_sum")]
+        assert values and all(math.isnan(x) for x in values)
+        assert rep.aggregates["flagged"] == 0
+
     def test_jobs_run_grid_by_grid_then_replicate(self):
         rep = run(self.CONFIGS["risk"])
         assert [(rec["replicate"], rec["k"], rec["n"]) for rec in rep.records] == [
@@ -554,6 +609,21 @@ class TestCli:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, line", [
+        (_load_perfbench("workloads").config_for("lbdemo-large", 1),
+         "ignored by kind=lbdemo: noise, alpha"),
+        ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0},
+         "ignored by kind=coverage method=u_ci: z"),
+        ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0}, None),
+    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z"])
+    def test_validate_names_the_fields_a_run_ignores(self, tmp_path, capsys, raw, line):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        ok, *rest = capsys.readouterr().out.splitlines()
+        assert ok.startswith("config ok: kind=")
+        assert rest == ([line] if line else [])
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -704,6 +774,26 @@ class TestCli:
         assert payload["n_records"] == 3
 
 
+class TestBlasThreads:
+    def test_records_do_not_depend_on_openblas_threads(self, tmp_path):
+        # `uq run` sets both bundled OpenBLAS copies to one thread.  Left at
+        # two, a multithreaded reduction sums in another order, and the risk
+        # of two of these replicates moves in the last digit.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "coverage", "m1": 200, "m2": 200, "n": 20000,
+                                    "k_truth": 3, "reps": 6, "seed": 3}))
+        src = Path(cli.__file__).resolve().parents[1]
+        written = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            subprocess.run([sys.executable, "-m", "mcuq.cli", "run", "--config", str(path),
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=300)
+            written.append((out / "records.csv").read_bytes())
+        assert written[0] == written[1]
+
+
 class TestRiskZeroNoise:
     def test_full_observation_tiny_lambda(self):
         cfg = ExperimentConfig(kind="risk", model="bernoulli", m1=8, m2=8,
@@ -827,20 +917,11 @@ class TestMethodModelPairing:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def _load_tracer():
-    # perfbench/tracer.py is loaded from its file and only read.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
 class TestTracerWraps:
     def test_every_wrapped_attribute_resolves(self):
         # perfbench/tracer.py wraps package functions by (module, attribute);
         # a name the package drops makes a traced benchmark run die.
-        tracer = _load_tracer()
+        tracer = _load_perfbench()
         assert tracer.WRAPS
         for modname, attr, _layer, _note in tracer.WRAPS:
             assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
@@ -849,7 +930,7 @@ class TestTracerWraps:
         # The note functions read result attributes (LassoFit.n_iter and
         # .converged, PairedSet.n_pairs, InfimumResult.bracketed_zero and
         # .gap_flag); a renamed attribute would break only a traced run.
-        tracer = _load_tracer()
+        tracer = _load_perfbench()
         M = synth.make_low_rank(10, 10, 1, 1.0, seed=94)
         trace_data = synth.sample_trace(M, 100, RADEMACHER, seed=95)
         fit = estimate.matrix_lasso(trace_data, 0.05, 1.0)
@@ -879,7 +960,7 @@ class TestTracerWraps:
         # of bernoulli_uq.truncate_rank.  A search that reached the
         # eigensolve another way would read fewer spans than the top-k
         # eigensolves counted here at LAPACK.
-        tracer = _load_tracer()
+        tracer = _load_perfbench()
         eigensolves = []
         real_dsyevr = core.dsyevr
 

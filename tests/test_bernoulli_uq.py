@@ -439,6 +439,15 @@ class TestInfimumStat:
             assert got.value == pytest.approx(want.value, rel=1e-8, abs=0.0)
             assert got.gap_flag == want.gap_flag
 
+    def test_rejoin_ball_is_a_point_where_g_is_zero(self):
+        # At sigma = 0 a rank-1 fit through two observed entries stalls at
+        # g_S = 0 with r_S = 0.  The radius was 0/0 there, and `uq run` of
+        # such a test_power config (6x5, n = 2, truncated-Gaussian noise at
+        # sigma 0, seed 1), which `uq validate` accepts, ended in a traceback.
+        assert bernoulli_uq._rejoin_radius_sq(0.0, 0.0) == 0.0
+        assert bernoulli_uq._rejoin_radius_sq(0.0, 0.25) == 0.0
+        assert bernoulli_uq._rejoin_radius_sq(-0.5, 0.0) > 0.0
+
     @pytest.mark.parametrize("case", ["power-small-h1", "lbdemo-h1-96"])
     def test_rejoin_ball_keeps_the_sign_of_g(self, case):
         # Inside the ball of radius d_S around a stall point S, the centered

@@ -4,8 +4,9 @@ Every config that ``uq validate`` accepts must exit 0, 2 or 3 from ``uq run``
 and never end in a traceback; every config it rejects must exit 2 from both
 commands with one ``config error:`` line.  The drawn values cover the edge
 cases of the north star (no pairs, ``k0 = 0``, ``sigma = U``, tiny ``n``,
-``n`` outside the recommended range) together with non-finite and mistyped
-values.
+``n`` outside the recommended range) together with bad values: for each
+field, one of the wrong JSON type and one just outside each bound that its
+rule in ``bench.RULES`` declares, plus hand-listed extras.
 """
 
 import contextlib
@@ -20,29 +21,53 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mcuq import cli
-from mcuq.bench import KINDS, MAX_REPLICATES, MAX_RESTARTS, METHODS, MODELS
+from mcuq.bench import KINDS, METHODS, MODELS, RULES
 from mcuq.core import NOISE_KINDS
 
-#: Values that some or all kinds reject, one of which may replace a field of
-#: an otherwise well-formed config.
-BAD_VALUES = [
-    ("seed", -1), ("seed", 2.0), ("reps", 2.5), ("reps", -1), ("m1", 4.5), ("m1", True),
-    ("n", 0), ("k0", -1), ("k", 0), ("restarts", 1.5), ("cal_reps", 0), ("alpha", 1.5),
-    ("alpha_test", 2.0), ("alpha_test", math.nan), ("lam", math.inf), ("lam", 0.0),
-    ("z", math.nan), ("K", math.inf), ("a", math.nan), ("a", math.inf), ("a", -1.0),
-    ("v", 0.0), ("k_grid", [1, 9]), ("k_grid", [1.5]), ("n_grid", [0]),
-    ("separation_grid", [math.nan]), ("separation_grid", []), ("reveal_sigma", "false"),
+#: A value of the wrong JSON type for a field of each type.
+WRONG_TYPE = {"string": 5, "integer": 2.5, "number": "1", "boolean": "false", "array": 5,
+              "object": "x"}
+
+
+def outside(rule) -> list:
+    """One value just outside each declared bound of ``rule``: a string off
+    its choices, the next integer or float past a closed bound, and an open
+    bound itself.  An array gets one such entry."""
+    if rule.choices is not None:
+        return [tuple(rule.choices)[0] + "-"]
+    integer = (rule.entries or rule.json) == "integer"
+    values = [float(bound) for bound in (rule.gt, rule.lt) if bound is not None]
+    if rule.ge is not None:
+        values.append(rule.ge - 1 if integer else math.nextafter(rule.ge, -math.inf))
+    if rule.le is not None:
+        values.append(rule.le + 1 if integer else math.nextafter(rule.le, math.inf))
+    return [[x] if rule.entries else x for x in values]
+
+
+#: Bad values that no declaration generates: booleans, integral floats and
+#: null where another type belongs, non-finite and huge numbers, the bounds
+#: that tie fields together, and the configs of earlier fail-closed bugs.
+EXTRAS = [
+    ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
+    ("cal_reps", 0), ("alpha", 1.5), ("alpha_test", 2.0), ("alpha_test", math.nan),
+    ("lam", math.inf), ("z", math.nan), ("K", math.inf), ("a", math.nan), ("a", math.inf),
+    ("a", -1.0), ("k_grid", [1, 9]), ("k_grid", [1.5]), ("n_grid", [0]),
+    ("separation_grid", [math.nan]), ("separation_grid", []),
     ("noise", {"kind": "scaled-rademacher", "sigma": 0.5, "U": math.inf}),
     ("noise", {"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
     ("noise", {"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
-    ("kind", ["coverage"]), ("model", 5), ("method", None), ("threshold_mode", 1),
+    ("kind", ["coverage"]), ("method", None), ("threshold_mode", 1),
     ("a", 10 ** 400), ("separation_grid", [10 ** 400]),
     ("noise", {"kind": "uniform", "sigma": 10 ** 400, "U": 1.0}),
     ("m1", 10 ** 20), ("n", 10 ** 20), ("n_grid", [10 ** 20]),
     ("reps", 10 ** 20), ("cal_reps", 10 ** 20), ("restarts", 10 ** 20),
-    ("reps", MAX_REPLICATES + 1), ("cal_reps", MAX_REPLICATES + 1),
-    ("restarts", MAX_RESTARTS + 1),
 ]
+
+#: Values that some or all kinds reject, one of which may replace a field of
+#: an otherwise well-formed config: for each field a value of the wrong JSON
+#: type and one just outside each declared bound, then the extras.
+BAD_VALUES = [(name, value) for name, rule in RULES.items()
+              for value in (WRONG_TYPE[rule.json], *outside(rule))] + EXTRAS
 
 
 @st.composite
