@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -84,72 +85,45 @@ _JSON_TYPES = {"string": (lambda v: isinstance(v, str), "a string", ""),
 
 @dataclass(frozen=True)
 class FieldRule:
-    """What one config field may hold and which runs read it; README's schema
-    table shows each field's rule.
+    """What one config field may hold, and which runs read it.
 
     ``json`` is the field's JSON type and ``entries`` the type of an array's
     entries; ``nullable`` also allows ``null``.  An ``"object"``, the noise
     law, is checked by ``from_dict`` and :class:`NoiseSpec`.  A string must
-    be one of ``choices``, and ``says`` words that rule where "must be one
-    of" does not.  ``ge``, ``gt``, ``le`` and ``lt`` bound a number or each
-    entry of an array.  An upper bound of ``INTP_MAX`` marks a size, checked
-    with the type since numpy cannot index past it; with ``per_cell``,
-    ``le`` bounds the value times the grid cells of the kind, a cross-field
-    rule.  ``readers`` are the kinds and methods that read the field, every
-    kind when ``None``; with ``where_read`` its bounds hold only there.
+    be one of ``choices``.  ``ge``, ``gt``, ``le`` and ``lt`` bound a number
+    or each entry of an array, whatever the kind.  ``readers`` are the kinds
+    and methods that read the field, every kind when ``None``.
     """
 
     json: str
     entries: str = ""
     nullable: bool = False
     choices: tuple | dict | None = None
-    says: str = ""
     ge: float | None = None
     gt: float | None = None
     le: float | None = None
     lt: float | None = None
-    per_cell: bool = False
     readers: tuple | None = None
-    where_read: bool = False
 
-    def type_errors(self, name: str, value) -> list[str]:
-        """Type errors of ``value``, with each size past ``INTP_MAX``."""
+    def error(self, name: str, value) -> str | None:
+        """How ``value`` breaks this rule, if it does: its type, its entries'
+        type, its choices, then the first bound it breaks."""
         if self.json == "object" or (value is None and self.nullable):
-            return []
+            return None
         test, what, _ = _JSON_TYPES[self.json]
         if not test(value):
-            return [f"{name}: must be {what}{' or null' * self.nullable}, got {value!r}"]
+            return f"{name}: must be {what}{' or null' * self.nullable}, got {value!r}"
         values = list(value) if self.entries else [value]
-        errors = [f"{name}: must be at most {INTP_MAX}, got {x}" for x in values
-                  if self.le == INTP_MAX and _is_int(x) and x > INTP_MAX]
         if self.entries and not all(map(_JSON_TYPES[self.entries][0], values)):
-            errors.append(f"{name}: entries must be {_JSON_TYPES[self.entries][2]}, got {values}")
-        return errors
-
-    def range_error(self, name: str, value) -> str | None:
-        """The error of a ``value`` of the right type that breaks the bounds."""
+            return f"{name}: entries must be {_JSON_TYPES[self.entries][2]}, got {values}"
         if self.choices is not None and value not in self.choices:
-            return f"{name}: {self.says or f'must be one of {tuple(self.choices)}'}, got {value!r}"
-        got = list(value) if self.entries else value
-        broken = [phrase for x in (got if self.entries else [] if value is None else [value])
-                  if (phrase := self._broken(x))]
-        return f"{name}: {broken[0]}, got {got}" if broken else None
-
-    def _broken(self, x) -> str | None:
-        """How ``x`` breaks the bounds: an integer's read ``>= ge`` and ``at
-        most le``; a number's read ``positive`` or ``non-negative`` alone,
-        else as an interval open at ``gt``."""
-        low = x < self.ge if self.ge is not None else self.gt is not None and x <= self.gt
-        high = (not self.per_cell and self.le is not None and x > self.le
-                or self.lt is not None and x >= self.lt)
-        if not (low or high):
-            return None
-        if (self.entries or self.json) == "integer":
-            return f"must be >= {self.ge}" if low else f"must be at most {self.le}"
-        if self.le is None and self.lt is None:
-            return ("must be positive" if self.gt is not None else "must be non-negative"
-                    ) + " or null" * self.nullable
-        return f"must lie in ({self.gt}, " + (f"{self.lt})" if self.lt is not None else f"{self.le}]")
+            return f"{name}: must be one of {tuple(self.choices)}, got {value!r}"
+        for sign, bound, holds in ((">=", self.ge, operator.ge), (">", self.gt, operator.gt),
+                                   ("<=", self.le, operator.le), ("<", self.lt, operator.lt)):
+            if bound is not None and not all(holds(x, bound) for x in values):
+                return (f"{name}: {'entries ' * bool(self.entries)}must be {sign} {bound}, "
+                        f"got {values if self.entries else value}")
+        return None
 
 
 def _field(default, json: str, **rule):
@@ -169,8 +143,8 @@ class ExperimentConfig:
 
     kind: str = _field(MISSING, "string", choices=KINDS)
     model: str = _field("trace", "string", choices=MODELS, readers=_DRAWN)
-    m1: int = _field(20, "integer", le=INTP_MAX)
-    m2: int = _field(20, "integer", le=INTP_MAX)
+    m1: int = _field(20, "integer", ge=1, le=INTP_MAX)
+    m2: int = _field(20, "integer", ge=1, le=INTP_MAX)
     n: int = _field(200, "integer", ge=1, le=INTP_MAX)
     k_truth: int = _field(1, "integer", readers=_SETS + ("risk",))
     k0: int = _field(1, "integer", readers=("diameter", "lbdemo") + _TESTED)
@@ -178,22 +152,22 @@ class ExperimentConfig:
     a: float = _field(1.0, "number", gt=0, readers=_DRAWN)
     noise: NoiseSpec = _field(NoiseSpec("scaled-rademacher", 0.5, 0.5), "object", readers=_DRAWN)
     alpha: float = _field(0.1, "number", gt=0, lt=1, readers=_SETS + ("test_power",))
-    reps: int = _field(100, "integer", ge=0, le=MAX_REPLICATES, per_cell=True)
+    reps: int = _field(100, "integer", ge=0, le=MAX_REPLICATES)  # reps times the grid cells too
     cal_reps: int = _field(200, "integer", le=MAX_REPLICATES, readers=("lbdemo",) + _TESTED)
     seed: int = _field(0, "integer", ge=0)
-    method: str = _field("u_ci", "string", choices=METHODS, readers=_SETS, where_read=True)
+    method: str = _field("u_ci", "string", choices=METHODS, readers=_SETS)
     threshold_mode: str = _field("calibrated", "string", choices=("calibrated", "theoretical"),
-                                 says="must be 'calibrated' or 'theoretical'", readers=_TESTED)
+                                 readers=_TESTED)
     z: float = _field(1.0, "number", gt=0, readers=("rss_ci",))
     K: float = _field(bernoulli_uq.ADAPTIVE_K_DEFAULT, "number", gt=0, readers=("adaptive_ci",))
     lam: float | None = _field(None, "number", nullable=True, gt=0, readers=_SETS + ("risk",))
     restarts: int = _field(8, "integer", ge=0, le=MAX_RESTARTS, readers=_TESTED)
     separation_grid: tuple = _field((0.0, 5.0, 10.0, 25.0), "array", entries="number", ge=0,
-                                    readers=("test_power",), where_read=True)
+                                    readers=("test_power",))
     k_grid: tuple = _field((), "array", entries="integer", readers=("risk",))
-    n_grid: tuple = _field((), "array", entries="integer", le=INTP_MAX, readers=("risk",))
-    v: float = _field(0.05, "number", gt=0, le=1, readers=("lbdemo",), where_read=True)
-    alpha_test: float = _field(0.05, "number", gt=0, lt=1, readers=("lbdemo",), where_read=True)
+    n_grid: tuple = _field((), "array", entries="integer", ge=1, le=INTP_MAX, readers=("risk",))
+    v: float = _field(0.05, "number", gt=0, le=1, readers=("lbdemo",))
+    alpha_test: float = _field(0.05, "number", gt=0, lt=1, readers=("lbdemo",))
     reveal_sigma: bool = _field(False, "boolean", readers=("lbdemo",))
     out: str = _field("uq_out", "string")
 
@@ -224,48 +198,44 @@ class ExperimentConfig:
         return cls(**d)
 
     def reads(self, name: str) -> bool:
-        """Whether a run of this config reads field ``name``."""
+        """Whether a run of this valid config reads field ``name``."""
         readers = RULES[name].readers
         return readers is None or self.kind in readers or (
-            self.kind in _SETS and self.method in METHODS and self.method in readers)
+            self.kind in _SETS and self.method in readers)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every field of a wrong type or,
-        when the types are right, every field that is out of range."""
-        try:
-            errors = [e for name, rule in RULES.items()
-                      for e in rule.type_errors(name, getattr(self, name))]
-            if _is_int(self.m1) and _is_int(self.m2) and self.m1 * self.m2 > INTP_MAX:
-                errors.append(f"m1*m2: must be at most {INTP_MAX}, got {self.m1 * self.m2}")
-            errors = errors or self._errors()
-        except TypeError as e:
-            raise ConfigError(str(e)) from e
+        """Raise :class:`ConfigError` naming every field that breaks its own
+        rule; when none does, every broken rule between fields; when none is,
+        the ``test_power`` truth that does not fit inside the entry bound."""
+        errors = [e for name, rule in RULES.items() if (e := rule.error(name, getattr(self, name)))]
+        if _is_int(self.m1) and _is_int(self.m2) and self.m1 * self.m2 > INTP_MAX:
+            errors.append(f"m1*m2: must be <= {INTP_MAX}, got {self.m1 * self.m2}")
+        errors = errors or self._errors()
+        if not errors and self.kind == "test_power":
+            # Dry run of every separated replicate's truth, so an entry bound
+            # too small for any of them fails here and not after calibration.
+            try:
+                for j, s_mult in enumerate(self.separation_grid):
+                    for r in range(self.reps if s_mult != 0.0 else 0):
+                        _power_truth(self, s_mult, j * self.reps + r)
+            except DomainError as e:
+                errors = [f"a: {e}"]
         if errors:
             raise ConfigError("; ".join(errors))
 
-    def _bound_errors(self, first: str, last: str) -> list[str]:
-        """Range errors of the fields from ``first`` to ``last``, in declaration order."""
-        names = list(RULES)[list(RULES).index(first):list(RULES).index(last) + 1]
-        return [e for name in names if self.reads(name) or not RULES[name].where_read
-                if (e := RULES[name].range_error(name, getattr(self, name)))]
-
     def _errors(self) -> list[str]:
-        """Range errors.  Each run of fields has its bounds checked just before
-        the cross-field rules that read it, which fixes the order in which a
-        config's errors are listed."""
+        """The broken rules between fields of a config whose fields keep their own."""
         d = min(self.m1, self.m2)
-        errors = self._bound_errors("kind", "method")
-        if self.m1 < 1 or self.m2 < 1:
-            errors.append(f"m1/m2: must be >= 1, got {self.m1}x{self.m2}")
+        errors = []
         if (self.model == "bernoulli" or self.kind == "lbdemo") and self.n > self.m1 * self.m2:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
         if not 1 <= self.k_truth <= d:
             errors.append(f"k_truth: must lie in [1, {d}], got {self.k_truth}")
-        kind = KINDS.get(self.kind)
-        cells = math.prod(map(len, kind.grids(self))) if kind and kind.grids else 1
-        if self.reps * cells > RULES["reps"].le:
-            errors.append(f"reps: times the {cells} grid cell(s) of {self.kind} must be at "
-                          f"most {RULES['reps'].le}, got {self.reps}")
+        grids = KINDS[self.kind].grids
+        cells = math.prod(map(len, grids(self))) if grids else 1
+        if self.reps * cells > MAX_REPLICATES:
+            errors.append(f"reps: times the {cells} grid cells of {self.kind} must be "
+                          f"<= {MAX_REPLICATES}, got {self.reps}")
         if self.reads("method"):
             if self.method == "adaptive_ci" and self.model != "bernoulli":
                 errors.append("method: adaptive_ci needs model='bernoulli'")
@@ -277,12 +247,10 @@ class ExperimentConfig:
             errors.append(f"k0: must lie in [1, {d}] for a diameter run, got {self.k0}")
         if self.kind == "test_power" and self.model != "bernoulli":
             errors.append("model: test_power runs in the bernoulli model")
-        if self.method == "adaptive_ci" or self.kind == "test_power":
-            if not 0 <= self.k0 < d:
-                errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
-            if self.method == "adaptive_ci" and not self.k0 < self.k:
-                errors.append(f"k: must exceed k0={self.k0}, got {self.k}")
-        errors += self._bound_errors("threshold_mode", "restarts")
+        if _needs_test(self) and not 0 <= self.k0 < d:
+            errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
+        if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k:
+            errors.append(f"k: must exceed k0={self.k0}, got {self.k}")
         if _needs_test(self) and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":
@@ -290,15 +258,14 @@ class ExperimentConfig:
                 errors.append("lam: the practical lam is zero at sigma=0; set lam > 0")
             if not all(1 <= k_t <= d for k_t in self.k_grid):
                 errors.append(f"k_grid: entries must lie in [1, {d}], got {list(self.k_grid)}")
-            n_max = self.m1 * self.m2 if self.model == "bernoulli" else math.inf
-            if not all(1 <= n_t <= n_max for n_t in self.n_grid):
-                errors.append(f"n_grid: entries must lie in [1, {n_max}], got {list(self.n_grid)}")
+            if self.model == "bernoulli" and max(self.n_grid, default=0) > self.m1 * self.m2:
+                errors.append(f"n_grid: entries must be <= m1*m2={self.m1 * self.m2} in the "
+                              f"bernoulli model, got {list(self.n_grid)}")
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
-        if self.kind == "lbdemo" and self.m1 != self.m2:
-            errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
-        errors += self._bound_errors("separation_grid", "out")
         if self.kind == "lbdemo":
+            if self.m1 != self.m2:
+                errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
             if not 0 <= self.k0 < self.k:
                 errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
             if self.k > self.m1:
@@ -308,7 +275,6 @@ class ExperimentConfig:
                 if self.m1 * cols < self.n <= self.m1 * self.m2:
                     errors.append(f"n: must be <= {self.m1 * cols} for lbdemo, whose alternative "
                                   f"keeps {cols} of {self.m1} columns at k={self.k}")
-            if 0 < self.v <= 1 and min(self.k, self.m1, self.n) >= 1:
                 rho = lbdemo.rho_for(self.v, self.k, self.m1, self.n)
                 if rho >= 0.5:
                     errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
@@ -316,15 +282,6 @@ class ExperimentConfig:
                 errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
         if _needs_test(self) and self.threshold_mode == "calibrated" and self.cal_reps < 100:
             errors.append(f"cal_reps: a calibrated threshold needs >= 100, got {self.cal_reps}")
-        if not errors and self.kind == "test_power":
-            # Dry run of every separated replicate's truth, so an entry bound
-            # too small for any of them fails here and not after calibration.
-            try:
-                for j, s_mult in enumerate(self.separation_grid):
-                    for r in range(self.reps if s_mult != 0.0 else 0):
-                        _power_truth(self, s_mult, j * self.reps + r)
-            except DomainError as e:
-                errors.append(f"a: {e}")
         return errors
 
 

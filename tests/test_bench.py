@@ -46,11 +46,9 @@ def _schema_row(name: str) -> list[str]:
         " or null" if rule.nullable else "")
     shown = {bench.INTP_MAX: "INTP_MAX"}
     bounds = [f"{op} {shown.get(b, b)}" for op, b in (
-        ("≥", rule.ge), (">", rule.gt), ("× grid cells ≤" if rule.per_cell else "≤", rule.le),
-        ("<", rule.lt)) if b is not None]
+        ("≥", rule.ge), (">", rule.gt), ("≤", rule.le), ("<", rule.lt)) if b is not None]
     bounds = (", ".join(f"`{c}`" for c in rule.choices) if rule.choices is not None
               else ("entries " if rule.entries and bounds else "") + ", ".join(bounds) or "—")
-    bounds += " (where read)" * rule.where_read
     readers = ", ".join(f"`{r}`" for r in rule.readers) if rule.readers else "all"
     default = f.default
     if dataclasses.is_dataclass(default):
@@ -105,7 +103,7 @@ class TestConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(lam=0.0), "lam: must be positive or null, got 0.0"),
+        (dict(lam=0.0), "lam: must be > 0, got 0.0"),
         (dict(restarts=-3), "restarts: must be >= 0, got -3"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, cal_reps=0),
          "cal_reps: lbdemo needs >= 1, got 0"),
@@ -117,7 +115,7 @@ class TestConfig:
               separation_grid=(0.0, 25.0)),
          "a: separated truth needs entries up to 21; raise the entry bound a=1.0"),
         (dict(kind="test_power", model="bernoulli", a=30.0, separation_grid=(-5.0, 25.0)),
-         "separation_grid: must be non-negative, got [-5.0, 25.0]"),
+         "separation_grid: entries must be >= 0, got [-5.0, 25.0]"),
         # The first separated replicate (30) fits inside a=21.2; replicate 58 does not.
         (dict(kind="test_power", model="bernoulli", m1=20, m2=20, n=300, a=21.2,
               separation_grid=(0.0, 25.0), reps=30, seed=7),
@@ -143,7 +141,7 @@ class TestConfig:
         (dict(kind="test_power", model="bernoulli", a=30.0, restarts=1.5),
          "restarts: must be an integer, got 1.5"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=2.0),
-         "alpha_test: must lie in (0, 1), got 2.0"),
+         "alpha_test: must be < 1, got 2.0"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=math.nan),
          "alpha_test: must be a finite number, got nan"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, reveal_sigma="false"),
@@ -158,7 +156,7 @@ class TestConfig:
         (dict(a=math.inf), "a: must be a finite number, got inf"),
         (dict(kind="risk", m1=4, m2=4, n=16, k_grid=[1, 9]),
          "k_grid: entries must lie in [1, 4], got [1, 9]"),
-        (dict(kind="risk", n_grid=[0]), "n_grid: entries must lie in [1, inf], got [0]"),
+        (dict(kind="risk", n_grid=[0]), "n_grid: entries must be >= 1, got [0]"),
         # lbdemo draws its two-point prior itself; no config names that law.
         (dict(noise={"kind": "two-point-skewed", "sigma": 0.5, "U": 2.0}),
          "noise: unknown noise kind 'two-point-skewed', expected one of "
@@ -190,13 +188,13 @@ class TestConfig:
          f"separation_grid: entries must be finite numbers, got [0.0, {10 ** 400}]"),
         # Each config below passed `uq validate`, and `uq run` then ended in
         # "ValueError: Maximum allowed dimension exceeded".
-        (dict(m1=10 ** 20, m2=2), f"m1: must be at most {bench.INTP_MAX}, got {10 ** 20}; "
-                                  f"m1*m2: must be at most {bench.INTP_MAX}, got {2 * 10 ** 20}"),
+        (dict(m1=10 ** 20, m2=2), f"m1: must be <= {bench.INTP_MAX}, got {10 ** 20}; "
+                                  f"m1*m2: must be <= {bench.INTP_MAX}, got {2 * 10 ** 20}"),
         (dict(m1=2 ** 32, m2=2 ** 32),
-         f"m1*m2: must be at most {bench.INTP_MAX}, got {2 ** 64}"),
-        (dict(n=10 ** 20), f"n: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
+         f"m1*m2: must be <= {bench.INTP_MAX}, got {2 ** 64}"),
+        (dict(n=10 ** 20), f"n: must be <= {bench.INTP_MAX}, got {10 ** 20}"),
         (dict(kind="risk", n_grid=[10 ** 20]),
-         f"n_grid: must be at most {bench.INTP_MAX}, got {10 ** 20}"),
+         f"n_grid: entries must be <= {bench.INTP_MAX}, got [{10 ** 20}]"),
         # The first passed `uq validate`, and `uq run` then ended in
         # "ValueError: Maximum allowed dimension exceeded"; the second ran out
         # of memory building its random starts; the third's dry run of every
@@ -204,18 +202,16 @@ class TestConfig:
         # MemoryError while building its jobs.
         (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, reps=1,
               separation_grid=[0.0], cal_reps=10 ** 20),
-         f"cal_reps: must be at most {bench.MAX_REPLICATES}, got {10 ** 20}"),
+         f"cal_reps: must be <= {bench.MAX_REPLICATES}, got {10 ** 20}"),
         (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, reps=1,
               separation_grid=[0.0], restarts=10 ** 20),
-         f"restarts: must be at most {bench.MAX_RESTARTS}, got {10 ** 20}"),
+         f"restarts: must be <= {bench.MAX_RESTARTS}, got {10 ** 20}"),
         (dict(kind="test_power", model="bernoulli", m1=6, m2=6, n=20, a=30.0, reps=10 ** 20,
               separation_grid=[0.0, 5.0]),
-         f"reps: times the 2 grid cell(s) of test_power must be at most "
-         f"{bench.MAX_REPLICATES}, got {10 ** 20}"),
-        (dict(reps=10 ** 12), f"reps: times the 1 grid cell(s) of coverage must be at most "
-                              f"{bench.MAX_REPLICATES}, got {10 ** 12}"),
+         f"reps: must be <= {bench.MAX_REPLICATES}, got {10 ** 20}"),
+        (dict(reps=10 ** 12), f"reps: must be <= {bench.MAX_REPLICATES}, got {10 ** 12}"),
         (dict(kind="diameter", k0=1, reps=bench.MAX_REPLICATES // 2 + 1),
-         f"reps: times the 2 grid cell(s) of diameter must be at most "
+         f"reps: times the 2 grid cells of diameter must be <= "
          f"{bench.MAX_REPLICATES}, got {bench.MAX_REPLICATES // 2 + 1}"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
@@ -615,7 +611,11 @@ class TestCli:
         ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0},
          "ignored by kind=coverage method=u_ci: z"),
         ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0}, None),
-    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z"])
+        # Once rejected over k0 and k, which only the adaptive set and the
+        # low-rank test read.
+        ({"kind": "risk", "m1": 4, "m2": 4, "n": 16, "method": "adaptive_ci", "k0": 4, "k": 2,
+          "reps": 2}, "ignored by kind=risk: method, k0, k"),
+    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z", "risk-k0-k"])
     def test_validate_names_the_fields_a_run_ignores(self, tmp_path, capsys, raw, line):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -623,6 +623,8 @@ class TestCli:
         ok, *rest = capsys.readouterr().out.splitlines()
         assert ok.startswith("config ok: kind=")
         assert rest == ([line] if line else [])
+        if raw["kind"] == "risk":
+            assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -13,11 +13,10 @@ import contextlib
 import io
 import json
 import math
-import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mcuq import cli
@@ -51,7 +50,7 @@ EXTRAS = [
     ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
     ("cal_reps", 0), ("alpha", 1.5), ("alpha_test", 2.0), ("alpha_test", math.nan),
     ("lam", math.inf), ("z", math.nan), ("K", math.inf), ("a", math.nan), ("a", math.inf),
-    ("a", -1.0), ("k_grid", [1, 9]), ("k_grid", [1.5]), ("n_grid", [0]),
+    ("a", -1.0), ("k_grid", [1, 9]), ("k_grid", [1.5]),
     ("separation_grid", [math.nan]), ("separation_grid", []),
     ("noise", {"kind": "scaled-rademacher", "sigma": 0.5, "U": math.inf}),
     ("noise", {"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
@@ -104,6 +103,7 @@ def configs(draw):
         "n_grid": draw(st.lists(st.integers(1, m1 * m2), max_size=2, unique=True)),
         "v": draw(st.sampled_from([0.05, 0.5, 1.0])),
         "reveal_sigma": draw(st.booleans()),
+        "out": "out",  # so `uq run` writes into the test's working directory
     }
     if draw(st.booleans()):
         key, value = draw(st.sampled_from(BAD_VALUES))
@@ -120,18 +120,22 @@ def uq(*argv: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+# The fixtures are set up once, so every example shares one working directory.
 @settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_validate_fails_closed(raw):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(raw))
-        run = ("run", "--config", str(path), "--out", str(Path(tmp) / "out"))
-        code, err = uq("validate", "--config", str(path))
-        if code == 0:
-            assert uq(*run)[0] in (0, 2, 3)
-            return
-        assert code == 2
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert uq(*run) == (2, err)
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(raw=configs())
+# A bad `out` with a rule between fields broken: `run --out` would mend the
+# `out` and then print the other error.
+@example(raw={"kind": "coverage", "model": "trace", "m1": 1, "m2": 1, "n": 1, "method": "u_ci",
+              "reps": 1, "out": 5})
+def test_validate_fails_closed(tmp_path, monkeypatch, raw):
+    # The config names its output directory, so `run` cannot mend a bad `out`.
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(raw))
+    code, err = uq("validate", "--config", "config.json")
+    if code == 0:
+        assert uq("run", "--config", "config.json")[0] in (0, 2, 3)
+        return
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert uq("run", "--config", "config.json") == (2, err)
