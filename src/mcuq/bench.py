@@ -138,8 +138,9 @@ _TESTED = ("adaptive_ci", "test_power")  # the runs of the low-rank test
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs.  Each field declares its :class:`FieldRule`
-    beside its default; README's schema table lists them."""
+    """The experiment of a run: every field can change its results, and the
+    output directory is left to ``uq run --out``.  Each field declares its
+    :class:`FieldRule` beside its default; README's schema table lists them."""
 
     kind: str = _field(MISSING, "string", choices=KINDS)
     model: str = _field("trace", "string", choices=MODELS, readers=_DRAWN)
@@ -169,7 +170,6 @@ class ExperimentConfig:
     v: float = _field(0.05, "number", gt=0, le=1, readers=("lbdemo",))
     alpha_test: float = _field(0.05, "number", gt=0, lt=1, readers=("lbdemo",))
     reveal_sigma: bool = _field(False, "boolean", readers=("lbdemo",))
-    out: str = _field("uq_out", "string")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -226,10 +226,11 @@ class ExperimentConfig:
     def _errors(self) -> list[str]:
         """The broken rules between fields of a config whose fields keep their own."""
         d = min(self.m1, self.m2)
+        tested = self.reads("threshold_mode")  # the run does the low-rank test
         errors = []
         if (self.model == "bernoulli" or self.kind == "lbdemo") and self.n > self.m1 * self.m2:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
-        if not 1 <= self.k_truth <= d:
+        if self.reads("k_truth") and not 1 <= self.k_truth <= d:
             errors.append(f"k_truth: must lie in [1, {d}], got {self.k_truth}")
         grids = KINDS[self.kind].grids
         cells = math.prod(map(len, grids(self))) if grids else 1
@@ -247,11 +248,11 @@ class ExperimentConfig:
             errors.append(f"k0: must lie in [1, {d}] for a diameter run, got {self.k0}")
         if self.kind == "test_power" and self.model != "bernoulli":
             errors.append("model: test_power runs in the bernoulli model")
-        if _needs_test(self) and not 0 <= self.k0 < d:
+        if tested and not 0 <= self.k0 < d:
             errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
         if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k:
             errors.append(f"k: must exceed k0={self.k0}, got {self.k}")
-        if _needs_test(self) and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
+        if tested and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":
             if self.model == "trace" and self.noise.sigma == 0 and self.lam is None:
@@ -280,7 +281,7 @@ class ExperimentConfig:
                     errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
             if self.cal_reps < 1:
                 errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
-        if _needs_test(self) and self.threshold_mode == "calibrated" and self.cal_reps < 100:
+        if tested and self.threshold_mode == "calibrated" and self.cal_reps < 100:
             errors.append(f"cal_reps: a calibrated threshold needs >= 100, got {self.cal_reps}")
         return errors
 
@@ -642,15 +643,9 @@ def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:
     }
 
 
-def _needs_test(config: ExperimentConfig) -> bool:
-    """Whether replicates of ``config`` run the low-rank test."""
-    return (config.kind == "test_power"
-            or (config.kind in ("coverage", "diameter") and config.method == "adaptive_ci"))
-
-
 def _prepare_extras(config: ExperimentConfig) -> dict:
     """Work shared across replicates, done once up front (e.g. calibration)."""
-    if not _needs_test(config):
+    if not config.reads("threshold_mode"):  # no replicate runs the low-rank test
         return {}
     if config.threshold_mode == "calibrated":
         return {"threshold": bernoulli_uq.u_alpha_calibrated(

@@ -86,11 +86,7 @@ def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    try:
-        cfg = ExperimentConfig.from_dict(raw)
-    except (DomainError, TypeError) as e:
-        raise ConfigError(str(e)) from e
-    return raw, cfg
+    return raw, ExperimentConfig.from_dict(raw)
 
 
 def _cmd_run(args) -> int:
@@ -99,10 +95,8 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     if args.reps is not None:
         cfg.reps = args.reps
-    if args.out is not None:
-        cfg.out = args.out
     report = run(cfg, threads=args.threads)  # validates the overridden config
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(report, out_dir / "records.csv")
     write_report_json(report, out_dir / "report.json")
@@ -116,8 +110,9 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     raw, cfg = _load_config(args.config)
     cfg.validate()
-    print(f"config ok: kind={cfg.kind} model={cfg.model} "
-          f"{cfg.m1}x{cfg.m2} n={cfg.n} reps={cfg.reps} seed={cfg.seed}")
+    model = f" model={cfg.model}" if cfg.reads("model") else ""
+    print(f"config ok: kind={cfg.kind}{model} {cfg.m1}x{cfg.m2} n={cfg.n} reps={cfg.reps} "
+          f"seed={cfg.seed}")
     ignored = [name for name in raw if not cfg.reads(name)]
     if ignored:
         run_of = f"kind={cfg.kind}" + (f" method={cfg.method}" if cfg.reads("method") else "")
@@ -137,7 +132,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--reps", type=int, default=None, help="override the replicate count")
-    p_run.add_argument("--out", default=None, help="override the output directory")
+    p_run.add_argument("--out", default="uq_out",
+                       help="output directory (default: uq_out)")
     p_run.add_argument("--threads", type=int, default=1, help="worker processes")
     p_run.set_defaults(fn=_cmd_run)
 

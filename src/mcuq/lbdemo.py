@@ -42,8 +42,9 @@ def rho_for(v: float, k: int, m: int, n: int) -> float:
     """Separation scale v * k^(1/4) * sqrt(m/n)."""
     if not 0 < v <= 1:
         raise DomainError(f"v must lie in (0, 1], got {v}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    for name, value in (("k", k), ("m", m), ("n", n)):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
     return v * k ** 0.25 * math.sqrt(m) / math.sqrt(n)
 
 
@@ -186,6 +187,10 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     rho = rho_for(v, k, m, n)
     if rho >= 0.5:
         raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
+    if not 0 < alpha_test < 1:
+        raise DomainError(f"alpha_test must lie in (0, 1), got {alpha_test}")
+    if cal_reps < 1:
+        raise DomainError(f"cal_reps must be >= 1, got {cal_reps}")
 
     # The pairs and the calibration draws run as one map, the costlier pairs
     # first; the thresholds are needed only to count rejections afterwards.

@@ -20,6 +20,10 @@ from mcuq import bench, bernoulli_uq, cli, core, estimate, synth, trace_uq
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
+#: An lbdemo config that sets `k_truth`, which lbdemo never reads, out of range.
+LBDEMO_K_TRUTH = {"kind": "lbdemo", "m1": 8, "m2": 8, "n": 32, "k": 2, "k0": 1, "k_truth": 0,
+                  "reps": 2, "cal_reps": 5}
+
 
 def coverage_config(**overrides):
     base = dict(kind="coverage", model="trace", m1=10, m2=10, n=100,
@@ -177,9 +181,12 @@ class TestConfig:
         (dict(kind="risk", k_grid=5), "k_grid: must be an array, got 5"),
         # The first printed "unhashable type: 'list'"; the other two passed
         # `uq validate`, and `uq run` then ended in a traceback from Path().
+        # Since the output directory became `uq run --out`, a config that
+        # sets `out` fails both commands as an unknown field.
         (dict(kind=["coverage"]), "kind: must be a string, got ['coverage']"),
-        (dict(out=5), "out: must be a string, got 5"),
-        (dict(out=None), "out: must be a string, got None"),
+        (dict(out=5), "unknown config fields: ['out']"),
+        (dict(out=None), "unknown config fields: ['out']"),
+        (dict(out="uq_out"), "unknown config fields: ['out']"),
         # Each config below ended `uq validate` in an OverflowError traceback.
         (dict(a=10 ** 400), f"a: must be a finite number, got {10 ** 400}"),
         (dict(noise={"kind": "uniform", "sigma": 10 ** 400, "U": 1}),
@@ -221,18 +228,18 @@ class TestConfig:
             "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
             "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null",
+            "out-string",
             "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
-        # The config names the output directory, so `run --out` cannot mend a bad `out`.
-        raw = {**coverage_config(out=str(tmp_path / "out")).to_dict(), **overrides}
+        raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw).validate()
         assert str(exc.value) == message
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        for command in (["validate"], ["run"]):
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
             assert cli.main([*command, "--config", str(path)]) == 2
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -615,7 +622,13 @@ class TestCli:
         # low-rank test read.
         ({"kind": "risk", "m1": 4, "m2": 4, "n": 16, "method": "adaptive_ci", "k0": 4, "k": 2,
           "reps": 2}, "ignored by kind=risk: method, k0, k"),
-    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z", "risk-k0-k"])
+        # Once rejected over k_truth's range, which only coverage, diameter
+        # and risk read.
+        (LBDEMO_K_TRUTH, "ignored by kind=lbdemo: k_truth"),
+        ({"kind": "test_power", "model": "bernoulli", "m1": 8, "m2": 8, "n": 32, "k0": 1,
+          "k_truth": 0, "reps": 2, "separation_grid": [0.0]},
+         "ignored by kind=test_power: k_truth"),
+    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z", "risk-k0-k", "lbdemo-k_truth", "power-k_truth"])
     def test_validate_names_the_fields_a_run_ignores(self, tmp_path, capsys, raw, line):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -623,8 +636,19 @@ class TestCli:
         ok, *rest = capsys.readouterr().out.splitlines()
         assert ok.startswith("config ok: kind=")
         assert rest == ([line] if line else [])
-        if raw["kind"] == "risk":
+        if raw.get("reps") == 2:  # each config once rejected runs, too
             assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_validate_prints_the_model_only_where_it_is_read(self, tmp_path, capsys):
+        # lbdemo samples in the one-shot model whatever `model` says.
+        lines = []
+        for raw in (LBDEMO_K_TRUTH, {"kind": "coverage", "m1": 8, "m2": 8, "n": 64, "reps": 2}):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(raw))
+            assert cli.main(["validate", "--config", str(path)]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines == ["config ok: kind=lbdemo 8x8 n=32 reps=2 seed=0",
+                         "config ok: kind=coverage model=trace 8x8 n=64 reps=2 seed=0"]
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2

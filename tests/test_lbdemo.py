@@ -27,6 +27,15 @@ class TestRhoFor:
         with pytest.raises(DomainError):
             rho_for(0.5, 0, 50, 100)
 
+    @pytest.mark.parametrize("m, n, message", [
+        (8, 0, "n must be >= 1, got 0"),  # once a ZeroDivisionError
+        (8, -3, "n must be >= 1, got -3"),  # once a ValueError from math.sqrt
+        (-8, 32, "m must be >= 1, got -8"),
+    ], ids=["n-0", "n-negative", "m-negative"])
+    def test_sizes_below_one_fail_closed(self, m, n, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            rho_for(0.5, 2, m, n)
+
 
 class TestSampleH1:
     def test_two_point_moments_exact(self):
@@ -143,6 +152,17 @@ class TestSeparationCheck:
 
 
 class TestIndistinguishability:
+    # Each of these once ran: without calibration draws it ended in an
+    # IndexError from np.quantile, and at alpha_test 0 or 1 it said nothing.
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(cal_reps=0), "cal_reps must be >= 1, got 0"),
+        (dict(alpha_test=0.0), r"alpha_test must lie in \(0, 1\), got 0.0"),
+        (dict(alpha_test=1.0), r"alpha_test must lie in \(0, 1\), got 1.0"),
+    ], ids=["cal_reps-0", "alpha_test-0", "alpha_test-1"])
+    def test_bad_test_settings_fail_closed(self, kwargs, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            indistinguishability_experiment(8, 32, 2, 1, 0.5, reps=2, seed=1, **kwargs)
+
     def test_zero_reps_gives_empty_report(self):
         # No pairs measure no error: every rate is NaN, not a perfect 0.0.
         res = indistinguishability_experiment(12, 36, 2, 1, 0.05, reps=0, seed=0)

@@ -103,7 +103,6 @@ def configs(draw):
         "n_grid": draw(st.lists(st.integers(1, m1 * m2), max_size=2, unique=True)),
         "v": draw(st.sampled_from([0.05, 0.5, 1.0])),
         "reveal_sigma": draw(st.booleans()),
-        "out": "out",  # so `uq run` writes into the test's working directory
     }
     if draw(st.booleans()):
         key, value = draw(st.sampled_from(BAD_VALUES))
@@ -121,15 +120,16 @@ def uq(*argv: str) -> tuple[int, str]:
 
 
 # The fixtures are set up once, so every example shares one working directory.
-@settings(max_examples=150, deadline=None, derandomize=True,
+# 150 examples, or more under a larger profile (`--hypothesis-profile=ci`).
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(raw=configs())
-# A bad `out` with a rule between fields broken: `run --out` would mend the
-# `out` and then print the other error.
+# `out` is no config field, only `uq run --out`: a config that sets it, here
+# with a rule between fields broken too, fails both commands as unknown.
 @example(raw={"kind": "coverage", "model": "trace", "m1": 1, "m2": 1, "n": 1, "method": "u_ci",
               "reps": 1, "out": 5})
 def test_validate_fails_closed(tmp_path, monkeypatch, raw):
-    # The config names its output directory, so `run` cannot mend a bad `out`.
+    # `uq run` writes into `uq_out/` of the test's working directory.
     monkeypatch.chdir(tmp_path)
     Path("config.json").write_text(json.dumps(raw))
     code, err = uq("validate", "--config", "config.json")
