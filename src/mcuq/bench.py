@@ -159,8 +159,6 @@ class ExperimentConfig:
     method: str = _field("u_ci", "string", choices=METHODS, readers=_SETS)
     threshold_mode: str = _field("calibrated", "string", choices=("calibrated", "theoretical"),
                                  readers=_TESTED)
-    z: float = _field(1.0, "number", gt=0, readers=("rss_ci",))
-    K: float = _field(bernoulli_uq.ADAPTIVE_K_DEFAULT, "number", gt=0, readers=("adaptive_ci",))
     lam: float | None = _field(None, "number", nullable=True, gt=0, readers=_SETS + ("risk",))
     restarts: int = _field(8, "integer", ge=0, le=MAX_RESTARTS, readers=_TESTED)
     separation_grid: tuple = _field((0.0, 5.0, 10.0, 25.0), "array", entries="number", ge=0,
@@ -408,16 +406,14 @@ def _map_for(threads: int):
     return map_fn, pool
 
 
-def _build_ci(cfg: ExperimentConfig, data, extras: dict,
-              test_seed: int) -> trace_uq.FrobeniusBall:
+def _build_ci(cfg: ExperimentConfig, data, extras: dict, r: int) -> trace_uq.FrobeniusBall:
     if cfg.method == "u_ci":
         return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U, lam=cfg.lam)
     if cfg.method == "rss_ci":
-        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a,
-                               z=cfg.z, lam=cfg.lam)
+        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a, lam=cfg.lam)
     return bernoulli_uq.adaptive_ci(
         data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, extras["threshold"],
-        K=cfg.K, lam=cfg.lam, restarts=cfg.restarts, seed=test_seed)
+        lam=cfg.lam, restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
 
 
 def _sample(cfg: ExperimentConfig, M, r: int):
@@ -436,7 +432,7 @@ def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     k_t = cell[0] if cell else cfg.k_truth
     M = make_low_rank(cfg.m1, cfg.m2, k_t, cfg.a, child_seed(cfg.seed, 10, r, *cell))
     data = _sample(cfg, M, r)
-    ball = _build_ci(cfg, data, extras, child_seed(cfg.seed, 12, r))
+    ball = _build_ci(cfg, data, extras, r)
     return {
         "replicate": idx,
         "k_truth": k_t,

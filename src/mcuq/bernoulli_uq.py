@@ -182,8 +182,6 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
                 X *= rng.uniform(0.1, 1.0) * a / mx
             yield X
 
-    impute_base = np.where(mask, data.values, 0.0)
-
     g_best = None
     A_best = None
     g_lo = math.inf
@@ -214,7 +212,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
             # Z is never scored: only its projection is a candidate.
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             Z = A if t == 1.0 else A + ((t - 1.0) / t_next) * (A - A_prev)
-            A_new = _project(np.where(mask, impute_base, Z), k0, a)
+            A_new = _project(np.where(mask, data.values, Z), k0, a)
             g_new = g_of(A_new)
             consider(A_new, g_new)
             if abs(g_new) >= abs(g) * (1.0 - 1e-9):
@@ -297,15 +295,15 @@ def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
     return TestVerdict(res.value, float(threshold), res.value > threshold, res.gap_flag)
 
 
-#: Default diameter multiplier for the adaptive set: twice the empirically
+#: Diameter multiplier ``K`` of the adaptive set: twice the empirically
 #: fitted constant of the center estimator's error-to-rate ratio at desk
-#: scale (fitted ratio about 1.25 at 20x20, n=300).
-ADAPTIVE_K_DEFAULT = 2.5
+#: scale (fitted ratio about 1.25 at 20x20, n=300).  The set is honest only
+#: when it is large enough: at 0.5, criterion 08's coverage fails.
+ADAPTIVE_K = 2.5
 
 
 def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
-                threshold: float, K: float = ADAPTIVE_K_DEFAULT,
-                lam: float | None = None, restarts: int = 8,
+                threshold: float, lam: float | None = None, restarts: int = 8,
                 seed: int = 0) -> FrobeniusBall:
     """Two-valued adaptive confidence set driven by the low-rank test.
 
@@ -313,7 +311,7 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
     default), which also starts the test's search; the normalized squared
     radius is ``K^2 * k * d / n`` when the rank-``k0`` hypothesis is
     rejected at ``threshold`` (see :func:`low_rank_test`) and
-    ``K^2 * k0 * d / n`` otherwise.
+    ``K^2 * k0 * d / n`` otherwise; ``K`` is :data:`ADAPTIVE_K`, read at each call.
     """
     if not 0 <= k0 < k:
         raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
@@ -323,6 +321,6 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
     verdict = low_rank_test(data, k0, a, sigma, threshold, restarts=restarts,
                             seed=seed, center=center)
     k_used = k if verdict.reject else k0
-    radius_sq = K * K * k_used * (data.m1 + data.m2) / data.n
+    radius_sq = ADAPTIVE_K * ADAPTIVE_K * k_used * (data.m1 + data.m2) / data.n
     return FrobeniusBall(center, radius_sq, data.n, a_bound=a, reject=verdict.reject,
                          flags=("search_gap",) if verdict.gap_flag else ())

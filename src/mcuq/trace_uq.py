@@ -23,6 +23,9 @@ from .synth import TraceDataset
 #: Slack on the entry bound when testing membership of box-constrained sets.
 MEMBER_ENTRY_TOL = 1e-9
 
+#: The free positive constant ``z`` of :func:`rss_ci`'s radius (:func:`rss_radius_sq`).
+RSS_Z = 1.0
+
 
 @dataclass
 class PairedSet:
@@ -204,17 +207,15 @@ def rss_radius_sq(R_hat: float, n: int, d: int, sigma: float,
 
 
 def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float,
-           z: float = 1.0, lam: float | None = None) -> FrobeniusBall:
+           lam: float | None = None) -> FrobeniusBall:
     """Residual-sum confidence set for known noise standard deviation.
 
     The quantile constants are ``z_alpha = log(3/alpha)`` and
-    ``xi = sqrt(2)*sigma*U*log(3/alpha)``; ``z`` is a free positive constant
-    of the construction.  ``a`` bounds the entries of the center fit.
+    ``xi = sqrt(2)*sigma*U*log(3/alpha)``, and ``z`` is :data:`RSS_Z`.
+    ``a`` bounds the entries of the center fit.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if z <= 0:
-        raise DomainError(f"z must be positive, got {z}")
     first, second = split_sample(data)
     if lam is None:
         lam = lambda_practical_trace(max(sigma, 1e-12), data.m1, data.m2, second.n)
@@ -224,5 +225,5 @@ def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float,
     d = data.m1 + data.m2
     z_alpha = math.log(3.0 / alpha)
     xi = math.sqrt(2.0) * sigma * U * math.log(3.0 / alpha)
-    radius_sq = rss_radius_sq(R_hat, n_eff, d, sigma, z, z_alpha, xi)
+    radius_sq = rss_radius_sq(R_hat, n_eff, d, sigma, RSS_Z, z_alpha, xi)
     return FrobeniusBall(fit.estimate, radius_sq, n_eff, flags=_fit_flags(fit))

@@ -155,7 +155,10 @@ class TestConfig:
          "noise: sigma and U must be finite, got sigma=0.5, U=inf"),
         (dict(noise={"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
          "noise: sigma and U must be finite, got sigma=nan, U=0.5"),
-        (dict(method="rss_ci", z=math.nan), "z: must be a finite number, got nan"),
+        # rss_ci's z and the adaptive set's K are module constants, not
+        # fields, so a config that sets either fails both commands as unknown.
+        (dict(method="rss_ci", z=math.nan), "unknown config fields: ['z']"),
+        (dict(K=2.5), "unknown config fields: ['K']"),
         (dict(a=math.nan), "a: must be a finite number, got nan"),
         (dict(a=math.inf), "a: must be a finite number, got inf"),
         (dict(kind="risk", m1=4, m2=4, n=16, k_grid=[1, 9]),
@@ -225,7 +228,7 @@ class TestConfig:
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
             "m1-bool", "power-restarts-float", "lbdemo-alpha_test", "lbdemo-alpha_test-nan",
             "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
-            "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
+            "K", "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
             "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null",
             "out-string",
@@ -351,7 +354,7 @@ class TestDiameter:
                                n=100, k_truth=3, k0=1, a=1.0, noise=RADEMACHER,
                                alpha=0.1, reps=10, seed=2, method="adaptive_ci")
         rep = run(cfg)
-        K = cfg.K
+        K = bernoulli_uq.ADAPTIVE_K
         d = 24
         allowed = {round(K * K * 1 * d / 100, 12), round(K * K * 3 * d / 100, 12)}
         got = {round(r["radius_sq"], 12) for r in rep.records}
@@ -615,9 +618,10 @@ class TestCli:
     @pytest.mark.parametrize("raw, line", [
         (_load_perfbench("workloads").config_for("lbdemo-large", 1),
          "ignored by kind=lbdemo: noise, alpha"),
-        ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0},
-         "ignored by kind=coverage method=u_ci: z"),
-        ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "z": 2.0}, None),
+        # The two ids below name `z`, the rss_ci constant these cases once set.
+        ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "restarts": 2},
+         "ignored by kind=coverage method=u_ci: restarts"),
+        ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "lam": 0.5}, None),
         # Once rejected over k0 and k, which only the adaptive set and the
         # low-rank test read.
         ({"kind": "risk", "m1": 4, "m2": 4, "n": 16, "method": "adaptive_ci", "k0": 4, "k": 2,

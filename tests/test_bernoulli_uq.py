@@ -6,7 +6,7 @@ import pytest
 
 from mcuq import bernoulli_uq, core, lbdemo
 from mcuq.bench import ExperimentConfig, _power_truth
-from mcuq.bernoulli_uq import (ADAPTIVE_K_DEFAULT, InfimumResult, adaptive_ci,
+from mcuq.bernoulli_uq import (ADAPTIVE_K, InfimumResult, adaptive_ci,
                                infimum_stat, low_rank_test, u_alpha_calibrated,
                                u_alpha_theoretical)
 from mcuq.core import DomainError, NoiseSpec, clip_entries, truncate_rank
@@ -583,12 +583,21 @@ class TestAdaptiveCi:
     def test_two_valued_radius(self):
         d = 40
         n = 300
-        small = ADAPTIVE_K_DEFAULT ** 2 * 1 * d / n
-        large = ADAPTIVE_K_DEFAULT ** 2 * 3 * d / n
+        small = ADAPTIVE_K ** 2 * 1 * d / n
+        large = ADAPTIVE_K ** 2 * 3 * d / n
         M = make_low_rank(20, 20, 1, 1.0, seed=30)
         data = sample_bernoulli(M, n, RADEMACHER, seed=31)
         ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
         assert ball.radius_sq in (pytest.approx(small), pytest.approx(large))
+
+    def test_radius_reads_adaptive_k_at_each_call(self, monkeypatch):
+        M = make_low_rank(20, 20, 1, 1.0, seed=30)
+        data = sample_bernoulli(M, 300, RADEMACHER, seed=31)
+        ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
+        monkeypatch.setattr(bernoulli_uq, "ADAPTIVE_K", 0.5)
+        small = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
+        assert small.reject == ball.reject
+        assert small.radius_sq == pytest.approx(ball.radius_sq * (0.5 / ADAPTIVE_K) ** 2)
 
     def test_reject_gives_larger_radius(self):
         M = make_low_rank(20, 20, 1, 1.0, seed=33)

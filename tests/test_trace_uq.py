@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcuq import trace_uq
 from mcuq.core import DomainError, NoiseSpec
 from mcuq.estimate import estimator_risk
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, rng_for, sample_trace
@@ -303,12 +304,16 @@ class TestRssCi:
         ball = rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0)
         assert ball.contains(M)
 
+    def test_radius_reads_rss_z_at_each_call(self, monkeypatch):
+        data = sample_trace(make_low_rank(8, 8, 1, 1.0, seed=29), 128, RADEMACHER, seed=30)
+        ball = rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0)
+        monkeypatch.setattr(trace_uq, "RSS_Z", 3.0)
+        assert rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0).radius_sq > ball.radius_sq
+
     def test_invalid_params(self):
         data = sample_trace(np.zeros((4, 4)), 16, RADEMACHER, seed=31)
         with pytest.raises(DomainError):
             rss_ci(data, alpha=0.0, sigma=0.5, U=0.5, a=1.0)
-        with pytest.raises(DomainError):
-            rss_ci(data, alpha=0.1, sigma=0.5, U=0.5, a=1.0, z=0.0)
 
 
 class TestUCiCoverageOtherNoise:

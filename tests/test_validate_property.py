@@ -45,9 +45,12 @@ def outside(rule) -> list:
 
 #: Bad values that no declaration generates: booleans, integral floats and
 #: null where another type belongs, non-finite and huge numbers, the bounds
-#: that tie fields together, and the configs of earlier fail-closed bugs.
+#: that tie fields together (``k_truth`` 7 is past every drawn shape), fields
+#: that are no longer in the config (``z`` and ``K``), and the configs of
+#: earlier fail-closed bugs.
 EXTRAS = [
     ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
+    ("k_truth", 0), ("k_truth", 7),
     ("cal_reps", 0), ("alpha", 1.5), ("alpha_test", 2.0), ("alpha_test", math.nan),
     ("lam", math.inf), ("z", math.nan), ("K", math.inf), ("a", math.nan), ("a", math.inf),
     ("a", -1.0), ("k_grid", [1, 9]), ("k_grid", [1.5]),
@@ -128,6 +131,10 @@ def uq(*argv: str) -> tuple[int, str]:
 # with a rule between fields broken too, fails both commands as unknown.
 @example(raw={"kind": "coverage", "model": "trace", "m1": 1, "m2": 1, "n": 1, "method": "u_ci",
               "reps": 1, "out": 5})
+# The strategy draws k_truth past the shape only as a rare extra; this one
+# breaks the rule that ties it to the shape in a kind that reads it.
+@example(raw={"kind": "coverage", "model": "trace", "m1": 6, "m2": 6, "n": 36, "method": "u_ci",
+              "reps": 1, "k_truth": 7})
 def test_validate_fails_closed(tmp_path, monkeypatch, raw):
     # `uq run` writes into `uq_out/` of the test's working directory.
     monkeypatch.chdir(tmp_path)
