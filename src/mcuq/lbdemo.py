@@ -107,14 +107,10 @@ def h1_dataset(draw: PriorDraw, n: int, seed: int) -> BernoulliDataset:
     return BernoulliDataset(mask, values, n)
 
 
-#: The null's noise: symmetric unit-variance signs.
-_H0_NOISE = NoiseSpec("scaled-rademacher", 1.0, 1.0)
-
-
 def h0_dataset(m: int, n: int, seed: int) -> BernoulliDataset:
     """Sample the one-shot model under the null: the zero matrix with
     symmetric unit-variance sign noise, so values lie on {-1, 0, +1}."""
-    return sample_bernoulli(np.zeros((m, m)), n, _H0_NOISE, seed)
+    return sample_bernoulli(np.zeros((m, m)), n, NoiseSpec("scaled-rademacher", 1.0, 1.0), seed)
 
 
 #: Names of the four statistics, in the order of the report rows.

@@ -618,7 +618,7 @@ class TestCli:
     @pytest.mark.parametrize("raw, line", [
         (_load_perfbench("workloads").config_for("lbdemo-large", 1),
          "ignored by kind=lbdemo: noise, alpha"),
-        # The two ids below name `z`, the rss_ci constant these cases once set.
+        # Ids kept from cases that set `z`, so that no test is renamed.
         ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "restarts": 2},
          "ignored by kind=coverage method=u_ci: restarts"),
         ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "lam": 0.5}, None),
