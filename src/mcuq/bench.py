@@ -38,7 +38,8 @@ class ConfigError(ValueError):
 
 
 MODELS = ("trace", "bernoulli")
-METHODS = ("u_ci", "rss_ci", "adaptive_ci")
+#: Each confidence set, and the sampling model it belongs to.
+METHODS = {"u_ci": "trace", "rss_ci": "trace", "adaptive_ci": "bernoulli"}
 
 #: The experiment kinds, keyed by ``kind``; filled in where their functions are.
 KINDS: dict = {}
@@ -143,7 +144,7 @@ class ExperimentConfig:
     :class:`FieldRule` beside its default; README's schema table lists them."""
 
     kind: str = _field(MISSING, "string", choices=KINDS)
-    model: str = _field("trace", "string", choices=MODELS, readers=_DRAWN)
+    model: str = _field("trace", "string", choices=MODELS, readers=("risk",))
     m1: int = _field(20, "integer", ge=1, le=INTP_MAX)
     m2: int = _field(20, "integer", ge=1, le=INTP_MAX)
     n: int = _field(200, "integer", ge=1, le=INTP_MAX)
@@ -166,7 +167,6 @@ class ExperimentConfig:
     k_grid: tuple = _field((), "array", entries="integer", readers=("risk",))
     n_grid: tuple = _field((), "array", entries="integer", ge=1, le=INTP_MAX, readers=("risk",))
     v: float = _field(0.05, "number", gt=0, le=1, readers=("lbdemo",))
-    alpha_test: float = _field(0.05, "number", gt=0, lt=1, readers=("lbdemo",))
     reveal_sigma: bool = _field(False, "boolean", readers=("lbdemo",))
 
     def to_dict(self) -> dict:
@@ -201,6 +201,14 @@ class ExperimentConfig:
         return readers is None or self.kind in readers or (
             self.kind in _SETS and self.method in readers)
 
+    def sampling_model(self) -> str:
+        """The model a run of this valid config samples in: that of its
+        confidence set, ``model`` for ``risk``, and the one-shot model for the
+        low-rank test and ``lbdemo``."""
+        if self.kind in _SETS:
+            return METHODS[self.method]
+        return self.model if self.kind == "risk" else "bernoulli"
+
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming every field that breaks its own
         rule; when none does, every broken rule between fields; when none is,
@@ -226,7 +234,7 @@ class ExperimentConfig:
         d = min(self.m1, self.m2)
         tested = self.reads("threshold_mode")  # the run does the low-rank test
         errors = []
-        if (self.model == "bernoulli" or self.kind == "lbdemo") and self.n > self.m1 * self.m2:
+        if self.sampling_model() == "bernoulli" and self.n > self.m1 * self.m2:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
         if self.reads("k_truth") and not 1 <= self.k_truth <= d:
             errors.append(f"k_truth: must lie in [1, {d}], got {self.k_truth}")
@@ -235,17 +243,10 @@ class ExperimentConfig:
         if self.reps * cells > MAX_REPLICATES:
             errors.append(f"reps: times the {cells} grid cells of {self.kind} must be "
                           f"<= {MAX_REPLICATES}, got {self.reps}")
-        if self.reads("method"):
-            if self.method == "adaptive_ci" and self.model != "bernoulli":
-                errors.append("method: adaptive_ci needs model='bernoulli'")
-            elif self.method in ("u_ci", "rss_ci") and self.model != "trace":
-                errors.append(f"method: {self.method} needs model='trace'")
-            elif self.method in ("u_ci", "rss_ci") and self.n < 2:
-                errors.append(f"n: {self.method} splits the sample and needs >= 2, got {self.n}")
+        if self.reads("method") and self.method in ("u_ci", "rss_ci") and self.n < 2:
+            errors.append(f"n: {self.method} splits the sample and needs >= 2, got {self.n}")
         if self.kind == "diameter" and not 1 <= self.k0 <= d:
             errors.append(f"k0: must lie in [1, {d}] for a diameter run, got {self.k0}")
-        if self.kind == "test_power" and self.model != "bernoulli":
-            errors.append("model: test_power runs in the bernoulli model")
         if tested and not 0 <= self.k0 < d:
             errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
         if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k:
@@ -417,7 +418,7 @@ def _build_ci(cfg: ExperimentConfig, data, extras: dict, r: int) -> trace_uq.Fro
 
 
 def _sample(cfg: ExperimentConfig, M, r: int):
-    if cfg.model == "trace":
+    if cfg.sampling_model() == "trace":
         return sample_trace(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
     return sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
 
@@ -589,7 +590,7 @@ def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
 def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     idx, s_mult, _ = job
     M = _power_truth(cfg, s_mult, idx)
-    data = sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, idx))
+    data = _sample(cfg, M, idx)
     verdict = bernoulli_uq.low_rank_test(
         data, cfg.k0, cfg.a, cfg.noise.sigma, extras["threshold"],
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, idx))
@@ -626,8 +627,7 @@ def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
     """Indistinguishability demo; it maps its pairs and calibration draws itself."""
     return lbdemo.indistinguishability_experiment(
         cfg.m1, cfg.n, cfg.k, cfg.k0, cfg.v, cfg.reps, seed=cfg.seed,
-        alpha_test=cfg.alpha_test, cal_reps=cfg.cal_reps,
-        reveal_sigma=cfg.reveal_sigma, map_fn=map_fn)
+        cal_reps=cfg.cal_reps, reveal_sigma=cfg.reveal_sigma, map_fn=map_fn)
 
 
 def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:

@@ -110,9 +110,8 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     raw, cfg = _load_config(args.config)
     cfg.validate()
-    model = f" model={cfg.model}" if cfg.reads("model") else ""
-    print(f"config ok: kind={cfg.kind}{model} {cfg.m1}x{cfg.m2} n={cfg.n} reps={cfg.reps} "
-          f"seed={cfg.seed}")
+    print(f"config ok: kind={cfg.kind} model={cfg.sampling_model()} {cfg.m1}x{cfg.m2} "
+          f"n={cfg.n} reps={cfg.reps} seed={cfg.seed}")
     ignored = [name for name in raw if not cfg.reads(name)]
     if ignored:
         run_of = f"kind={cfg.kind}" + (f" method={cfg.method}" if cfg.reads("method") else "")

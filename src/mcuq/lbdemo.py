@@ -113,6 +113,10 @@ def h0_dataset(m: int, n: int, seed: int) -> BernoulliDataset:
     return sample_bernoulli(np.zeros((m, m)), n, NoiseSpec("scaled-rademacher", 1.0, 1.0), seed)
 
 
+#: Level of each test: its threshold is the ``1 - ALPHA_TEST`` quantile of
+#: its statistic over the calibration draws.  Read at each call.
+ALPHA_TEST = 0.05
+
 #: Names of the four statistics, in the order of the report rows.
 _STATISTICS = ("second_moment", "observed_variance", "infimum_sigma_assumed", "rank_energy")
 
@@ -165,14 +169,13 @@ def _replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: bool,
 
 
 def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
-                                    reps: int, seed: int = 0, alpha_test: float = 0.05,
-                                    cal_reps: int = 200, reveal_sigma: bool = False,
-                                    map_fn=map) -> dict:
+                                    reps: int, seed: int = 0, cal_reps: int = 200,
+                                    reveal_sigma: bool = False, map_fn=map) -> dict:
     """Measure type I + type II error of each of the four tests against the
     hidden prior.
 
     Every test is a statistic of :func:`_statistics`, with its rejection
-    threshold calibrated to level ``alpha_test`` on simulated null datasets.
+    threshold calibrated to level :data:`ALPHA_TEST` on simulated null datasets.
     In blind mode tests assume unit variance on both hypotheses; with
     ``reveal_sigma`` they are told the true variance of the data in front of
     them, which is what a known-variance procedure would use.  ``map_fn``
@@ -187,8 +190,6 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     rho = rho_for(v, k, m, n)
     if rho >= 0.5:
         raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
-    if not 0 < alpha_test < 1:
-        raise DomainError(f"alpha_test must lie in (0, 1), got {alpha_test}")
     if cal_reps < 1:
         raise DomainError(f"cal_reps must be >= 1, got {cal_reps}")
 
@@ -201,7 +202,7 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     pairs, cal = done[:reps], done[reps:]
     thresholds = {
         name: float(np.quantile(np.array([c[name] for c in cal]),
-                                1.0 - alpha_test, method="higher"))
+                                1.0 - ALPHA_TEST, method="higher"))
         for name in _STATISTICS
     } if reps > 0 else {}
 

@@ -33,6 +33,12 @@ def coverage_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def records_bytes(cfg, path, threads=1) -> bytes:
+    """The ``records.csv`` that a run of ``cfg`` writes, as bytes."""
+    write_records_csv(run(cfg, threads=threads), path)
+    return path.read_bytes()
+
+
 def _load_perfbench(name="tracer"):
     # A perfbench module is loaded from its file and only read.
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -113,8 +119,6 @@ class TestConfig:
          "cal_reps: lbdemo needs >= 1, got 0"),
         (dict(kind="diameter", k0=0),
          "k0: must lie in [1, 10] for a diameter run, got 0"),
-        (dict(kind="test_power", model="trace"),
-         "model: test_power runs in the bernoulli model"),
         (dict(kind="test_power", model="bernoulli", m1=20, m2=20, n=300, a=1.0,
               separation_grid=(0.0, 25.0)),
          "a: separated truth needs entries up to 21; raise the entry bound a=1.0"),
@@ -144,10 +148,6 @@ class TestConfig:
         (dict(m1=True), "m1: must be an integer, got True"),
         (dict(kind="test_power", model="bernoulli", a=30.0, restarts=1.5),
          "restarts: must be an integer, got 1.5"),
-        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=2.0),
-         "alpha_test: must be < 1, got 2.0"),
-        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=math.nan),
-         "alpha_test: must be a finite number, got nan"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, reveal_sigma="false"),
          "reveal_sigma: must be true or false, got 'false'"),
         (dict(lam=math.inf), "lam: must be a finite number or null, got inf"),
@@ -155,10 +155,15 @@ class TestConfig:
          "noise: sigma and U must be finite, got sigma=0.5, U=inf"),
         (dict(noise={"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
          "noise: sigma and U must be finite, got sigma=nan, U=0.5"),
-        # rss_ci's z and the adaptive set's K are module constants, not
-        # fields, so a config that sets either fails both commands as unknown.
+        # rss_ci's z, the adaptive set's K and lbdemo's test level alpha_test
+        # are module constants, not fields, so a config that sets any of them
+        # fails both commands as unknown.
         (dict(method="rss_ci", z=math.nan), "unknown config fields: ['z']"),
         (dict(K=2.5), "unknown config fields: ['K']"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=2.0),
+         "unknown config fields: ['alpha_test']"),
+        (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, alpha_test=math.nan),
+         "unknown config fields: ['alpha_test']"),
         (dict(a=math.nan), "a: must be a finite number, got nan"),
         (dict(a=math.inf), "a: must be a finite number, got inf"),
         (dict(kind="risk", m1=4, m2=4, n=16, k_grid=[1, 9]),
@@ -223,12 +228,13 @@ class TestConfig:
         (dict(kind="diameter", k0=1, reps=bench.MAX_REPLICATES // 2 + 1),
          f"reps: times the 2 grid cells of diameter must be <= "
          f"{bench.MAX_REPLICATES}, got {bench.MAX_REPLICATES // 2 + 1}"),
-    ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-model", "power-a",
+    ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
-            "m1-bool", "power-restarts-float", "lbdemo-alpha_test", "lbdemo-alpha_test-nan",
-            "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf", "noise-sigma-nan", "rss-z-nan",
-            "K", "a-nan", "a-inf", "risk-k_grid", "risk-n_grid", "two-point-noise",
+            "m1-bool", "power-restarts-float", "lbdemo-reveal_sigma", "lam-inf", "noise-U-inf",
+            "noise-sigma-nan", "rss-z-nan", "K", "lbdemo-alpha_test-unknown",
+            "lbdemo-alpha_test-nan-unknown", "a-nan", "a-inf", "risk-k_grid", "risk-n_grid",
+            "two-point-noise",
             "u_ci-n", "theoretical-sigma0", "risk-sigma0", "lbdemo-trimmed-n",
             "noise-sigma-bool", "risk-k_grid-scalar", "kind-list", "out-int", "out-null",
             "out-string",
@@ -415,12 +421,23 @@ class TestTestPower:
         unit = math.sqrt(core.minimax_rate_sq(20, 20, 1, 300))
         assert np.linalg.norm(M) == pytest.approx(25.0 * unit, rel=1e-12)
 
-    def test_rejects_trace_model(self):
+    def test_samples_in_the_bernoulli_model_whatever_model_says(self, tmp_path):
+        # The low-rank test belongs to the one-shot model; `model` is read by
+        # `risk` alone, so a test_power config that names the trace model
+        # validates and writes the records of the bernoulli model.
         cfg = ExperimentConfig(kind="test_power", model="trace", m1=10, m2=10,
-                               n=60, k0=1, a=5.0, noise=RADEMACHER, alpha=0.1,
-                               reps=4, seed=6)
-        with pytest.raises(ConfigError):
-            run(cfg)
+                               n=60, k0=1, a=9.0, noise=RADEMACHER, alpha=0.1,
+                               reps=4, seed=6, separation_grid=(0.0, 4.0), restarts=1)
+        cfg.validate()
+        assert cfg.sampling_model() == "bernoulli"
+        assert records_bytes(cfg, tmp_path / "trace.csv") == records_bytes(
+            dataclasses.replace(cfg, model="bernoulli"), tmp_path / "bernoulli.csv")
+
+
+#: The golden configs of ``golden_records.json``, by name.
+GOLDEN_CONFIGS = {
+    f"golden-{name}": ExperimentConfig.from_dict(golden["config"]) for name, golden in
+    json.loads(Path(__file__).with_name("golden_records.json").read_text())["records"].items()}
 
 
 class TestEngine:
@@ -462,15 +479,15 @@ class TestEngine:
         assert [(rec["replicate"], rec["k"], rec["n"]) for rec in rep.records] == [
             (0, 1, 30), (1, 1, 30), (2, 2, 30), (3, 2, 30)]
 
-    @pytest.mark.parametrize("kind", sorted(CONFIGS))
-    def test_records_byte_identical_across_pool_sizes(self, kind, tmp_path):
+    # The golden configs run here in every environment; their digests are
+    # compared only where they were captured (tests/test_golden.py).
+    @pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(GOLDEN_CONFIGS))
+    def test_records_byte_identical_across_pool_sizes(self, name, tmp_path):
         # Every job keeps its own seed and results come back in job order,
         # whichever worker ran them.
-        written = set()
-        for threads in (1, 2, 3):
-            path = tmp_path / f"threads{threads}.csv"
-            write_records_csv(run(self.CONFIGS[kind], threads=threads), path)
-            written.add(path.read_bytes())
+        cfg = {**self.CONFIGS, **GOLDEN_CONFIGS}[name]
+        written = {records_bytes(cfg, tmp_path / f"threads{threads}.csv", threads)
+                   for threads in (1, 2, 3)}
         assert len(written) == 1
 
 
@@ -618,7 +635,11 @@ class TestCli:
     @pytest.mark.parametrize("raw, line", [
         (_load_perfbench("workloads").config_for("lbdemo-large", 1),
          "ignored by kind=lbdemo: noise, alpha"),
-        # Ids kept from cases that set `z`, so that no test is renamed.
+        # The confidence set and the low-rank test fix the sampling model.
+        (_load_perfbench("workloads").config_for("uci-small", 1),
+         "ignored by kind=coverage method=u_ci: model"),
+        (_load_perfbench("workloads").config_for("power-small", 1),
+         "ignored by kind=test_power: model"),
         ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "restarts": 2},
          "ignored by kind=coverage method=u_ci: restarts"),
         ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "lam": 0.5}, None),
@@ -631,8 +652,9 @@ class TestCli:
         (LBDEMO_K_TRUTH, "ignored by kind=lbdemo: k_truth"),
         ({"kind": "test_power", "model": "bernoulli", "m1": 8, "m2": 8, "n": 32, "k0": 1,
           "k_truth": 0, "reps": 2, "separation_grid": [0.0]},
-         "ignored by kind=test_power: k_truth"),
-    ], ids=["lbdemo-large", "u_ci-z", "rss_ci-z", "risk-k0-k", "lbdemo-k_truth", "power-k_truth"])
+         "ignored by kind=test_power: model, k_truth"),
+    ], ids=["lbdemo-large", "uci-small", "power-small", "u_ci-restarts", "rss_ci-lam",
+            "risk-k0-k", "lbdemo-k_truth", "power-k_truth"])
     def test_validate_names_the_fields_a_run_ignores(self, tmp_path, capsys, raw, line):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -643,16 +665,26 @@ class TestCli:
         if raw.get("reps") == 2:  # each config once rejected runs, too
             assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    def test_validate_prints_the_model_only_where_it_is_read(self, tmp_path, capsys):
-        # lbdemo samples in the one-shot model whatever `model` says.
+    def test_validate_prints_the_sampling_model(self, tmp_path, capsys):
+        # The confidence set, the low-rank test and lbdemo fix the model a
+        # run samples in, whatever `model` says; only `risk` reads `model`.
         lines = []
-        for raw in (LBDEMO_K_TRUTH, {"kind": "coverage", "m1": 8, "m2": 8, "n": 64, "reps": 2}):
+        for raw in (LBDEMO_K_TRUTH,
+                    {"kind": "coverage", "m1": 8, "m2": 8, "n": 64, "reps": 2},
+                    {"kind": "coverage", "model": "trace", "method": "adaptive_ci", "m1": 8,
+                     "m2": 8, "n": 64, "reps": 2},
+                    {"kind": "test_power", "model": "trace", "m1": 8, "m2": 8, "n": 32,
+                     "reps": 2, "separation_grid": [0.0]},
+                    {"kind": "risk", "model": "bernoulli", "m1": 8, "m2": 8, "n": 64, "reps": 2}):
             path = tmp_path / "config.json"
             path.write_text(json.dumps(raw))
             assert cli.main(["validate", "--config", str(path)]) == 0
             lines.append(capsys.readouterr().out.splitlines()[0])
-        assert lines == ["config ok: kind=lbdemo 8x8 n=32 reps=2 seed=0",
-                         "config ok: kind=coverage model=trace 8x8 n=64 reps=2 seed=0"]
+        assert lines == ["config ok: kind=lbdemo model=bernoulli 8x8 n=32 reps=2 seed=0",
+                         "config ok: kind=coverage model=trace 8x8 n=64 reps=2 seed=0",
+                         "config ok: kind=coverage model=bernoulli 8x8 n=64 reps=2 seed=0",
+                         "config ok: kind=test_power model=bernoulli 8x8 n=32 reps=2 seed=0",
+                         "config ok: kind=risk model=bernoulli 8x8 n=64 reps=2 seed=0"]
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -927,15 +959,24 @@ class TestFlagsReachRecords:
 
 
 class TestMethodModelPairing:
-    def test_adaptive_requires_bernoulli(self):
-        cfg = coverage_config(method="adaptive_ci", model="trace", k0=1, k=3)
-        with pytest.raises(ConfigError, match="adaptive_ci"):
-            cfg.validate()
+    # Each confidence set belongs to one sampling model, and a coverage or
+    # diameter run samples in it whatever `model` says.
+    def test_adaptive_requires_bernoulli(self, tmp_path):
+        cfg = coverage_config(method="adaptive_ci", model="trace", n=60, k0=1, k=3, reps=4)
+        assert cfg.sampling_model() == "bernoulli"
+        assert records_bytes(cfg, tmp_path / "trace.csv") == records_bytes(
+            dataclasses.replace(cfg, model="bernoulli"), tmp_path / "bernoulli.csv")
 
-    def test_u_ci_requires_trace(self):
-        cfg = coverage_config(method="u_ci", model="bernoulli", n=50)
-        with pytest.raises(ConfigError, match="u_ci"):
-            cfg.validate()
+    @pytest.mark.filterwarnings("ignore:n=150 outside the recommended range:RuntimeWarning")
+    def test_u_ci_requires_trace(self, tmp_path):
+        # More samples than entries: only the one-shot model bounds n by m1*m2.
+        cfg = coverage_config(kind="diameter", method="u_ci", model="bernoulli", n=150,
+                              k_truth=2, k0=1, reps=3)
+        assert cfg.sampling_model() == "trace"
+        assert records_bytes(cfg, tmp_path / "bernoulli.csv") == records_bytes(
+            dataclasses.replace(cfg, model="trace"), tmp_path / "trace.csv")
+        with pytest.raises(ConfigError, match="n: must be <= m1[*]m2=100 in the bernoulli"):
+            dataclasses.replace(cfg, method="adaptive_ci", k=3).validate()
 
     def test_lbdemo_parallel_deterministic(self, tmp_path):
         cfg = ExperimentConfig(kind="lbdemo", model="bernoulli", m1=24, m2=24,

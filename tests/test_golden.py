@@ -5,7 +5,8 @@ once) and the sha256 of the ``records.csv`` it gives.  A pure refactor or a
 kernel swap keeps those bytes, and this test checks it.  Bits depend on the
 numpy and scipy builds and the machine, so the digests are compared only on
 the environment they were captured on, and the test skips with the reason
-elsewhere.  To re-capture them on purpose (say, after adding a record
+elsewhere; ``test_bench.py`` runs the same configs everywhere and compares
+serial and pooled records.  To re-capture them on purpose (say, after adding a record
 column), run
 
     PYTHONPATH=src python tests/test_golden.py

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mcuq import lbdemo
 from mcuq.core import DomainError
 from mcuq.lbdemo import (_statistics, h0_dataset, h1_dataset,
                          indistinguishability_experiment, rho_for, sample_h1,
@@ -152,16 +153,28 @@ class TestSeparationCheck:
 
 
 class TestIndistinguishability:
-    # Each of these once ran: without calibration draws it ended in an
-    # IndexError from np.quantile, and at alpha_test 0 or 1 it said nothing.
+    # This once ran: without calibration draws it ended in an IndexError
+    # from np.quantile.
     @pytest.mark.parametrize("kwargs, message", [
         (dict(cal_reps=0), "cal_reps must be >= 1, got 0"),
-        (dict(alpha_test=0.0), r"alpha_test must lie in \(0, 1\), got 0.0"),
-        (dict(alpha_test=1.0), r"alpha_test must lie in \(0, 1\), got 1.0"),
-    ], ids=["cal_reps-0", "alpha_test-0", "alpha_test-1"])
+    ], ids=["cal_reps-0"])
     def test_bad_test_settings_fail_closed(self, kwargs, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             indistinguishability_experiment(8, 32, 2, 1, 0.5, reps=2, seed=1, **kwargs)
+
+    def test_thresholds_read_alpha_test_at_each_call(self, monkeypatch):
+        # Each threshold is the 1 - ALPHA_TEST quantile of its calibration
+        # draws, so a higher level gives thresholds no higher, and lower for
+        # a statistic that varies.
+        def thresholds():
+            return indistinguishability_experiment(12, 72, 2, 1, 0.3, reps=2, seed=5,
+                                                   cal_reps=40)["thresholds"]
+
+        at_default = thresholds()
+        monkeypatch.setattr(lbdemo, "ALPHA_TEST", 0.5)
+        at_half = thresholds()
+        assert all(at_half[name] <= at_default[name] for name in at_default)
+        assert at_half["rank_energy"] < at_default["rank_energy"]
 
     def test_zero_reps_gives_empty_report(self):
         # No pairs measure no error: every rate is NaN, not a perfect 0.0.

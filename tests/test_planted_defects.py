@@ -10,7 +10,8 @@ fail, so the check shows it can.
   and its paired statistic is taken on the other: then ``u_statistic`` is an
   unbiased estimate of the center's squared error at the pair positions.
   Fitting the center on the paired half makes it fit that half's noise, and
-  the statistic comes out low.
+  the statistic comes out low; so does pairing two observations of
+  different entries, whose residuals then carry different errors.
 * The adaptive set is honest because it grows when the low-rank test rejects,
   and because its radius constant ``K`` is large enough.  At criterion 08's
   shape, a truth 3 rate units from rank ``k0`` lies outside the small ball
@@ -20,6 +21,9 @@ fail, so the check shows it can.
 * ``u_ci``'s radius is the paired statistic plus a quantile slack; at
   criterion 01's shape with ``sigma = U = 1``, a twentieth of the slack no
   longer reaches criterion 01's coverage floor.
+* lbdemo's tests separate the hypotheses once they are told the noise
+  variance of the data in front of them; a demo that never tells them is
+  blind, and its smallest error sum stays near 1.
 
 Run as a script, ``PYTHONPATH=src python tests/test_planted_defects.py``, it
 runs these tests verbosely: one line for each check on clean code and one for
@@ -34,15 +38,16 @@ import sys
 import numpy as np
 import pytest
 
-from mcuq import bernoulli_uq, trace_uq
+from mcuq import bernoulli_uq, lbdemo, trace_uq
 from mcuq.bench import ExperimentConfig, run, separated_truth
 from mcuq.core import NoiseSpec
-from mcuq.synth import child_seed, make_low_rank, sample_bernoulli, sample_trace
+from mcuq.synth import TraceDataset, child_seed, make_low_rank, sample_bernoulli, sample_trace
 
 #: The library functions that defects replace, kept before any is planted.
 _SPLIT = trace_uq.split_sample
 _LOW_RANK_TEST = bernoulli_uq.low_rank_test
 _U_QUANTILE = trace_uq.u_quantile
+_PAIR_REPLICATE = lbdemo._pair_replicate
 
 #: Criterion 01's shape at sigma = U = 0.5, rank 1, and its seed.
 M_SIDE, N, RANK, A, ALPHA, SEED, REPS = 30, 900, 1, 1.0, 0.1, 101, 300
@@ -110,11 +115,29 @@ def u_ci_coverage() -> float:
     return run(cfg).aggregates["coverage"]
 
 
+def lbdemo_revealed_error_sum() -> float:
+    """Smallest error sum of lbdemo's four tests with the variance revealed,
+    at m = 16, n = 128, k = 2, v = 0.5 and criterion 09's revealed seed."""
+    return lbdemo.indistinguishability_experiment(16, 128, 2, 1, 0.5, reps=100, seed=903,
+                                                  cal_reps=100, reveal_sigma=True)["min_error_sum"]
+
+
+def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
+    """Couple samples 0 and 1, 2 and 3, ..., whatever their positions."""
+    t = np.arange(half.n - half.n % 2).reshape(-1, 2)
+    return trace_uq.PairedSet(half.rows[t[:, 0]].astype(np.int64),
+                              half.cols[t[:, 0]].astype(np.int64),
+                              half.y[t[:, 0]].astype(float), half.y[t[:, 1]].astype(float),
+                              t.ravel())
+
+
 #: Checks: name -> (measure, whether its value holds).
 CHECKS = {
     "u_statistic-unbiased": (u_statistic_bias_z, lambda z: abs(z) <= 4),
     "adaptive-covers-far-truths": (adaptive_far_coverage, lambda cov: cov >= ADAPTIVE_FLOOR),
     "u_ci-covers": (u_ci_coverage, lambda cov: cov >= U_CI_FLOOR),
+    # Criterion 09's bound on the revealed error sum.
+    "lbdemo-revealed-separates": (lbdemo_revealed_error_sum, lambda err: err <= 0.7),
 }
 
 #: Planted defects: name -> (the check it must fail, module, attribute, replacement).
@@ -132,6 +155,14 @@ DEFECTS = {
     # u_ci's quantile slack is a twentieth of its value.
     "u_quantile-slack-over-20": ("u_ci-covers", trace_uq, "u_quantile",
                                  lambda *args: _U_QUANTILE(*args) / 20),
+    # Couples are two observations of different entries.
+    "pair_repeats-mixes-entries": ("u_statistic-unbiased", trace_uq, "pair_repeats",
+                                   pair_consecutive),
+    # lbdemo's tests never learn the variance, so the revealed demo is blind.
+    "lbdemo-ignores-reveal_sigma": (
+        "lbdemo-revealed-separates", lbdemo, "_pair_replicate",
+        lambda m, n, k, k0, rho, reveal_sigma, seed, r:
+            _PAIR_REPLICATE(m, n, k, k0, rho, False, seed, r)),
 }
 
 
@@ -155,6 +186,11 @@ def test_adaptive_set_covers_far_truths():
 def test_u_ci_covers_at_criterion_01_shape():
     cov, holds = measure("u_ci-covers")
     assert holds, f"coverage {cov:.4f}"
+
+
+def test_lbdemo_revealed_tests_separate():
+    err, holds = measure("lbdemo-revealed-separates")
+    assert holds, f"min error sum {err:.3f}"
 
 
 @pytest.mark.parametrize("name", DEFECTS)

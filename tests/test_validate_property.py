@@ -6,16 +6,20 @@ commands with one ``config error:`` line.  The drawn values cover the edge
 cases of the north star (no pairs, ``k0 = 0``, ``sigma = U``, tiny ``n``,
 ``n`` outside the recommended range) together with bad values: for each
 field, one of the wrong JSON type and one just outside each bound that its
-rule in ``bench.RULES`` declares, plus hand-listed extras.
+rule in ``bench.RULES`` declares, plus hand-listed extras.  Besides the
+random draws, each bad value replaces a field of a small valid config of
+every kind, so every one of them is checked on every run.
 """
 
 import contextlib
 import io
 import json
 import math
+import reprlib
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +50,8 @@ def outside(rule) -> list:
 #: Bad values that no declaration generates: booleans, integral floats and
 #: null where another type belongs, non-finite and huge numbers, the bounds
 #: that tie fields together (``k_truth`` 7 is past every drawn shape), fields
-#: that are no longer in the config (``z`` and ``K``), and the configs of
-#: earlier fail-closed bugs.
+#: that are no longer in the config (``z``, ``K`` and ``alpha_test``), and the
+#: configs of earlier fail-closed bugs.
 EXTRAS = [
     ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
     ("k_truth", 0), ("k_truth", 7),
@@ -81,17 +85,18 @@ def configs(draw):
     m1 = draw(st.integers(1, 6))
     m2 = m1 if kind == "lbdemo" else draw(st.integers(1, 6))
     d = min(m1, m2)
-    model = draw(st.sampled_from(MODELS)) if kind in ("coverage", "diameter", "risk") \
-        else "bernoulli"
-    if model == "bernoulli":
+    # `model` is drawn for every kind, and so contradicts the method or kind
+    # that fixes the sampling model as often as not.
+    model, method = draw(st.sampled_from(MODELS)), draw(st.sampled_from(tuple(METHODS)))
+    sampled = {"coverage": METHODS[method], "diameter": METHODS[method], "risk": model}
+    if sampled.get(kind, "bernoulli") == "bernoulli":
         n = draw(st.integers(1, m1 * m2))
     else:
         n = draw(st.sampled_from([1, 2, 5, m1 * m2, 4 * m1 * m2]))
     k0 = draw(st.integers(0, d - 1))
     sigma = draw(st.sampled_from([0.0, 0.2, 0.5]))
     raw = {
-        "kind": kind, "model": model, "m1": m1, "m2": m2, "n": n,
-        "method": "adaptive_ci" if model == "bernoulli" else draw(st.sampled_from(METHODS)),
+        "kind": kind, "model": model, "m1": m1, "m2": m2, "n": n, "method": method,
         "k_truth": draw(st.integers(1, d)), "k0": k0, "k": k0 + draw(st.integers(1, 2)),
         "a": draw(st.sampled_from([0.5, 1.0, 30.0])),
         "noise": {"kind": draw(st.sampled_from(NOISE_KINDS)), "sigma": sigma,
@@ -122,6 +127,20 @@ def uq(*argv: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def assert_fails_closed(raw: dict) -> None:
+    """Either ``uq validate`` accepts ``raw`` and ``uq run`` exits 0, 2 or 3,
+    or both commands exit 2 with the same one ``config error:`` line.  Both
+    write into the working directory."""
+    Path("config.json").write_text(json.dumps(raw))
+    code, err = uq("validate", "--config", "config.json")
+    if code == 0:
+        assert uq("run", "--config", "config.json")[0] in (0, 2, 3)
+        return
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert uq("run", "--config", "config.json") == (2, err)
+
+
 # The fixtures are set up once, so every example shares one working directory.
 # 150 examples, or more under a larger profile (`--hypothesis-profile=ci`).
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None, derandomize=True,
@@ -138,11 +157,35 @@ def uq(*argv: str) -> tuple[int, str]:
 def test_validate_fails_closed(tmp_path, monkeypatch, raw):
     # `uq run` writes into `uq_out/` of the test's working directory.
     monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps(raw))
-    code, err = uq("validate", "--config", "config.json")
-    if code == 0:
-        assert uq("run", "--config", "config.json")[0] in (0, 2, 3)
-        return
-    assert code == 2
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert uq("run", "--config", "config.json") == (2, err)
+    assert_fails_closed(raw)
+
+
+#: A small valid config of each kind, each run cheap.
+BASES = {
+    "coverage": {"kind": "coverage", "m1": 4, "m2": 4, "n": 16, "reps": 1},
+    "diameter": {"kind": "diameter", "method": "adaptive_ci", "m1": 4, "m2": 4, "n": 16,
+                 "k0": 1, "k": 2, "threshold_mode": "theoretical", "restarts": 1, "reps": 1},
+    "risk": {"kind": "risk", "model": "bernoulli", "m1": 4, "m2": 4, "n": 16, "reps": 1},
+    "test_power": {"kind": "test_power", "m1": 4, "m2": 4, "n": 16, "k0": 1, "a": 30.0,
+                   "separation_grid": [0.0, 2.0], "threshold_mode": "theoretical",
+                   "restarts": 1, "reps": 1},
+    "lbdemo": {"kind": "lbdemo", "m1": 4, "m2": 4, "n": 8, "k": 2, "k0": 1, "cal_reps": 2,
+               "reps": 1},
+}
+
+
+def test_every_base_config_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert sorted(BASES) == sorted(KINDS)
+    for raw in BASES.values():
+        Path("config.json").write_text(json.dumps(raw))
+        assert uq("validate", "--config", "config.json") == (0, "")
+        assert uq("run", "--config", "config.json")[0] == 0
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES,
+                         ids=[f"{key}={reprlib.repr(value)}" for key, value in BAD_VALUES])
+def test_each_bad_value_fails_closed_in_every_kind(tmp_path, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    for base in BASES.values():
+        assert_fails_closed({**base, key: value})
