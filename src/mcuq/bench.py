@@ -25,16 +25,14 @@ import operator
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import bernoulli_uq, estimate, lbdemo, trace_uq
 from .core import DomainError, NoiseSpec, clip_entries, minimax_rate_sq
 from .synth import child_seed, make_low_rank, rng_for, sample_bernoulli, sample_trace
-
-
-class ConfigError(ValueError):
-    """Experiment configuration failed validation."""
 
 
 MODELS = ("trace", "bernoulli")
@@ -175,24 +173,24 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+            raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         unknown = set(d) - set(RULES)
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise DomainError(f"unknown config fields: {sorted(unknown)}")
         if isinstance(d.get("noise"), dict):
             try:
                 d["noise"] = NoiseSpec(**d["noise"])
             except (TypeError, DomainError) as e:
-                raise ConfigError(f"noise: {e}") from e
+                raise DomainError(f"noise: {e}") from e
         elif "noise" in d and not isinstance(d["noise"], NoiseSpec):
-            raise ConfigError(f"noise: must be an object with kind, sigma and U, "
+            raise DomainError(f"noise: must be an object with kind, sigma and U, "
                               f"got {type(d['noise']).__name__}")
         for key, rule in RULES.items():
             if rule.entries and isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         if "kind" not in d:
-            raise ConfigError("kind: required field is missing")
+            raise DomainError("kind: required field is missing")
         return cls(**d)
 
     def reads(self, name: str) -> bool:
@@ -210,7 +208,7 @@ class ExperimentConfig:
         return self.model if self.kind == "risk" else "bernoulli"
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` naming every field that breaks its own
+        """Raise :class:`DomainError` naming every field that breaks its own
         rule; when none does, every broken rule between fields; when none is,
         the ``test_power`` truth that does not fit inside the entry bound."""
         errors = [e for name, rule in RULES.items() if (e := rule.error(name, getattr(self, name)))]
@@ -227,7 +225,7 @@ class ExperimentConfig:
             except DomainError as e:
                 errors = [f"a: {e}"]
         if errors:
-            raise ConfigError("; ".join(errors))
+            raise DomainError("; ".join(errors))
 
     def _errors(self) -> list[str]:
         """The broken rules between fields of a config whose fields keep their own."""
@@ -338,13 +336,46 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
+def _one_blas_thread() -> None:
+    """Run both OpenBLAS copies that the numpy and scipy wheels bundle on one
+    thread: numpy's ``libscipy_openblas64_`` serves its matrix products and
+    scipy's ``libscipy_openblas`` serves ``dsyevr``.  Each starts one thread
+    per CPU unless ``OPENBLAS_NUM_THREADS`` says otherwise, and then a
+    reduction sums in another order, so ``records.csv`` would depend on the
+    host, and the workers of a pool would oversubscribe the CPUs.  A copy
+    whose library or symbol is missing is left alone, and so is one already
+    on one thread, since in a forked child the setter restarts its threads.
+    ``cli.main`` calls this for its own process, and every pool worker when
+    it starts; ``import mcuq`` and a serial library run leave the caller's
+    threads alone.
+    """
+    import ctypes
+
+    for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
+                                 (scipy, "libscipy_openblas-*", "")):
+        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in libs_dir.glob(lib):
+            try:
+                openblas = ctypes.CDLL(str(path))
+                get_threads = getattr(openblas, "scipy_openblas_get_num_threads" + suffix)
+                set_threads = getattr(openblas, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            if get_threads() != 1:
+                set_threads(1)
+
+
 #: The shared job counter of a pool worker, set by the pool's initializer.
 _next_job = None
 
 
-def _share_counter(counter) -> None:
+def _init_worker(counter) -> None:
+    """Start a pool worker: share the job counter and pin BLAS to one thread."""
     global _next_job
     _next_job = counter
+    _one_blas_thread()
 
 
 def _drain(fn: Callable, jobs: list) -> list:
@@ -370,7 +401,7 @@ def _drain(fn: Callable, jobs: list) -> list:
 def _map_for(threads: int):
     """``(map, None)`` for one thread, else ``(map_fn, pool)`` over a fork
     pool of ``threads`` workers, for the caller to close and join; a
-    platform without the ``fork`` start method raises :class:`ConfigError`.
+    platform without the ``fork`` start method raises :class:`DomainError`.
 
     ``map_fn(fn, jobs)`` hands each worker ``fn`` and the job list once; the
     workers then take jobs one at a time from a shared counter, and the
@@ -385,12 +416,12 @@ def _map_for(threads: int):
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError as e:
-        raise ConfigError(f"--threads {threads} needs the 'fork' start method, which this "
+        raise DomainError(f"--threads {threads} needs the 'fork' start method, which this "
                           f"platform lacks ({e}); run with --threads 1") from e
     import numpy.random  # noqa: F401  (inherited by the workers)
 
     counter = ctx.Value("q", 0)
-    pool = ctx.Pool(threads, initializer=_share_counter, initargs=(counter,))
+    pool = ctx.Pool(threads, initializer=_init_worker, initargs=(counter,))
 
     def map_fn(fn: Callable, jobs) -> list:
         jobs = list(jobs)

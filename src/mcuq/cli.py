@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import ConfigError, ExperimentConfig, run, write_records_csv, write_report_json
+from .bench import ExperimentConfig, _one_blas_thread, run, write_records_csv, write_report_json
 from .core import DomainError
 
 
@@ -44,38 +44,6 @@ def _keep_freed_heap() -> None:
             mallopt(-1, 64 << 20)
 
 
-def _one_blas_thread() -> None:
-    """Run both OpenBLAS copies that the numpy and scipy wheels bundle on one
-    thread.
-
-    numpy's ``libscipy_openblas64_`` serves its matrix products and scipy's
-    ``libscipy_openblas`` serves ``dsyevr``; each starts one thread per CPU
-    unless ``OPENBLAS_NUM_THREADS`` says otherwise.  A multithreaded
-    reduction sums in another order, so ``records.csv`` would depend on the
-    host and the environment, and the workers of a pool would oversubscribe
-    the CPUs.  Each copy is set through its exported thread setter; a
-    missing library or symbol leaves that copy alone, and so does ``import
-    mcuq``, so library callers keep their own BLAS threads.
-    """
-    import ctypes
-    import glob
-
-    import numpy
-    import scipy
-
-    for package, lib, setter in (
-            (numpy, "libscipy_openblas64_-*", "scipy_openblas_set_num_threads64_"),
-            (scipy, "libscipy_openblas-*", "scipy_openblas_set_num_threads")):
-        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-        for path in glob.glob(str(libs_dir / lib)):
-            try:
-                set_threads = getattr(ctypes.CDLL(path), setter)
-            except (OSError, AttributeError):
-                continue
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            set_threads(1)
-
-
 def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
     """Parse the config at ``path`` into its JSON object and the config;
     validation is left to the command."""
@@ -83,9 +51,9 @@ def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
         with open(path) as f:
             raw = json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise DomainError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        raise DomainError(f"config {path} is not valid JSON: {e}") from e
     return raw, ExperimentConfig.from_dict(raw)
 
 
@@ -146,7 +114,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError) as e:
+    except DomainError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from mcuq.bench import ExperimentConfig, run, separated_truth, write_records_csv
 from mcuq.bernoulli_uq import adaptive_ci, infimum_stat, u_alpha_calibrated
 from mcuq.core import NoiseSpec
 from mcuq.estimate import soft_threshold_estimator
-from mcuq.lbdemo import indistinguishability_experiment, rho_for, sample_h1
+from mcuq.lbdemo import rho_for, sample_h1
 from mcuq.synth import (BernoulliDataset, child_seed, make_low_rank, rng_for,
                         sample_bernoulli, sample_trace)
 from mcuq.trace_uq import pair_repeats, rss_radius_sq, split_sample
@@ -253,18 +253,20 @@ def test_criterion_09_lower_bound_demo():
     moments_ok = (float(np.max(np.abs(mean))) < 1e-15
                   and float(np.max(np.abs(var - (1 - 4 * rho * rho)))) < 1e-15)
 
-    blind = indistinguishability_experiment(m, n, k, k0, v, reps=reps,
-                                            seed=902, cal_reps=300)
-    blind_ok = blind["min_error_sum"] >= 0.9
+    def min_error_sum(**fields):
+        cfg = ExperimentConfig(kind="lbdemo", m1=m, m2=m, n=n, k=k, k0=k0, reps=reps,
+                               cal_reps=300, **fields)
+        return run(cfg, threads=THREADS).aggregates["min_error_sum"]
 
-    revealed = indistinguishability_experiment(m, n, k, k0, 0.5, reps=reps,
-                                               seed=903, cal_reps=300,
-                                               reveal_sigma=True)
-    reveal_ok = revealed["min_error_sum"] <= 0.7
+    blind = min_error_sum(v=v, seed=902)
+    blind_ok = blind >= 0.9
+
+    revealed = min_error_sum(v=0.5, seed=903, reveal_sigma=True)
+    reveal_ok = revealed <= 0.7
 
     check(9, "lower-bound demo", moments_ok and blind_ok and reveal_ok,
-          f"blind min error sum = {blind['min_error_sum']:.3f} (>= 0.9), "
-          f"revealed min error sum = {revealed['min_error_sum']:.3f} (<= 0.7), "
+          f"blind min error sum = {blind:.3f} (>= 0.9), "
+          f"revealed min error sum = {revealed:.3f} (<= 0.7), "
           f"two-point moments exact = {moments_ok}")
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcuq.bench import (ConfigError, ExperimentConfig, rate_se, run,
-                        separated_truth, write_records_csv, write_report_json)
+from mcuq.bench import (ExperimentConfig, rate_se, run, separated_truth, write_records_csv,
+                        write_report_json)
 from mcuq.core import DomainError, NoiseSpec
 from mcuq import bench, bernoulli_uq, cli, core, estimate, synth, trace_uq
 
@@ -85,22 +85,22 @@ class TestConfig:
         assert back == cfg
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config fields"):
+        with pytest.raises(DomainError, match="unknown config fields"):
             ExperimentConfig.from_dict({"kind": "coverage", "bogus": 1})
 
     def test_missing_kind_rejected(self):
-        with pytest.raises(ConfigError, match="kind"):
+        with pytest.raises(DomainError, match="kind"):
             ExperimentConfig.from_dict({"model": "trace"})
 
     def test_field_level_messages(self):
         cfg = coverage_config(alpha=2.0, n=0)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(DomainError) as exc:
             cfg.validate()
         assert "alpha" in str(exc.value)
         assert "n:" in str(exc.value)
 
     def test_bad_noise_dict(self):
-        with pytest.raises(ConfigError, match="noise"):
+        with pytest.raises(DomainError, match="noise"):
             ExperimentConfig.from_dict({
                 "kind": "coverage",
                 "noise": {"kind": "scaled-rademacher", "sigma": 2.0, "U": 1.0},
@@ -109,7 +109,7 @@ class TestConfig:
     def test_bernoulli_needs_n_within_grid(self):
         cfg = coverage_config(model="bernoulli", method="adaptive_ci",
                               n=200, k0=1, k=3)
-        with pytest.raises(ConfigError, match="n:"):
+        with pytest.raises(DomainError, match="n:"):
             cfg.validate()
 
     @pytest.mark.parametrize("overrides, message", [
@@ -243,7 +243,7 @@ class TestConfig:
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(DomainError) as exc:
             ExperimentConfig.from_dict(raw).validate()
         assert str(exc.value) == message
         path = tmp_path / "config.json"
@@ -279,7 +279,7 @@ class TestConfig:
 
     def test_lbdemo_requires_square(self):
         cfg = ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
-        with pytest.raises(ConfigError, match="square"):
+        with pytest.raises(DomainError, match="square"):
             cfg.validate()
 
 
@@ -854,6 +854,17 @@ class TestBlasThreads:
                            timeout=300)
             written.append((out / "records.csv").read_bytes())
         assert written[0] == written[1]
+        # A library run leaves its own process alone, but its pool workers
+        # pin themselves: at two BLAS threads they write uq run's bytes.
+        library = tmp_path / "library.csv"
+        subprocess.run([sys.executable, "-c", f"""
+import json
+from mcuq.bench import ExperimentConfig, run, write_records_csv
+cfg = ExperimentConfig.from_dict(json.loads(open({str(path)!r}).read()))
+write_records_csv(run(cfg, threads=2), {str(library)!r})
+"""], env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}, check=True,
+                       capture_output=True, timeout=300)
+        assert library.read_bytes() == written[1]
 
 
 class TestRiskZeroNoise:
@@ -975,7 +986,7 @@ class TestMethodModelPairing:
         assert cfg.sampling_model() == "trace"
         assert records_bytes(cfg, tmp_path / "bernoulli.csv") == records_bytes(
             dataclasses.replace(cfg, model="trace"), tmp_path / "trace.csv")
-        with pytest.raises(ConfigError, match="n: must be <= m1[*]m2=100 in the bernoulli"):
+        with pytest.raises(DomainError, match="n: must be <= m1[*]m2=100 in the bernoulli"):
             dataclasses.replace(cfg, method="adaptive_ci", k=3).validate()
 
     def test_lbdemo_parallel_deterministic(self, tmp_path):

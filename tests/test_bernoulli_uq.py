@@ -12,7 +12,6 @@ from mcuq.bernoulli_uq import (ADAPTIVE_K, InfimumResult, adaptive_ci,
 from mcuq.core import DomainError, NoiseSpec, clip_entries, truncate_rank
 from mcuq.estimate import lambda_data_driven, soft_threshold_estimator
 from mcuq.synth import child_seed, make_low_rank, rng_for, sample_bernoulli
-from test_core import _svd_deterministic_loop
 
 RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
@@ -305,16 +304,18 @@ class TestInfimumStat:
     @pytest.mark.parametrize("scenario", ["null", "signal"])
     def test_matches_sign_loop_reference(self, scenario, monkeypatch):
         # Reference search: every projection and the spectral start from a
-        # full SVD with the sign convention.  The Gram-route projections
-        # differ from it by rounding only, so the search takes the same
-        # path and lands on the same statistic and minimizer up to rounding.
+        # full SVD, whose products do not depend on the singular vectors'
+        # signs.  The Gram-route projections differ from it by rounding only,
+        # so the search takes the same path and lands on the same statistic
+        # and minimizer up to rounding.
         def truncate_rank_loop(A, k):
-            u, s, vt = _svd_deterministic_loop(A)
+            u, s, vt = np.linalg.svd(A, full_matrices=False)
             return (u[:, :k] * s[:k]) @ vt[:k, :]
 
         def soft_threshold_loop(data, lam):
             t = lam * data.m1 * data.m2 / 2.0
-            u, s, vt = _svd_deterministic_loop((data.m1 * data.m2 / data.n) * data.values)
+            u, s, vt = np.linalg.svd((data.m1 * data.m2 / data.n) * data.values,
+                                     full_matrices=False)
             return (u * np.maximum(s - t, 0.0)) @ vt
 
         if scenario == "null":

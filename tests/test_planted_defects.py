@@ -21,6 +21,17 @@ fail, so the check shows it can.
 * ``u_ci``'s radius is the paired statistic plus a quantile slack; at
   criterion 01's shape with ``sigma = U = 1``, a twentieth of the slack no
   longer reaches criterion 01's coverage floor.
+* Where the noise dominates the entry bound (``a = 0.25``, ``sigma = U =
+  1``), the slack is mostly the noise term, and a fifth of it no longer
+  reaches the floor.  The clean pass there is vacuous: the median squared
+  radius, about 0.44, exceeds the class diameter ``4 a^2 = 0.25``, so every
+  truth in the box is covered.  This check tests only whether the slack is
+  large enough where the noise dominates the entry bound.
+* ``rss_ci`` subtracts the noise variance from the mean squared residual,
+  so it is honest only when told the right ``sigma``.  At criterion 01's
+  shape, ``sigma`` times 1.5 (with ``U`` raised to match) leaves nothing
+  covered, while ``sigma`` times 1.25 still covers 0.997: the check sees
+  only a large inflation.
 * lbdemo's tests separate the hypotheses once they are told the noise
   variance of the data in front of them; a demo that never tells them is
   blind, and its smallest error sum stays near 1.
@@ -47,6 +58,7 @@ from mcuq.synth import TraceDataset, child_seed, make_low_rank, sample_bernoulli
 _SPLIT = trace_uq.split_sample
 _LOW_RANK_TEST = bernoulli_uq.low_rank_test
 _U_QUANTILE = trace_uq.u_quantile
+_RSS_CI = trace_uq.rss_ci
 _PAIR_REPLICATE = lbdemo._pair_replicate
 
 #: Criterion 01's shape at sigma = U = 0.5, rank 1, and its seed.
@@ -102,17 +114,32 @@ def adaptive_far_coverage() -> float:
     return covered / ADAPTIVE_REPS
 
 
-#: Criterion 01's cell at sigma = U = 1.0, rank 1: its replicates and floor.
+#: Criterion 01's cell at sigma = U = 1.0, rank 1: its replicates and floor;
+#: the entry bound of the small box; ``rss_ci``'s floor at ``REPS`` replicates.
 U_CI_REPS = 500
 U_CI_FLOOR = 1 - ALPHA - 3 * math.sqrt(ALPHA * (1 - ALPHA) / U_CI_REPS)
+SMALL_BOX_A = 0.25
+RSS_CI_FLOOR = 1 - ALPHA - 3 * math.sqrt(ALPHA * (1 - ALPHA) / REPS)
 
 
-def u_ci_coverage() -> float:
-    """``u_ci``'s coverage in criterion 01's cell at sigma = U = 1.0, rank 1."""
+def coverage(method: str, a: float, noise: NoiseSpec, reps: int) -> float:
+    """Coverage of ``method`` in criterion 01's shape at rank 1 and seed, with
+    entry bound ``a``, noise law ``noise`` and ``reps`` replicates."""
     cfg = ExperimentConfig(kind="coverage", model="trace", m1=M_SIDE, m2=M_SIDE, n=N,
-                           k_truth=RANK, a=A, noise=NoiseSpec("scaled-rademacher", 1.0, 1.0),
-                           alpha=ALPHA, reps=U_CI_REPS, seed=SEED, method="u_ci")
+                           k_truth=RANK, a=a, noise=noise, alpha=ALPHA, reps=reps, seed=SEED,
+                           method=method)
     return run(cfg).aggregates["coverage"]
+
+
+def u_ci_coverage(a: float = A) -> float:
+    """``u_ci``'s coverage in criterion 01's cell at sigma = U = 1.0, rank 1,
+    with entry bound ``a``."""
+    return coverage("u_ci", a, NoiseSpec("scaled-rademacher", 1.0, 1.0), U_CI_REPS)
+
+
+def rss_ci_coverage() -> float:
+    """``rss_ci``'s coverage in criterion 01's cell at sigma = U = 0.5, rank 1."""
+    return coverage("rss_ci", A, NOISE, REPS)
 
 
 def lbdemo_revealed_error_sum() -> float:
@@ -136,6 +163,8 @@ CHECKS = {
     "u_statistic-unbiased": (u_statistic_bias_z, lambda z: abs(z) <= 4),
     "adaptive-covers-far-truths": (adaptive_far_coverage, lambda cov: cov >= ADAPTIVE_FLOOR),
     "u_ci-covers": (u_ci_coverage, lambda cov: cov >= U_CI_FLOOR),
+    "u_ci-covers-small-box": (lambda: u_ci_coverage(SMALL_BOX_A), lambda cov: cov >= U_CI_FLOOR),
+    "rss_ci-covers": (rss_ci_coverage, lambda cov: cov >= RSS_CI_FLOOR),
     # Criterion 09's bound on the revealed error sum.
     "lbdemo-revealed-separates": (lbdemo_revealed_error_sum, lambda err: err <= 0.7),
 }
@@ -155,6 +184,14 @@ DEFECTS = {
     # u_ci's quantile slack is a twentieth of its value.
     "u_quantile-slack-over-20": ("u_ci-covers", trace_uq, "u_quantile",
                                  lambda *args: _U_QUANTILE(*args) / 20),
+    # u_ci's quantile slack is a fifth of its value.
+    "u_quantile-slack-over-5": ("u_ci-covers-small-box", trace_uq, "u_quantile",
+                                lambda *args: _U_QUANTILE(*args) / 5),
+    # rss_ci is told a noise level 1.5 times the true one.
+    "rss_ci-sigma-inflated": (
+        "rss_ci-covers", trace_uq, "rss_ci",
+        lambda data, alpha, sigma, U, a, lam=None:
+            _RSS_CI(data, alpha, 1.5 * sigma, 1.5 * U, a, lam=lam)),
     # Couples are two observations of different entries.
     "pair_repeats-mixes-entries": ("u_statistic-unbiased", trace_uq, "pair_repeats",
                                    pair_consecutive),
@@ -185,6 +222,16 @@ def test_adaptive_set_covers_far_truths():
 
 def test_u_ci_covers_at_criterion_01_shape():
     cov, holds = measure("u_ci-covers")
+    assert holds, f"coverage {cov:.4f}"
+
+
+def test_u_ci_covers_in_a_small_box():
+    cov, holds = measure("u_ci-covers-small-box")
+    assert holds, f"coverage {cov:.4f}"
+
+
+def test_rss_ci_covers_at_criterion_01_shape():
+    cov, holds = measure("rss_ci-covers")
     assert holds, f"coverage {cov:.4f}"
 
 
