@@ -15,6 +15,7 @@ at a time from a shared counter, so a slow job holds up no batch behind it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -90,8 +91,9 @@ class FieldRule:
     entries; ``nullable`` also allows ``null``.  An ``"object"``, the noise
     law, is checked by ``from_dict`` and :class:`NoiseSpec`.  A string must
     be one of ``choices``.  ``ge``, ``gt``, ``le`` and ``lt`` bound a number
-    or each entry of an array, whatever the kind.  ``readers`` are the kinds
-    and methods that read the field, every kind when ``None``.
+    or each entry of an array, whatever the kind, and an array's entries are
+    distinct grid cells.  ``readers`` are the kinds and methods that read the
+    field, every kind when ``None``.
     """
 
     json: str
@@ -106,7 +108,7 @@ class FieldRule:
 
     def error(self, name: str, value) -> str | None:
         """How ``value`` breaks this rule, if it does: its type, its entries'
-        type, its choices, then the first bound it breaks."""
+        type and distinctness, its choices, then the first bound it breaks."""
         if self.json == "object" or (value is None and self.nullable):
             return None
         test, what, _ = _JSON_TYPES[self.json]
@@ -115,6 +117,8 @@ class FieldRule:
         values = list(value) if self.entries else [value]
         if self.entries and not all(map(_JSON_TYPES[self.entries][0], values)):
             return f"{name}: entries must be {_JSON_TYPES[self.entries][2]}, got {values}"
+        if len(set(values)) < len(values):
+            return f"{name}: entries must be distinct, got {values}"
         if self.choices is not None and value not in self.choices:
             return f"{name}: must be one of {tuple(self.choices)}, got {value!r}"
         for sign, bound, holds in ((">=", self.ge, operator.ge), (">", self.gt, operator.gt),
@@ -336,35 +340,35 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
-def _one_blas_thread() -> None:
-    """Run both OpenBLAS copies that the numpy and scipy wheels bundle on one
-    thread: numpy's ``libscipy_openblas64_`` serves its matrix products and
-    scipy's ``libscipy_openblas`` serves ``dsyevr``.  Each starts one thread
-    per CPU unless ``OPENBLAS_NUM_THREADS`` says otherwise, and then a
-    reduction sums in another order, so ``records.csv`` would depend on the
-    host, and the workers of a pool would oversubscribe the CPUs.  A copy
-    whose library or symbol is missing is left alone, and so is one already
-    on one thread, since in a forked child the setter restarts its threads.
-    ``cli.main`` calls this for its own process, and every pool worker when
-    it starts; ``import mcuq`` and a serial library run leave the caller's
-    threads alone.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Inside the block, run both OpenBLAS copies that the numpy and scipy
+    wheels bundle (numpy's ``libscipy_openblas64_`` for matrix products,
+    scipy's ``libscipy_openblas`` for ``dsyevr``) on one thread; after it,
+    give each the caller's count back.  On more threads a reduction sums in
+    another order, so ``records.csv`` would depend on the host, and a pool's
+    workers would oversubscribe the CPUs.  A copy whose library or symbol is
+    missing, or that is already on one thread, is left alone.
     """
     import ctypes
 
-    for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
-                                 (scipy, "libscipy_openblas-*", "")):
-        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-        for path in libs_dir.glob(lib):
-            try:
-                openblas = ctypes.CDLL(str(path))
-                get_threads = getattr(openblas, "scipy_openblas_get_num_threads" + suffix)
-                set_threads = getattr(openblas, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):
-                continue
-            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            if get_threads() != 1:
-                set_threads(1)
+    with contextlib.ExitStack() as restore:
+        for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
+                                     (scipy, "libscipy_openblas-*", "")):
+            libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+            for path in libs_dir.glob(lib):
+                try:
+                    openblas = ctypes.CDLL(str(path))
+                    get_threads = getattr(openblas, "scipy_openblas_get_num_threads" + suffix)
+                    set_threads = getattr(openblas, "scipy_openblas_set_num_threads" + suffix)
+                except (OSError, AttributeError):
+                    continue
+                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                if (threads := get_threads()) != 1:
+                    set_threads(1)
+                    restore.callback(set_threads, threads)
+        yield
 
 
 #: The shared job counter of a pool worker, set by the pool's initializer.
@@ -372,10 +376,9 @@ _next_job = None
 
 
 def _init_worker(counter) -> None:
-    """Start a pool worker: share the job counter and pin BLAS to one thread."""
+    """Start a pool worker: share the job counter."""
     global _next_job
     _next_job = counter
-    _one_blas_thread()
 
 
 def _drain(fn: Callable, jobs: list) -> list:
@@ -400,8 +403,8 @@ def _drain(fn: Callable, jobs: list) -> list:
 
 def _map_for(threads: int):
     """``(map, None)`` for one thread, else ``(map_fn, pool)`` over a fork
-    pool of ``threads`` workers, for the caller to close and join; a
-    platform without the ``fork`` start method raises :class:`DomainError`.
+    pool of ``threads`` workers, for the caller to close and join; a count
+    below 1, or a platform without ``fork``, raises :class:`DomainError`.
 
     ``map_fn(fn, jobs)`` hands each worker ``fn`` and the job list once; the
     workers then take jobs one at a time from a shared counter, and the
@@ -411,7 +414,9 @@ def _map_for(threads: int):
     loaded here, once, before the fork: otherwise every worker of every run
     imports it again.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise DomainError(f"--threads: must be >= 1, got {threads}")
+    if threads == 1:
         return map, None
     try:
         ctx = multiprocessing.get_context("fork")
@@ -721,28 +726,29 @@ KINDS.update({
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Validate ``config`` once and run the experiment of its kind.
 
-    The pool opens before any stage runs, so a platform without ``fork``
-    fails before the calibration.  Every job derives its streams from the
-    seed and its own coordinates, and records come back in job order, so
-    serial and parallel runs give the same records.
+    The run and its pool, which forks before any stage, compute on one BLAS
+    thread, and the caller's count comes back after.  Every job derives its
+    streams from the seed and its own coordinates, and records come back in
+    job order, so serial and parallel runs give the same records.
     """
     config.validate()
     t0 = time.perf_counter()
     kind = KINDS[config.kind]
-    map_fn, pool = _map_for(threads)
-    try:
-        if kind.grids is None:
-            extras = kind.replicate(config, map_fn)
-            records = extras["rows"]
-        else:
-            extras = _prepare_extras(config)
-            jobs = [(i, *job) for i, job in enumerate(
-                itertools.product(*kind.grids(config), range(config.reps)))]
-            records = list(map_fn(functools.partial(kind.replicate, config, extras), jobs))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    with _one_blas_thread():
+        map_fn, pool = _map_for(threads)
+        try:
+            if kind.grids is None:
+                extras = kind.replicate(config, map_fn)
+                records = extras["rows"]
+            else:
+                extras = _prepare_extras(config)
+                jobs = [(i, *job) for i, job in enumerate(
+                    itertools.product(*kind.grids(config), range(config.reps)))]
+                records = list(map_fn(functools.partial(kind.replicate, config, extras), jobs))
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.join()
     aggregates = {**kind.aggregate(config, records, extras),
                   "flagged": sum(rec.get("flag", 0) for rec in records)}
     return ExperimentReport(records, list(kind.columns), aggregates, config.to_dict(),

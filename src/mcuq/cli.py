@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import ExperimentConfig, _one_blas_thread, run, write_records_csv, write_report_json
+from .bench import ExperimentConfig, run, write_records_csv, write_report_json
 from .core import DomainError
 
 
@@ -89,7 +89,6 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    _one_blas_thread()
     parser = argparse.ArgumentParser(prog="uq",
                                      description="Monte Carlo experiments for "
                                                  "matrix-completion confidence sets")

@@ -228,6 +228,11 @@ class TestConfig:
         (dict(kind="diameter", k0=1, reps=bench.MAX_REPLICATES // 2 + 1),
          f"reps: times the 2 grid cells of diameter must be <= "
          f"{bench.MAX_REPLICATES}, got {bench.MAX_REPLICATES // 2 + 1}"),
+        # Its 60 records pooled 40 null ones into the size, while size_se
+        # divided by reps = 20.
+        (dict(kind="test_power", model="bernoulli", a=30.0, reps=20,
+              separation_grid=[0.0, 0.0, 4.0]),
+         "separation_grid: entries must be distinct, got [0.0, 0.0, 4.0]"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -240,7 +245,8 @@ class TestConfig:
             "out-string",
             "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
-            "power-reps-huge", "reps-huge", "diameter-reps-times-cells"])
+            "power-reps-huge", "reps-huge", "diameter-reps-times-cells",
+            "power-grid-repeated"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
@@ -825,6 +831,19 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(calibrations) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exits_two(self, tmp_path, capsys, monkeypatch, threads):
+        # Such a run once ran serially and exited 0.
+        stages = []
+        monkeypatch.setattr(bench, "_prepare_extras", lambda cfg: stages.append(cfg) or {})
+        path = self.write_config(tmp_path)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--threads", threads])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: --threads: must be >= 1, got {threads}\n"
+        assert not (tmp_path / "out").exists()
+        assert stages == []
+
     def test_run_seed_and_reps_override(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out2"
@@ -838,7 +857,7 @@ class TestCli:
 
 class TestBlasThreads:
     def test_records_do_not_depend_on_openblas_threads(self, tmp_path):
-        # `uq run` sets both bundled OpenBLAS copies to one thread.  Left at
+        # A run sets both bundled OpenBLAS copies to one thread.  Left at
         # two, a multithreaded reduction sums in another order, and the risk
         # of two of these replicates moves in the last digit.
         path = tmp_path / "config.json"
@@ -854,17 +873,59 @@ class TestBlasThreads:
                            timeout=300)
             written.append((out / "records.csv").read_bytes())
         assert written[0] == written[1]
-        # A library run leaves its own process alone, but its pool workers
-        # pin themselves: at two BLAS threads they write uq run's bytes.
-        library = tmp_path / "library.csv"
+        # A library run pins the BLAS threads of its own process and of the
+        # pool it forks, so serially and at two workers it writes uq run's
+        # bytes at two BLAS threads.
+        library = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
         subprocess.run([sys.executable, "-c", f"""
 import json
 from mcuq.bench import ExperimentConfig, run, write_records_csv
 cfg = ExperimentConfig.from_dict(json.loads(open({str(path)!r}).read()))
-write_records_csv(run(cfg, threads=2), {str(library)!r})
+write_records_csv(run(cfg), {str(library[0])!r})
+write_records_csv(run(cfg, threads=2), {str(library[1])!r})
 """], env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}, check=True,
                        capture_output=True, timeout=300)
-        assert library.read_bytes() == written[1]
+        assert [csv.read_bytes() for csv in library] == [written[1]] * 2
+
+    def test_run_gives_the_caller_its_blas_threads_back(self):
+        # The counts of both bundled OpenBLAS copies, read through their own
+        # getters, before and after each run, and inside the runs that raise.
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", """
+import ctypes
+from pathlib import Path
+import numpy as np, scipy
+from mcuq import trace_uq
+from mcuq.bench import ExperimentConfig, run
+from mcuq.core import DomainError
+
+getters = []
+for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
+                             (scipy, "libscipy_openblas-*", "")):
+    for path in Path(package.__file__).parent.with_name(package.__name__ + ".libs").glob(lib):
+        getters.append(getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads" + suffix))
+counts = lambda: [get() for get in getters]
+
+def raising(*args, **kwargs):
+    raise DomainError(f"inside {counts()}")
+
+cfg = ExperimentConfig(kind="coverage", m1=20, m2=20, n=200, reps=4, seed=1)
+print("before", counts())
+for threads in (1, 2):
+    run(cfg, threads=threads)
+    print("after", counts())
+trace_uq.u_ci = raising
+for threads in (1, 2):
+    try:
+        run(cfg, threads=threads)
+    except DomainError as e:
+        print(e)
+    print("after", counts())
+"""], env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}, check=True,
+                              capture_output=True, text=True, timeout=300)
+        assert done.stdout.splitlines() == [
+            "before [2, 2]", "after [2, 2]", "after [2, 2]",
+            "inside [1, 1]", "after [2, 2]", "inside [1, 1]", "after [2, 2]"]
 
 
 class TestRiskZeroNoise:

@@ -12,6 +12,11 @@ fail, so the check shows it can.
   Fitting the center on the paired half makes it fit that half's noise, and
   the statistic comes out low; so does pairing two observations of
   different entries, whose residuals then carry different errors.
+* ``u_ci`` adapts to the unknown rank through its paired statistic, which
+  tracks the center's error: at criterion 04's shape the statistic's median
+  grows from rank 1 to rank 3 by a factor of about 1.7, while the quantile
+  slack, most of the radius there, does not move.  A radius that ignores the
+  statistic leaves no such growth.
 * The adaptive set is honest because it grows when the low-rank test rejects,
   and because its radius constant ``K`` is large enough.  At criterion 08's
   shape, a truth 3 rate units from rank ``k0`` lies outside the small ball
@@ -42,6 +47,7 @@ each defect, and exit status 1 when a check fails on clean code or a defect
 goes unseen.
 """
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -66,10 +72,10 @@ M_SIDE, N, RANK, A, ALPHA, SEED, REPS = 30, 900, 1, 1.0, 0.1, 101, 300
 NOISE = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
 
-def u_statistic_bias_z() -> float:
-    """z-score of the mean of ``u_statistic`` minus the center's squared error
-    at the pair positions of the real first half, over ``REPS`` replicates.
-    The statistic is the one ``u_ci`` computes for its radius, recorded."""
+@contextlib.contextmanager
+def recorded_u_statistic():
+    """Record each ``u_statistic`` that ``u_ci`` computes for its radius, in
+    call order, in the list this yields."""
     seen = []
     real = trace_uq.u_statistic
 
@@ -77,9 +83,17 @@ def u_statistic_bias_z() -> float:
         seen.append(real(pairs, M_hat))
         return seen[-1]
 
-    gaps = np.empty(REPS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace_uq, "u_statistic", recorded)
+        yield seen
+
+
+def u_statistic_bias_z() -> float:
+    """z-score of the mean of ``u_statistic`` minus the center's squared error
+    at the pair positions of the real first half, over ``REPS`` replicates.
+    The statistic is the one ``u_ci`` computes for its radius, recorded."""
+    gaps = np.empty(REPS)
+    with recorded_u_statistic() as seen:
         for r in range(REPS):
             M = make_low_rank(M_SIDE, M_SIDE, RANK, A, child_seed(SEED, 10, r))
             data = sample_trace(M, N, NOISE, child_seed(SEED, 11, r))
@@ -87,6 +101,26 @@ def u_statistic_bias_z() -> float:
             pairs = trace_uq.pair_repeats(_SPLIT(data)[0])
             gaps[r] = seen[-1] - float(np.mean((M - ball.center)[pairs.rows, pairs.cols] ** 2))
     return float(np.mean(gaps) / (np.std(gaps, ddof=1) / math.sqrt(REPS)))
+
+
+#: Criterion 04's seed, and the replicates at each truth rank (1 and 3).
+ADAPTIVITY_SEED, ADAPTIVITY_REPS = 401, 200
+
+
+def u_statistic_rank_ratio() -> float:
+    """Median ``u_statistic`` of ``u_ci`` at truth rank 3 over that at rank 1,
+    in criterion 04's diameter run (criterion 01's shape, sigma = U = 0.5)
+    with ``ADAPTIVITY_REPS`` replicates at each rank, whose truths come from
+    ``child_seed(seed, 10, r, rank)`` and samples from ``child_seed(seed,
+    11, r)``.  NaN when the rank-1 median is not positive."""
+    cfg = ExperimentConfig(kind="diameter", model="trace", m1=M_SIDE, m2=M_SIDE, n=N, k0=1,
+                           k_truth=3, a=A, noise=NOISE, alpha=ALPHA, reps=ADAPTIVITY_REPS,
+                           seed=ADAPTIVITY_SEED, method="u_ci")
+    with recorded_u_statistic() as seen:
+        run(cfg)  # serial: the rank-1 jobs come first
+    low, high = (float(np.median(seen[i * ADAPTIVITY_REPS:(i + 1) * ADAPTIVITY_REPS]))
+                 for i in range(2))
+    return high / low if low > 0 else math.nan
 
 
 #: Criterion 08's shape and threshold seed; truths 3 rate units away, with
@@ -161,6 +195,7 @@ def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
 #: Checks: name -> (measure, whether its value holds).
 CHECKS = {
     "u_statistic-unbiased": (u_statistic_bias_z, lambda z: abs(z) <= 4),
+    "u_statistic-adapts-to-rank": (u_statistic_rank_ratio, lambda ratio: ratio >= 1.25),
     "adaptive-covers-far-truths": (adaptive_far_coverage, lambda cov: cov >= ADAPTIVE_FLOOR),
     "u_ci-covers": (u_ci_coverage, lambda cov: cov >= U_CI_FLOOR),
     "u_ci-covers-small-box": (lambda: u_ci_coverage(SMALL_BOX_A), lambda cov: cov >= U_CI_FLOOR),
@@ -181,6 +216,9 @@ DEFECTS = {
         "adaptive-covers-far-truths", bernoulli_uq, "low_rank_test",
         lambda *args, **kwargs: dataclasses.replace(_LOW_RANK_TEST(*args, **kwargs),
                                                     reject=False)),
+    # u_ci's radius is the quantile slack alone.
+    "u_ci-radius-ignores-statistic": ("u_statistic-adapts-to-rank", trace_uq, "u_statistic",
+                                      lambda pairs, M_hat: 0.0),
     # u_ci's quantile slack is a twentieth of its value.
     "u_quantile-slack-over-20": ("u_ci-covers", trace_uq, "u_quantile",
                                  lambda *args: _U_QUANTILE(*args) / 20),
@@ -213,6 +251,11 @@ def measure(check: str) -> tuple[float, bool]:
 def test_u_statistic_is_unbiased_for_a_fitted_center():
     z, holds = measure("u_statistic-unbiased")
     assert holds, f"z = {z:.2f}"
+
+
+def test_u_statistic_adapts_to_the_truth_rank():
+    ratio, holds = measure("u_statistic-adapts-to-rank")
+    assert holds, f"median ratio {ratio:.3f}"
 
 
 def test_adaptive_set_covers_far_truths():

@@ -50,8 +50,8 @@ def outside(rule) -> list:
 #: Bad values that no declaration generates: booleans, integral floats and
 #: null where another type belongs, non-finite and huge numbers, the bounds
 #: that tie fields together (``k_truth`` 7 is past every drawn shape), fields
-#: that are no longer in the config (``z``, ``K`` and ``alpha_test``), and the
-#: configs of earlier fail-closed bugs.
+#: that are no longer in the config (``z``, ``K`` and ``alpha_test``), grids
+#: that hold a cell twice, and the configs of earlier fail-closed bugs.
 EXTRAS = [
     ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
     ("k_truth", 0), ("k_truth", 7),
@@ -67,6 +67,8 @@ EXTRAS = [
     ("noise", {"kind": "uniform", "sigma": 10 ** 400, "U": 1.0}),
     ("m1", 10 ** 20), ("n", 10 ** 20), ("n_grid", [10 ** 20]),
     ("reps", 10 ** 20), ("cal_reps", 10 ** 20), ("restarts", 10 ** 20),
+    ("separation_grid", [0.0, 0.0]), ("separation_grid", [0, 0.0]), ("k_grid", [1, 1]),
+    ("n_grid", [4, 4]),
 ]
 
 #: Values that some or all kinds reject, one of which may replace a field of
