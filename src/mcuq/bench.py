@@ -88,17 +88,16 @@ class FieldRule:
     """What one config field may hold, and which runs read it.
 
     ``json`` is the field's JSON type and ``entries`` the type of an array's
-    entries; ``nullable`` also allows ``null``.  An ``"object"``, the noise
-    law, is checked by ``from_dict`` and :class:`NoiseSpec`.  A string must
-    be one of ``choices``.  ``ge``, ``gt``, ``le`` and ``lt`` bound a number
-    or each entry of an array, whatever the kind, and an array's entries are
-    distinct grid cells.  ``readers`` are the kinds and methods that read the
-    field, every kind when ``None``.
+    entries.  An ``"object"``, the noise law, is checked by ``from_dict``
+    and :class:`NoiseSpec`.  A string must be one of ``choices``.  ``ge``,
+    ``gt``, ``le`` and ``lt`` bound a number or each entry of an array,
+    whatever the kind, and an array's entries are distinct grid cells.
+    ``readers`` are the kinds and methods that read the field, every kind
+    when ``None``.
     """
 
     json: str
     entries: str = ""
-    nullable: bool = False
     choices: tuple | dict | None = None
     ge: float | None = None
     gt: float | None = None
@@ -109,11 +108,11 @@ class FieldRule:
     def error(self, name: str, value) -> str | None:
         """How ``value`` breaks this rule, if it does: its type, its entries'
         type and distinctness, its choices, then the first bound it breaks."""
-        if self.json == "object" or (value is None and self.nullable):
+        if self.json == "object":
             return None
         test, what, _ = _JSON_TYPES[self.json]
         if not test(value):
-            return f"{name}: must be {what}{' or null' * self.nullable}, got {value!r}"
+            return f"{name}: must be {what}, got {value!r}"
         values = list(value) if self.entries else [value]
         if self.entries and not all(map(_JSON_TYPES[self.entries][0], values)):
             return f"{name}: entries must be {_JSON_TYPES[self.entries][2]}, got {values}"
@@ -162,7 +161,6 @@ class ExperimentConfig:
     method: str = _field("u_ci", "string", choices=METHODS, readers=_SETS)
     threshold_mode: str = _field("calibrated", "string", choices=("calibrated", "theoretical"),
                                  readers=_TESTED)
-    lam: float | None = _field(None, "number", nullable=True, gt=0, readers=_SETS + ("risk",))
     restarts: int = _field(8, "integer", ge=0, le=MAX_RESTARTS, readers=_TESTED)
     separation_grid: tuple = _field((0.0, 5.0, 10.0, 25.0), "array", entries="number", ge=0,
                                     readers=("test_power",))
@@ -249,6 +247,9 @@ class ExperimentConfig:
             errors.append(f"n: {self.method} splits the sample and needs >= 2, got {self.n}")
         if self.kind == "diameter" and not 1 <= self.k0 <= d:
             errors.append(f"k0: must lie in [1, {d}] for a diameter run, got {self.k0}")
+        if self.kind == "diameter" and self.k_truth == self.k0:
+            errors.append(f"k_truth: must differ from k0={self.k0} in a diameter run, "
+                          f"got {self.k_truth}")
         if tested and not 0 <= self.k0 < d:
             errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
         if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k:
@@ -256,8 +257,9 @@ class ExperimentConfig:
         if tested and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":
-            if self.model == "trace" and self.noise.sigma == 0 and self.lam is None:
-                errors.append("lam: the practical lam is zero at sigma=0; set lam > 0")
+            if self.model == "trace" and self.noise.sigma == 0:
+                errors.append("noise: a risk run in the trace model needs sigma > 0, "
+                              "since its lam is zero at sigma = 0")
             if not all(1 <= k_t <= d for k_t in self.k_grid):
                 errors.append(f"k_grid: entries must lie in [1, {d}], got {list(self.k_grid)}")
             if self.model == "bernoulli" and max(self.n_grid, default=0) > self.m1 * self.m2:
@@ -445,12 +447,12 @@ def _map_for(threads: int):
 
 def _build_ci(cfg: ExperimentConfig, data, extras: dict, r: int) -> trace_uq.FrobeniusBall:
     if cfg.method == "u_ci":
-        return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U, lam=cfg.lam)
+        return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U)
     if cfg.method == "rss_ci":
-        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a, lam=cfg.lam)
+        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a)
     return bernoulli_uq.adaptive_ci(
         data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, extras["threshold"],
-        lam=cfg.lam, restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
+        restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
 
 
 def _sample(cfg: ExperimentConfig, M, r: int):
@@ -526,12 +528,11 @@ def _risk_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, idx))
     data = _sample(sub, M, idx)
     if cfg.model == "bernoulli":
-        lam = cfg.lam if cfg.lam is not None else estimate.lambda_data_driven(data)
+        lam = estimate.lambda_data_driven(data)
         M_hat = clip_entries(estimate.soft_threshold_estimator(data, lam), cfg.a)
         flag = 0
     else:
-        lam = cfg.lam if cfg.lam is not None else estimate.lambda_practical_trace(
-            cfg.noise.sigma, cfg.m1, cfg.m2, data.n)
+        lam = estimate.lambda_practical_trace(cfg.noise.sigma, cfg.m1, cfg.m2, data.n)
         fit = estimate.matrix_lasso(data, lam, cfg.a)
         M_hat, flag = fit.estimate, int(not fit.converged)
     return {"replicate": idx, "k": k_t, "n": n_t,
@@ -677,7 +678,7 @@ def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:
 
 def _prepare_extras(config: ExperimentConfig) -> dict:
     """Work shared across replicates, done once up front (e.g. calibration)."""
-    if not config.reads("threshold_mode"):  # no replicate runs the low-rank test
+    if config.reps == 0 or not config.reads("threshold_mode"):  # no replicate runs the test
         return {}
     if config.threshold_mode == "calibrated":
         return {"threshold": bernoulli_uq.u_alpha_calibrated(

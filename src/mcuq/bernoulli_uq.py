@@ -126,8 +126,8 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     none could bracket zero.  Ending a start only drops candidates, each of
     them a projection, so the statistic stays an attained upper bound.
     The spectral fit is ``center`` when given, else the clipped
-    soft-threshold fit at the data-driven ``lam``, which is also the default
-    center of :func:`adaptive_ci`; it is built only when its start comes up.
+    soft-threshold fit at the data-driven ``lam``, which is also the center
+    of :func:`adaptive_ci`; it is built only when its start comes up.
     ``k0 = 0`` evaluates the single class member ``A = 0`` exactly.
     """
     if not 0 <= k0 < min(data.m1, data.m2):
@@ -303,21 +303,18 @@ ADAPTIVE_K = 2.5
 
 
 def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
-                threshold: float, lam: float | None = None, restarts: int = 8,
-                seed: int = 0) -> FrobeniusBall:
+                threshold: float, restarts: int = 8, seed: int = 0) -> FrobeniusBall:
     """Two-valued adaptive confidence set driven by the low-rank test.
 
-    The center is the clipped closed-form fit at ``lam`` (data-driven by
-    default), which also starts the test's search; the normalized squared
+    The center is the clipped closed-form fit at the data-driven ``lam``,
+    which also starts the test's search; the normalized squared
     radius is ``K^2 * k * d / n`` when the rank-``k0`` hypothesis is
     rejected at ``threshold`` (see :func:`low_rank_test`) and
     ``K^2 * k0 * d / n`` otherwise; ``K`` is :data:`ADAPTIVE_K`, read at each call.
     """
     if not 0 <= k0 < k:
         raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
-    if lam is None:
-        lam = lambda_data_driven(data)
-    center = clip_entries(soft_threshold_estimator(data, lam), a)
+    center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
     verdict = low_rank_test(data, k0, a, sigma, threshold, restarts=restarts,
                             seed=seed, center=center)
     k_used = k if verdict.reject else k0

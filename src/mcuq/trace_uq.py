@@ -136,9 +136,7 @@ def _fit_flags(fit: LassoFit) -> tuple[str, ...]:
     return () if fit.converged else ("center_not_converged",)
 
 
-def u_ci(data: TraceDataset, alpha: float, a: float, U: float,
-         lam: float | None = None, max_iter: int = 300,
-         tol: float = 1e-6) -> FrobeniusBall:
+def u_ci(data: TraceDataset, alpha: float, a: float, U: float) -> FrobeniusBall:
     """Confidence set from paired repeats; valid without knowing the variance.
 
     The center is a constrained nuclear-norm fit on the second half (tuned
@@ -155,9 +153,7 @@ def u_ci(data: TraceDataset, alpha: float, a: float, U: float,
             RuntimeWarning,
         )
     first, second = split_sample(data)
-    if lam is None:
-        lam = lambda_practical_trace(U, data.m1, data.m2, second.n)
-    fit = matrix_lasso(second, lam, a, max_iter=max_iter, tol=tol)
+    fit = matrix_lasso(second, lambda_practical_trace(U, data.m1, data.m2, second.n), a)
     pairs = pair_repeats(first)
     N = pairs.n_pairs
     radius_sq = max(0.0, u_statistic(pairs, fit.estimate) + u_quantile(alpha, N, a, U))
@@ -206,8 +202,7 @@ def rss_radius_sq(R_hat: float, n: int, d: int, sigma: float,
     return max(candidates)
 
 
-def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float,
-           lam: float | None = None) -> FrobeniusBall:
+def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float) -> FrobeniusBall:
     """Residual-sum confidence set for known noise standard deviation.
 
     The quantile constants are ``z_alpha = log(3/alpha)`` and
@@ -217,8 +212,7 @@ def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float,
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     first, second = split_sample(data)
-    if lam is None:
-        lam = lambda_practical_trace(max(sigma, 1e-12), data.m1, data.m2, second.n)
+    lam = lambda_practical_trace(max(sigma, 1e-12), data.m1, data.m2, second.n)
     fit = matrix_lasso(second, lam, a=a)
     R_hat = rss_statistic(first, fit.estimate, sigma)
     n_eff = 2 * first.n

@@ -52,8 +52,7 @@ def _schema_row(name: str) -> list[str]:
     """README's schema columns type, bounds, read by and default for a field,
     as its rule and its dataclass default give them."""
     rule, f = bench.RULES[name], bench.ExperimentConfig.__dataclass_fields__[name]
-    kind = rule.json + (f" of {rule.entries}s" if rule.entries else "") + (
-        " or null" if rule.nullable else "")
+    kind = rule.json + (f" of {rule.entries}s" if rule.entries else "")
     shown = {bench.INTP_MAX: "INTP_MAX"}
     bounds = [f"{op} {shown.get(b, b)}" for op, b in (
         ("≥", rule.ge), (">", rule.gt), ("≤", rule.le), ("<", rule.lt)) if b is not None]
@@ -113,7 +112,10 @@ class TestConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(lam=0.0), "lam: must be > 0, got 0.0"),
+        # The center of each confidence set and of a risk run takes its
+        # model's one tuning rule, so a config that sets lam fails both
+        # commands as unknown, as one that sets z or K does.
+        (dict(lam=0.0), "unknown config fields: ['lam']"),
         (dict(restarts=-3), "restarts: must be >= 0, got -3"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, cal_reps=0),
          "cal_reps: lbdemo needs >= 1, got 0"),
@@ -150,7 +152,7 @@ class TestConfig:
          "restarts: must be an integer, got 1.5"),
         (dict(kind="lbdemo", n=50, k0=1, k=2, v=0.1, reveal_sigma="false"),
          "reveal_sigma: must be true or false, got 'false'"),
-        (dict(lam=math.inf), "lam: must be a finite number or null, got inf"),
+        (dict(lam=math.inf), "unknown config fields: ['lam']"),
         (dict(noise={"kind": "scaled-rademacher", "sigma": 0.5, "U": math.inf}),
          "noise: sigma and U must be finite, got sigma=0.5, U=inf"),
         (dict(noise={"kind": "scaled-rademacher", "sigma": math.nan, "U": 0.5}),
@@ -179,7 +181,8 @@ class TestConfig:
               noise={"kind": "scaled-rademacher", "sigma": 0.0, "U": 0.5}),
          "noise: the theoretical test threshold needs sigma > 0"),
         (dict(kind="risk", noise={"kind": "scaled-rademacher", "sigma": 0.0, "U": 0.5}),
-         "lam: the practical lam is zero at sigma=0; set lam > 0"),
+         "noise: a risk run in the trace model needs sigma > 0, since its lam is zero at "
+         "sigma = 0"),
         (dict(kind="lbdemo", m1=8, m2=8, n=64, k=3, k0=1, v=0.1),
          "n: must be <= 48 for lbdemo, whose alternative keeps 6 of 8 columns at k=3"),
         # These two ran: the first echoed "sigma": true, the second raised a
@@ -225,7 +228,7 @@ class TestConfig:
               separation_grid=[0.0, 5.0]),
          f"reps: must be <= {bench.MAX_REPLICATES}, got {10 ** 20}"),
         (dict(reps=10 ** 12), f"reps: must be <= {bench.MAX_REPLICATES}, got {10 ** 12}"),
-        (dict(kind="diameter", k0=1, reps=bench.MAX_REPLICATES // 2 + 1),
+        (dict(kind="diameter", k0=1, k_truth=2, reps=bench.MAX_REPLICATES // 2 + 1),
          f"reps: times the 2 grid cells of diameter must be <= "
          f"{bench.MAX_REPLICATES}, got {bench.MAX_REPLICATES // 2 + 1}"),
         # Its 60 records pooled 40 null ones into the size, while size_se
@@ -233,6 +236,10 @@ class TestConfig:
         (dict(kind="test_power", model="bernoulli", a=30.0, reps=20,
               separation_grid=[0.0, 0.0, 4.0]),
          "separation_grid: entries must be distinct, got [0.0, 0.0, 4.0]"),
+        # Its replicates 3-5 were byte copies of 0-2, and its adaptivity
+        # ratio read 1.0.
+        (dict(kind="diameter", k0=1, k_truth=1, reps=3),
+         "k_truth: must differ from k0=1 in a diameter run, got 1"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -246,7 +253,7 @@ class TestConfig:
             "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells",
-            "power-grid-repeated"])
+            "power-grid-repeated", "diameter-k_truth-is-k0"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
@@ -306,10 +313,9 @@ class TestCoverage:
         rep3 = run(coverage_config(), threads=3)
         assert rep1.records == rep3.records
 
-    def test_noiseless_interpolation_covers_always(self):
+    def test_noiseless_data_covers_always(self):
         cfg = coverage_config(m1=5, m2=5, n=500, reps=8,
-                              noise=NoiseSpec("scaled-rademacher", 0.0, 1.0),
-                              lam=1e-10)
+                              noise=NoiseSpec("scaled-rademacher", 0.0, 1.0))
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -468,10 +474,15 @@ class TestEngine:
         assert rep.aggregates["flagged"] == sum(rec.get("flag", 0) for rec in rep.records)
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
-    def test_a_run_without_records_reports_no_result(self, kind):
+    def test_a_run_without_records_reports_no_result(self, kind, monkeypatch):
         # Every aggregate computed from records is NaN, and so is each error
         # rate of an lbdemo row; only the count of flagged records and lbdemo's
-        # rho, which the config fixes, are numbers.
+        # rho, which the config fixes, are numbers.  No replicate runs the
+        # low-rank test, so nothing calibrates its threshold.
+        def uncalled(*args, **kwargs):
+            raise AssertionError("a run without replicates calibrated a threshold")
+
+        monkeypatch.setattr(bench.bernoulli_uq, "u_alpha_calibrated", uncalled)
         rep = run(dataclasses.replace(self.CONFIGS[kind], reps=0))
         aggregates = {k: v for k, v in rep.aggregates.items() if k not in ("flagged", "rho")}
         values = [x for v in aggregates.values()
@@ -648,7 +659,6 @@ class TestCli:
          "ignored by kind=test_power: model"),
         ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "restarts": 2},
          "ignored by kind=coverage method=u_ci: restarts"),
-        ({"kind": "coverage", "method": "rss_ci", "m1": 8, "m2": 8, "n": 64, "lam": 0.5}, None),
         # Once rejected over k0 and k, which only the adaptive set and the
         # low-rank test read.
         ({"kind": "risk", "m1": 4, "m2": 4, "n": 16, "method": "adaptive_ci", "k0": 4, "k": 2,
@@ -659,7 +669,7 @@ class TestCli:
         ({"kind": "test_power", "model": "bernoulli", "m1": 8, "m2": 8, "n": 32, "k0": 1,
           "k_truth": 0, "reps": 2, "separation_grid": [0.0]},
          "ignored by kind=test_power: model, k_truth"),
-    ], ids=["lbdemo-large", "uci-small", "power-small", "u_ci-restarts", "rss_ci-lam",
+    ], ids=["lbdemo-large", "uci-small", "power-small", "u_ci-restarts",
             "risk-k0-k", "lbdemo-k_truth", "power-k_truth"])
     def test_validate_names_the_fields_a_run_ignores(self, tmp_path, capsys, raw, line):
         path = tmp_path / "config.json"
@@ -926,16 +936,6 @@ for threads in (1, 2):
         assert done.stdout.splitlines() == [
             "before [2, 2]", "after [2, 2]", "after [2, 2]",
             "inside [1, 1]", "after [2, 2]", "inside [1, 1]", "after [2, 2]"]
-
-
-class TestRiskZeroNoise:
-    def test_full_observation_tiny_lambda(self):
-        cfg = ExperimentConfig(kind="risk", model="bernoulli", m1=8, m2=8,
-                               n=64, k_truth=1, a=1.0,
-                               noise=NoiseSpec("scaled-rademacher", 0.0, 1.0),
-                               reps=5, seed=11, lam=1e-12)
-        rep = run(cfg)
-        assert all(r["risk"] < 1e-8 for r in rep.records)
 
 
 class TestZeroObservedData:

@@ -228,8 +228,7 @@ DEFECTS = {
     # rss_ci is told a noise level 1.5 times the true one.
     "rss_ci-sigma-inflated": (
         "rss_ci-covers", trace_uq, "rss_ci",
-        lambda data, alpha, sigma, U, a, lam=None:
-            _RSS_CI(data, alpha, 1.5 * sigma, 1.5 * U, a, lam=lam)),
+        lambda data, alpha, sigma, U, a: _RSS_CI(data, alpha, 1.5 * sigma, 1.5 * U, a)),
     # Couples are two observations of different entries.
     "pair_repeats-mixes-entries": ("u_statistic-unbiased", trace_uq, "pair_repeats",
                                    pair_consecutive),

@@ -49,12 +49,13 @@ def outside(rule) -> list:
 
 #: Bad values that no declaration generates: booleans, integral floats and
 #: null where another type belongs, non-finite and huge numbers, the bounds
-#: that tie fields together (``k_truth`` 7 is past every drawn shape), fields
-#: that are no longer in the config (``z``, ``K`` and ``alpha_test``), grids
-#: that hold a cell twice, and the configs of earlier fail-closed bugs.
+#: that tie fields together (``k_truth`` 7 is past every drawn shape, and 1
+#: is the diameter base's ``k0``), fields that are no longer in the config
+#: (``lam``, ``z``, ``K`` and ``alpha_test``), grids that hold a cell twice,
+#: and the configs of earlier fail-closed bugs.
 EXTRAS = [
     ("seed", 2.0), ("m1", 4.5), ("m1", True), ("k0", -1), ("k", 0), ("restarts", 1.5),
-    ("k_truth", 0), ("k_truth", 7),
+    ("k_truth", 0), ("k_truth", 7), ("k_truth", 1),
     ("cal_reps", 0), ("alpha", 1.5), ("alpha_test", 2.0), ("alpha_test", math.nan),
     ("lam", math.inf), ("z", math.nan), ("K", math.inf), ("a", math.nan), ("a", math.inf),
     ("a", -1.0), ("k_grid", [1, 9]), ("k_grid", [1.5]),
@@ -107,13 +108,15 @@ def configs(draw):
         "threshold_mode": draw(st.sampled_from(["calibrated", "theoretical"])),
         "cal_reps": 100 if kind != "lbdemo" else draw(st.integers(1, 5)),
         "restarts": draw(st.integers(0, 2)),
-        "lam": draw(st.sampled_from([None, 0.5])),
         "separation_grid": draw(st.sampled_from([[0.0], [0.0, 2.0], [5.0]])),
         "k_grid": draw(st.lists(st.integers(1, d), max_size=2, unique=True)),
         "n_grid": draw(st.lists(st.integers(1, m1 * m2), max_size=2, unique=True)),
         "v": draw(st.sampled_from([0.05, 0.5, 1.0])),
         "reveal_sigma": draw(st.booleans()),
     }
+    # A drawn field that the config lacks would fail every example as
+    # unknown, and the test would pass without checking anything else.
+    assert set(raw) <= set(RULES)
     if draw(st.booleans()):
         key, value = draw(st.sampled_from(BAD_VALUES))
         raw[key] = value
@@ -166,7 +169,8 @@ def test_validate_fails_closed(tmp_path, monkeypatch, raw):
 BASES = {
     "coverage": {"kind": "coverage", "m1": 4, "m2": 4, "n": 16, "reps": 1},
     "diameter": {"kind": "diameter", "method": "adaptive_ci", "m1": 4, "m2": 4, "n": 16,
-                 "k0": 1, "k": 2, "threshold_mode": "theoretical", "restarts": 1, "reps": 1},
+                 "k0": 1, "k": 2, "k_truth": 2, "threshold_mode": "theoretical", "restarts": 1,
+                 "reps": 1},
     "risk": {"kind": "risk", "model": "bernoulli", "m1": 4, "m2": 4, "n": 16, "reps": 1},
     "test_power": {"kind": "test_power", "m1": 4, "m2": 4, "n": 16, "k0": 1, "a": 30.0,
                    "separation_grid": [0.0, 2.0], "threshold_mode": "theoretical",
