@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import bernoulli_uq, estimate, lbdemo, trace_uq
-from .core import DomainError, NoiseSpec, clip_entries, minimax_rate_sq
+from .core import MAX_MAGNITUDE, DomainError, NoiseSpec, clip_entries, minimax_rate_sq
 from .synth import child_seed, make_low_rank, rng_for, sample_bernoulli, sample_trace
 
 
@@ -152,7 +152,7 @@ class ExperimentConfig:
     k_truth: int = _field(1, "integer", readers=_SETS + ("risk",))
     k0: int = _field(1, "integer", readers=("diameter", "lbdemo") + _TESTED)
     k: int = _field(3, "integer", readers=("adaptive_ci", "lbdemo"))
-    a: float = _field(1.0, "number", gt=0, readers=_DRAWN)
+    a: float = _field(1.0, "number", gt=0, le=MAX_MAGNITUDE, readers=_DRAWN)
     noise: NoiseSpec = _field(NoiseSpec("scaled-rademacher", 0.5, 0.5), "object", readers=_DRAWN)
     alpha: float = _field(0.1, "number", gt=0, lt=1, readers=_SETS + ("test_power",))
     reps: int = _field(100, "integer", ge=0, le=MAX_REPLICATES)  # reps times the grid cells too
@@ -279,7 +279,7 @@ class ExperimentConfig:
                 if self.m1 * cols < self.n <= self.m1 * self.m2:
                     errors.append(f"n: must be <= {self.m1 * cols} for lbdemo, whose alternative "
                                   f"keeps {cols} of {self.m1} columns at k={self.k}")
-                rho = lbdemo.rho_for(self.v, self.k, self.m1, self.n)
+                rho = lbdemo.rho_for(self.k, self.m1, self.n, v=self.v)
                 if rho >= 0.5:
                     errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
             if self.cal_reps < 1:
@@ -447,18 +447,18 @@ def _map_for(threads: int):
 
 def _build_ci(cfg: ExperimentConfig, data, extras: dict, r: int) -> trace_uq.FrobeniusBall:
     if cfg.method == "u_ci":
-        return trace_uq.u_ci(data, cfg.alpha, cfg.a, cfg.noise.U)
+        return trace_uq.u_ci(data, cfg.alpha, a=cfg.a, U=cfg.noise.U)
     if cfg.method == "rss_ci":
-        return trace_uq.rss_ci(data, cfg.alpha, cfg.noise.sigma, cfg.noise.U, cfg.a)
+        return trace_uq.rss_ci(data, cfg.alpha, a=cfg.a, sigma=cfg.noise.sigma, U=cfg.noise.U)
     return bernoulli_uq.adaptive_ci(
-        data, cfg.k0, cfg.k, cfg.a, cfg.noise.sigma, extras["threshold"],
+        data, cfg.k0, cfg.k, a=cfg.a, sigma=cfg.noise.sigma, threshold=extras["threshold"],
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
 
 
 def _sample(cfg: ExperimentConfig, M, r: int):
     if cfg.sampling_model() == "trace":
-        return sample_trace(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
-    return sample_bernoulli(M, cfg.n, cfg.noise, child_seed(cfg.seed, 11, r))
+        return sample_trace(M, cfg.n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
+    return sample_bernoulli(M, cfg.n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
 
 
 def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
@@ -469,7 +469,7 @@ def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     # positions, and noise and their radius difference isolates the rank effect.
     idx, *cell, r = job
     k_t = cell[0] if cell else cfg.k_truth
-    M = make_low_rank(cfg.m1, cfg.m2, k_t, cfg.a, child_seed(cfg.seed, 10, r, *cell))
+    M = make_low_rank(cfg.m1, cfg.m2, k_t, a=cfg.a, seed=child_seed(cfg.seed, 10, r, *cell))
     data = _sample(cfg, M, r)
     ball = _build_ci(cfg, data, extras, r)
     return {
@@ -525,15 +525,15 @@ def _diameter_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> 
 def _risk_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     idx, k_t, n_t, _ = job
     sub = replace(cfg, k_truth=k_t, n=n_t)
-    M = make_low_rank(sub.m1, sub.m2, k_t, sub.a, child_seed(cfg.seed, 10, idx))
+    M = make_low_rank(sub.m1, sub.m2, k_t, a=sub.a, seed=child_seed(cfg.seed, 10, idx))
     data = _sample(sub, M, idx)
     if cfg.model == "bernoulli":
         lam = estimate.lambda_data_driven(data)
         M_hat = clip_entries(estimate.soft_threshold_estimator(data, lam), cfg.a)
         flag = 0
     else:
-        lam = estimate.lambda_practical_trace(cfg.noise.sigma, cfg.m1, cfg.m2, data.n)
-        fit = estimate.matrix_lasso(data, lam, cfg.a)
+        lam = estimate.lambda_practical_trace(cfg.m1, cfg.m2, data.n, sigma=cfg.noise.sigma)
+        fit = estimate.matrix_lasso(data, lam, a=cfg.a)
         M_hat, flag = fit.estimate, int(not fit.converged)
     return {"replicate": idx, "k": k_t, "n": n_t,
             "risk": estimate.estimator_risk(M_hat, M), "flag": flag}
@@ -575,7 +575,7 @@ def _risk_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict
     }
 
 
-def separated_truth(m1: int, m2: int, k0: int, a: float, rho: float,
+def separated_truth(m1: int, m2: int, k0: int, *, a: float, rho: float,
                     seed: int) -> np.ndarray:
     """Rank-(k0+1) matrix at Frobenius distance exactly ``rho`` from rank k0.
 
@@ -618,10 +618,10 @@ def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
     if s_mult == 0.0:
         if cfg.k0 == 0:
             return np.zeros((cfg.m1, cfg.m2))
-        return make_low_rank(cfg.m1, cfg.m2, cfg.k0, cfg.a, child_seed(cfg.seed, 10, idx))
+        return make_low_rank(cfg.m1, cfg.m2, cfg.k0, a=cfg.a, seed=child_seed(cfg.seed, 10, idx))
     unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.n))
-    return separated_truth(cfg.m1, cfg.m2, cfg.k0, cfg.a, s_mult * unit,
-                           child_seed(cfg.seed, 10, idx))
+    return separated_truth(cfg.m1, cfg.m2, cfg.k0, a=cfg.a, rho=s_mult * unit,
+                           seed=child_seed(cfg.seed, 10, idx))
 
 
 def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
@@ -629,7 +629,7 @@ def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     M = _power_truth(cfg, s_mult, idx)
     data = _sample(cfg, M, idx)
     verdict = bernoulli_uq.low_rank_test(
-        data, cfg.k0, cfg.a, cfg.noise.sigma, extras["threshold"],
+        data, cfg.k0, a=cfg.a, sigma=cfg.noise.sigma, threshold=extras["threshold"],
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, idx))
     return {"replicate": idx, "separation": s_mult, "T_n": verdict.statistic,
             "threshold": verdict.threshold, "reject": int(verdict.reject),
@@ -663,7 +663,7 @@ def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dic
 def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
     """Indistinguishability demo; it maps its pairs and calibration draws itself."""
     return lbdemo.indistinguishability_experiment(
-        cfg.m1, cfg.n, cfg.k, cfg.k0, cfg.v, cfg.reps, seed=cfg.seed,
+        cfg.m1, cfg.n, k0=cfg.k0, k=cfg.k, v=cfg.v, reps=cfg.reps, seed=cfg.seed,
         cal_reps=cfg.cal_reps, reveal_sigma=cfg.reveal_sigma, map_fn=map_fn)
 
 
@@ -682,10 +682,10 @@ def _prepare_extras(config: ExperimentConfig) -> dict:
         return {}
     if config.threshold_mode == "calibrated":
         return {"threshold": bernoulli_uq.u_alpha_calibrated(
-            config.alpha, config.noise, (config.m1, config.m2), config.n, reps=config.cal_reps,
-            seed=child_seed(config.seed, 999))}
+            config.alpha, (config.m1, config.m2), config.n, noise=config.noise,
+            reps=config.cal_reps, seed=child_seed(config.seed, 999))}
     return {"threshold": bernoulli_uq.u_alpha_theoretical(
-        config.alpha, config.noise.sigma, config.noise.U)}
+        config.alpha, sigma=config.noise.sigma, U=config.noise.U)}
 
 
 @dataclass(frozen=True)

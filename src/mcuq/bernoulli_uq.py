@@ -95,7 +95,7 @@ def _sq_dist(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(D, D))
 
 
-def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
+def infimum_stat(data: BernoulliDataset, k0: int, *, a: float, sigma: float,
                  restarts: int = 8, seed: int = 0, max_iter: int = 120,
                  center: np.ndarray | None = None) -> InfimumResult:
     """Upper bound on inf over rank-``k0`` candidates of the centered residual sum.
@@ -142,6 +142,10 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     yv = data.values.take(obs)
     n = data.n
     sig_sq_hat = sigma * sigma * data.n_hat
+    # Every candidate lies in [-a, a], so no squared sum below exceeds this one.
+    r_max = float(np.max(np.abs(yv), initial=0.0)) + a
+    if not math.isfinite(r_max * r_max * obs.size + sig_sq_hat):
+        raise DomainError(f"squared residual sums overflow at a={a}, sigma={sigma}")
     scale = math.sqrt(2.0 * n)
     # Sums below machine noise of the accumulation are indistinguishable from 0.
     g_floor = 64.0 * np.finfo(float).eps * float(np.sum(yv * yv) + sig_sq_hat)
@@ -241,7 +245,7 @@ def infimum_stat(data: BernoulliDataset, k0: int, a: float, sigma: float,
     return InfimumResult(abs(g_best) / scale, A_best, not improved_any, False)
 
 
-def u_alpha_theoretical(alpha: float, sigma: float, U: float) -> float:
+def u_alpha_theoretical(alpha: float, *, sigma: float, U: float) -> float:
     """Markov-style threshold sigma*sqrt(3*(U^2 - sigma^2)/(2*alpha)).
 
     Zero when U equals sigma: the noise then has no variance slack and the
@@ -256,7 +260,7 @@ def u_alpha_theoretical(alpha: float, sigma: float, U: float) -> float:
     return sigma * math.sqrt(3.0 * (U * U - sigma * sigma) / (2.0 * alpha))
 
 
-def u_alpha_calibrated(alpha: float, noise: NoiseSpec, shape: tuple[int, int], n: int,
+def u_alpha_calibrated(alpha: float, shape: tuple[int, int], n: int, *, noise: NoiseSpec,
                        reps: int = 400, seed: int = 0) -> float:
     """Empirical (1 - alpha/3)-quantile of the null noise statistic.
 
@@ -279,7 +283,7 @@ def u_alpha_calibrated(alpha: float, noise: NoiseSpec, shape: tuple[int, int], n
     return float(np.quantile(stats, 1.0 - alpha / 3.0, method="higher")) / math.sqrt(2.0 * n)
 
 
-def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
+def low_rank_test(data: BernoulliDataset, k0: int, *, a: float, sigma: float,
                   threshold: float, restarts: int = 8, seed: int = 0,
                   center: np.ndarray | None = None) -> TestVerdict:
     """Reject the rank-``k0`` hypothesis when the infimum statistic exceeds
@@ -291,7 +295,7 @@ def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
     conservative at small sizes).  ``center`` is passed on to
     :func:`infimum_stat` as its spectral start.
     """
-    res = infimum_stat(data, k0, a, sigma, restarts=restarts, seed=seed, center=center)
+    res = infimum_stat(data, k0, a=a, sigma=sigma, restarts=restarts, seed=seed, center=center)
     return TestVerdict(res.value, float(threshold), res.value > threshold, res.gap_flag)
 
 
@@ -302,7 +306,7 @@ def low_rank_test(data: BernoulliDataset, k0: int, a: float, sigma: float,
 ADAPTIVE_K = 2.5
 
 
-def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
+def adaptive_ci(data: BernoulliDataset, k0: int, k: int, *, a: float, sigma: float,
                 threshold: float, restarts: int = 8, seed: int = 0) -> FrobeniusBall:
     """Two-valued adaptive confidence set driven by the low-rank test.
 
@@ -315,8 +319,8 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, a: float, sigma: float,
     if not 0 <= k0 < k:
         raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
     center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
-    verdict = low_rank_test(data, k0, a, sigma, threshold, restarts=restarts,
-                            seed=seed, center=center)
+    verdict = low_rank_test(data, k0, a=a, sigma=sigma, threshold=threshold,
+                            restarts=restarts, seed=seed, center=center)
     k_used = k if verdict.reject else k0
     radius_sq = ADAPTIVE_K * ADAPTIVE_K * k_used * (data.m1 + data.m2) / data.n
     return FrobeniusBall(center, radius_sq, data.n, a_bound=a, reject=verdict.reject,

@@ -55,6 +55,10 @@ class DomainError(ValueError):
 #: Singular values <= REL_RANK_TOL * sigma_1 count as zero when deciding rank.
 REL_RANK_TOL = 1e-10
 
+#: Largest entry bound ``a`` and noise bound ``U`` of a run: then ``(2a + U)^2``, the largest
+#: squared residual, summed over as many samples as numpy can index (9.2e18) stays finite.
+MAX_MAGNITUDE = 1e100
+
 NOISE_KINDS = (
     "scaled-rademacher",
     "uniform",
@@ -106,6 +110,8 @@ class NoiseSpec:
             raise DomainError(f"sigma must be non-negative, got {self.sigma}")
         if self.U <= 0:
             raise DomainError(f"U must be positive, got {self.U}")
+        if self.U > MAX_MAGNITUDE:
+            raise DomainError(f"U must be <= {MAX_MAGNITUDE}, got {self.U}")
         if self.sigma > self.U:
             raise DomainError(f"sigma={self.sigma} exceeds the almost-sure bound U={self.U}")
         if self.kind == "uniform" and math.sqrt(3.0) * self.sigma > self.U * (1 + 1e-12):

@@ -57,7 +57,7 @@ def lambda_data_driven(data: BernoulliDataset) -> float:
     return 2.0 * t / (m1 * m2)
 
 
-def lambda_practical_trace(sigma: float, m1: int, m2: int, n: int) -> float:
+def lambda_practical_trace(m1: int, m2: int, n: int, *, sigma: float) -> float:
     """Desk-scale tuning for :func:`matrix_lasso`, with multiplier ``LASSO_LAMBDA_C``."""
     d = m1 + m2
     return LASSO_LAMBDA_C * sigma * math.sqrt(d * math.log(d) / (n * m1 * m2))
@@ -76,7 +76,7 @@ class LassoFit:
         return len(self.objectives) - 1
 
 
-def matrix_lasso(data: TraceDataset, lam: float, a: float,
+def matrix_lasso(data: TraceDataset, lam: float, *, a: float,
                  max_iter: int = 300, tol: float = 1e-6) -> LassoFit:
     """Constrained nuclear-norm regression solved by restarted FISTA.
 

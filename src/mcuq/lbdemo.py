@@ -38,7 +38,7 @@ class PriorDraw:
     col_signs: np.ndarray
 
 
-def rho_for(v: float, k: int, m: int, n: int) -> float:
+def rho_for(k: int, m: int, n: int, *, v: float) -> float:
     """Separation scale v * k^(1/4) * sqrt(m/n)."""
     if not 0 < v <= 1:
         raise DomainError(f"v must lie in (0, 1], got {v}")
@@ -48,7 +48,7 @@ def rho_for(v: float, k: int, m: int, n: int) -> float:
     return v * k ** 0.25 * math.sqrt(m) / math.sqrt(n)
 
 
-def sample_h1(m: int, k: int, rho: float, seed: int) -> PriorDraw:
+def sample_h1(m: int, k: int, *, rho: float, seed: int) -> PriorDraw:
     """Draw the rank-``k`` alternative with matched two-point noise.
 
     Columns are split by a uniform random partition into ``k`` groups of
@@ -92,7 +92,7 @@ def separation_check(draw: PriorDraw, k0: int) -> tuple[bool, float]:
     return passes, sigma_min_sq
 
 
-def h1_dataset(draw: PriorDraw, n: int, seed: int) -> BernoulliDataset:
+def h1_dataset(draw: PriorDraw, n: int, *, seed: int) -> BernoulliDataset:
     """Sample the one-shot model under the alternative.
 
     Observed values are drawn directly on the exact support {-1.0, +1.0}
@@ -107,10 +107,11 @@ def h1_dataset(draw: PriorDraw, n: int, seed: int) -> BernoulliDataset:
     return BernoulliDataset(mask, values, n)
 
 
-def h0_dataset(m: int, n: int, seed: int) -> BernoulliDataset:
+def h0_dataset(m: int, n: int, *, seed: int) -> BernoulliDataset:
     """Sample the one-shot model under the null: the zero matrix with
     symmetric unit-variance sign noise, so values lie on {-1, 0, +1}."""
-    return sample_bernoulli(np.zeros((m, m)), n, NoiseSpec("scaled-rademacher", 1.0, 1.0), seed)
+    return sample_bernoulli(np.zeros((m, m)), n, noise=NoiseSpec("scaled-rademacher", 1.0, 1.0),
+                            seed=seed)
 
 
 #: Level of each test: its threshold is the ``1 - ALPHA_TEST`` quantile of
@@ -135,7 +136,7 @@ def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
     second_moment = abs(float(np.sum(obs * obs)) - sigma_sq * obs.size) / math.sqrt(2.0 * ds.n)
     observed_variance = (math.sqrt(obs.size) * abs(float(np.var(obs)) - sigma_sq)
                          if obs.size else 0.0)
-    infimum = infimum_stat(ds, k0, 1.0, math.sqrt(sigma_sq), restarts=2, seed=seed,
+    infimum = infimum_stat(ds, k0, a=1.0, sigma=math.sqrt(sigma_sq), restarts=2, seed=seed,
                            max_iter=60).value
     # Energy of the top k singular values: the top k Gram eigenvalues.
     W = (ds.m1 * ds.m2 / ds.n) * ds.values
@@ -144,31 +145,31 @@ def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
 
 
 def _calibration_replicate(m: int, n: int, k0: int, k: int, seed: int, r: int) -> dict:
-    ds = h0_dataset(m, n, child_seed(seed, 0, r))
+    ds = h0_dataset(m, n, seed=child_seed(seed, 0, r))
     return _statistics(ds, 1.0, k0, k, child_seed(seed, 1, r))
 
 
-def _pair_replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: bool,
+def _pair_replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
                     seed: int, r: int) -> tuple:
-    ds0 = h0_dataset(m, n, child_seed(seed, 2, r))
+    ds0 = h0_dataset(m, n, seed=child_seed(seed, 2, r))
     stats0 = _statistics(ds0, 1.0, k0, k, child_seed(seed, 3, r))
-    draw = sample_h1(m, k, rho, child_seed(seed, 4, r))
-    ds1 = h1_dataset(draw, n, child_seed(seed, 5, r))
+    draw = sample_h1(m, k, rho=rho, seed=child_seed(seed, 4, r))
+    ds1 = h1_dataset(draw, n, seed=child_seed(seed, 5, r))
     sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
     stats1 = _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, r))
     return stats0, stats1
 
 
-def _replicate(m: int, n: int, k: int, k0: int, rho: float, reveal_sigma: bool,
+def _replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
                seed: int, reps: int, j: int):
     """Job ``j`` of the experiment's one map: pair ``j`` for ``j < reps``,
     else calibration draw ``j - reps``."""
     if j < reps:
-        return _pair_replicate(m, n, k, k0, rho, reveal_sigma, seed, j)
+        return _pair_replicate(m, n, k0, k, rho, reveal_sigma, seed, j)
     return _calibration_replicate(m, n, k0, k, seed, j - reps)
 
 
-def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
+def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float,
                                     reps: int, seed: int = 0, cal_reps: int = 200,
                                     reveal_sigma: bool = False, map_fn=map) -> dict:
     """Measure type I + type II error of each of the four tests against the
@@ -183,11 +184,13 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     index, so the result does not depend on the mapping strategy.  Without
     pairs (``reps`` 0) every error rate is NaN.
     """
+    if not 0 <= k0 < k:
+        raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
     if k > m ** (1 / 3):
         import warnings
         warnings.warn(f"k={k} exceeds the recommended m^(1/3)={m ** (1/3):.2f}",
                       RuntimeWarning)
-    rho = rho_for(v, k, m, n)
+    rho = rho_for(k, m, n, v=v)
     if rho >= 0.5:
         raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
     if cal_reps < 1:
@@ -197,7 +200,7 @@ def indistinguishability_experiment(m: int, n: int, k: int, k0: int, v: float,
     # first; the thresholds are needed only to count rejections afterwards.
     # Without pairs there is nothing to calibrate for.
     jobs = range(reps + cal_reps if reps > 0 else 0)
-    done = list(map_fn(functools.partial(_replicate, m, n, k, k0, rho, reveal_sigma, seed,
+    done = list(map_fn(functools.partial(_replicate, m, n, k0, k, rho, reveal_sigma, seed,
                                          reps), jobs))
     pairs, cal = done[:reps], done[reps:]
     thresholds = {

@@ -81,7 +81,7 @@ class BernoulliDataset:
         return int(self.mask.sum())
 
 
-def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
+def make_low_rank(m1: int, m2: int, k: int, *, a: float, seed: int) -> np.ndarray:
     """Random rank-``k`` matrix with largest absolute entry exactly ``a``.
 
     Built as L @ R.T with i.i.d. standard normal factors, rescaled so the
@@ -110,7 +110,7 @@ def make_low_rank(m1: int, m2: int, k: int, a: float, seed: int) -> np.ndarray:
     raise GenerationError(f"no non-degenerate rank-{k} draw in 10 attempts")
 
 
-def sample_trace(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> TraceDataset:
+def sample_trace(M: np.ndarray, n: int, *, noise: NoiseSpec, seed: int) -> TraceDataset:
     """Uniform-position samples with replacement: y = M_ij + eps."""
     M = as_matrix(M)
     if n < 1:
@@ -133,7 +133,7 @@ def bernoulli_mask(m1: int, m2: int, n: int, rng: np.random.Generator) -> np.nda
     return rng.random((m1, m2)) < p
 
 
-def sample_bernoulli(M: np.ndarray, n: int, noise: NoiseSpec, seed: int) -> BernoulliDataset:
+def sample_bernoulli(M: np.ndarray, n: int, *, noise: NoiseSpec, seed: int) -> BernoulliDataset:
     """Observe each entry once with probability p = n/(m1*m2)."""
     M = as_matrix(M)
     m1, m2 = M.shape

@@ -121,7 +121,7 @@ def u_statistic(pairs: PairedSet, M_hat: np.ndarray) -> float:
     return float(np.mean((pairs.z - center) * (pairs.z2 - center)))
 
 
-def u_quantile(alpha: float, N: int, a: float, U: float) -> float:
+def u_quantile(alpha: float, N: int, *, a: float, U: float) -> float:
     """Quantile slack (U^2 + 4a^2)/sqrt(N*alpha), degenerating to 4a^2 at N=0."""
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -136,7 +136,7 @@ def _fit_flags(fit: LassoFit) -> tuple[str, ...]:
     return () if fit.converged else ("center_not_converged",)
 
 
-def u_ci(data: TraceDataset, alpha: float, a: float, U: float) -> FrobeniusBall:
+def u_ci(data: TraceDataset, alpha: float, *, a: float, U: float) -> FrobeniusBall:
     """Confidence set from paired repeats; valid without knowing the variance.
 
     The center is a constrained nuclear-norm fit on the second half (tuned
@@ -153,14 +153,14 @@ def u_ci(data: TraceDataset, alpha: float, a: float, U: float) -> FrobeniusBall:
             RuntimeWarning,
         )
     first, second = split_sample(data)
-    fit = matrix_lasso(second, lambda_practical_trace(U, data.m1, data.m2, second.n), a)
+    fit = matrix_lasso(second, lambda_practical_trace(data.m1, data.m2, second.n, sigma=U), a=a)
     pairs = pair_repeats(first)
     N = pairs.n_pairs
-    radius_sq = max(0.0, u_statistic(pairs, fit.estimate) + u_quantile(alpha, N, a, U))
+    radius_sq = max(0.0, u_statistic(pairs, fit.estimate) + u_quantile(alpha, N, a=a, U=U))
     return FrobeniusBall(fit.estimate, radius_sq, N, a_bound=a, flags=_fit_flags(fit))
 
 
-def rss_statistic(half: TraceDataset, M_hat: np.ndarray, sigma: float) -> float:
+def rss_statistic(half: TraceDataset, M_hat: np.ndarray, *, sigma: float) -> float:
     """Mean squared residual over the half-sample minus sigma^2.
 
     Equals (2/n) * sum over the first half of squared residuals minus the
@@ -173,7 +173,7 @@ def rss_statistic(half: TraceDataset, M_hat: np.ndarray, sigma: float) -> float:
     return float(np.mean(resid * resid)) - sigma * sigma
 
 
-def rss_radius_sq(R_hat: float, n: int, d: int, sigma: float,
+def rss_radius_sq(R_hat: float, n: int, d: int, *, sigma: float,
                   z: float, z_alpha: float, xi: float) -> float:
     """Largest t solving t <= 2*(R_hat + z*d/n + (zbar(t) + xi)/sqrt(n)).
 
@@ -202,7 +202,7 @@ def rss_radius_sq(R_hat: float, n: int, d: int, sigma: float,
     return max(candidates)
 
 
-def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float) -> FrobeniusBall:
+def rss_ci(data: TraceDataset, alpha: float, *, a: float, sigma: float, U: float) -> FrobeniusBall:
     """Residual-sum confidence set for known noise standard deviation.
 
     The quantile constants are ``z_alpha = log(3/alpha)`` and
@@ -212,12 +212,12 @@ def rss_ci(data: TraceDataset, alpha: float, sigma: float, U: float, a: float) -
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     first, second = split_sample(data)
-    lam = lambda_practical_trace(max(sigma, 1e-12), data.m1, data.m2, second.n)
+    lam = lambda_practical_trace(data.m1, data.m2, second.n, sigma=max(sigma, 1e-12))
     fit = matrix_lasso(second, lam, a=a)
-    R_hat = rss_statistic(first, fit.estimate, sigma)
+    R_hat = rss_statistic(first, fit.estimate, sigma=sigma)
     n_eff = 2 * first.n
     d = data.m1 + data.m2
     z_alpha = math.log(3.0 / alpha)
     xi = math.sqrt(2.0) * sigma * U * math.log(3.0 / alpha)
-    radius_sq = rss_radius_sq(R_hat, n_eff, d, sigma, RSS_Z, z_alpha, xi)
+    radius_sq = rss_radius_sq(R_hat, n_eff, d, sigma=sigma, z=RSS_Z, z_alpha=z_alpha, xi=xi)
     return FrobeniusBall(fit.estimate, radius_sq, n_eff, flags=_fit_flags(fit))

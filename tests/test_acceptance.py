@@ -49,9 +49,9 @@ def test_criterion_01_u_statistic_honesty():
 
 def test_criterion_02_u_statistic_unbiasedness():
     m, sigma, redraws = 30, 0.5, 10 ** 4
-    M = make_low_rank(m, m, 2, 1.0, seed=201)
-    M_hat = make_low_rank(m, m, 2, 1.0, seed=202)
-    base = sample_trace(M, 900, NoiseSpec("scaled-rademacher", sigma, sigma), seed=203)
+    M = make_low_rank(m, m, 2, a=1.0, seed=201)
+    M_hat = make_low_rank(m, m, 2, a=1.0, seed=202)
+    base = sample_trace(M, 900, noise=NoiseSpec("scaled-rademacher", sigma, sigma), seed=203)
     first, _ = split_sample(base)
     pairs = pair_repeats(first)
     N = pairs.n_pairs
@@ -77,7 +77,7 @@ def test_criterion_03_pairing_bound():
     noise = NoiseSpec("scaled-rademacher", 0.5, 0.5)
     hits = 0
     for r in range(reps):
-        data = sample_trace(np.zeros((m, m)), n, noise, seed=child_seed(301, r))
+        data = sample_trace(np.zeros((m, m)), n, noise=noise, seed=child_seed(301, r))
         first, _ = split_sample(data)
         hits += pair_repeats(first).n_pairs >= bound
     p_hat = hits / reps
@@ -137,7 +137,7 @@ def test_criterion_05_rss_radius_closed_form():
         U = float(rng.uniform(sigma, 2 * sigma))
         z_alpha = math.log(3.0 / alpha)
         xi = math.sqrt(2.0) * sigma * U * z_alpha
-        closed = rss_radius_sq(R_hat, n, d, sigma, z, z_alpha, xi)
+        closed = rss_radius_sq(R_hat, n, d, sigma=sigma, z=z, z_alpha=z_alpha, xi=xi)
         ora = oracle(R_hat, n, d, sigma, z, z_alpha, xi)
         worst = max(worst, abs(closed - ora))
     check(5, "rss radius closed form", worst <= 1e-10,
@@ -200,9 +200,9 @@ def test_criterion_07_infimum_test_size_power():
 
     worst = 0.0
     for trial, k_true in enumerate((1, 3, 2)):
-        M = make_low_rank(4, 4, k_true, 1.0 + trial, seed=702 + trial)
-        data = sample_bernoulli(M, 12, noise, seed=705 + trial)
-        res = infimum_stat(data, 1, 1e6, 0.5, restarts=16, seed=708, max_iter=300)
+        M = make_low_rank(4, 4, k_true, a=1.0 + trial, seed=702 + trial)
+        data = sample_bernoulli(M, 12, noise=noise, seed=705 + trial)
+        res = infimum_stat(data, 1, a=1e6, sigma=0.5, restarts=16, seed=708, max_iter=300)
         worst = max(worst, abs(res.value - grid_infimum(data, 0.5)))
     grid_ok = worst <= 1e-3
 
@@ -215,22 +215,23 @@ def test_criterion_08_adaptive_bernoulli_set():
     m, n, k0, k, a, sigma, alpha, reps = 20, 300, 1, 3, 2.0, 0.25, 0.1, 300
     noise = NoiseSpec("scaled-rademacher", sigma, sigma)
     unit = math.sqrt(m * m * k0 * 2 * m / n)
-    threshold = u_alpha_calibrated(alpha, noise, (m, m), n,
-                                   reps=400, seed=801)
+    threshold = u_alpha_calibrated(alpha, (m, m), n, noise=noise, reps=400, seed=801)
 
     covered_k0, small_k0 = 0, 0
     for r in range(reps):
-        M = make_low_rank(m, m, k0, a, child_seed(802, r))
-        data = sample_bernoulli(M, n, noise, child_seed(803, r))
-        ball = adaptive_ci(data, k0, k, a, sigma, threshold, seed=child_seed(804, r))
+        M = make_low_rank(m, m, k0, a=a, seed=child_seed(802, r))
+        data = sample_bernoulli(M, n, noise=noise, seed=child_seed(803, r))
+        ball = adaptive_ci(data, k0, k, a=a, sigma=sigma, threshold=threshold,
+                           seed=child_seed(804, r))
         covered_k0 += ball.contains(M)
         small_k0 += not ball.reject
 
     covered_far = 0
     for r in range(reps):
-        M = separated_truth(m, m, k0, a, 2.0 * unit, child_seed(805, r))
-        data = sample_bernoulli(M, n, noise, child_seed(806, r))
-        ball = adaptive_ci(data, k0, k, a, sigma, threshold, seed=child_seed(807, r))
+        M = separated_truth(m, m, k0, a=a, rho=2.0 * unit, seed=child_seed(805, r))
+        data = sample_bernoulli(M, n, noise=noise, seed=child_seed(806, r))
+        ball = adaptive_ci(data, k0, k, a=a, sigma=sigma, threshold=threshold,
+                           seed=child_seed(807, r))
         covered_far += ball.contains(M)
 
     floor_cov = 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)
@@ -245,8 +246,8 @@ def test_criterion_08_adaptive_bernoulli_set():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_09_lower_bound_demo():
     m, n, k, k0, v, reps = 96, 2304, 8, 1, 0.05, 500
-    rho = rho_for(v, k, m, n)
-    draw = sample_h1(m, k, rho, seed=901)
+    rho = rho_for(k, m, n, v=v)
+    draw = sample_h1(m, k, rho=rho, seed=901)
     p_plus = (1.0 + draw.M) / 2.0
     mean = p_plus * (1.0 - draw.M) + (1.0 - p_plus) * (-1.0 - draw.M)
     var = p_plus * (1.0 - draw.M) ** 2 + (1.0 - p_plus) * (1.0 + draw.M) ** 2

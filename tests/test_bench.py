@@ -240,6 +240,16 @@ class TestConfig:
         # ratio read 1.0.
         (dict(kind="diameter", k0=1, k_truth=1, reps=3),
          "k_truth: must differ from k0=1 in a diameter run, got 1"),
+        # The first passed `uq validate`, and `uq run` exited 0 with T_n 0.0
+        # at both separations: the zero-level floor of the infimum search
+        # overflowed to inf.  The other two exited 2 only at run time, with
+        # messages that named no field.
+        (dict(kind="test_power", m1=4, m2=4, n=8, k0=1, a=1e300, reps=1,
+              separation_grid=[0.0, 1.0], cal_reps=100),
+         "a: must be <= 1e+100, got 1e+300"),
+        (dict(a=1e308), "a: must be <= 1e+100, got 1e+308"),
+        (dict(noise={"kind": "scaled-rademacher", "sigma": 1e300, "U": 1e300}),
+         "noise: U must be <= 1e+100, got 1e+300"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -253,7 +263,8 @@ class TestConfig:
             "a-huge-int", "noise-sigma-huge-int", "power-grid-huge-int", "m1-huge",
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells",
-            "power-grid-repeated", "diameter-k_truth-is-k0"])
+            "power-grid-repeated", "diameter-k_truth-is-k0", "power-a-overflows",
+            "a-overflows", "noise-U-overflows"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
@@ -347,7 +358,7 @@ class TestCoverage:
         rep = run(cfg)
         zero_risk = np.median([
             estimate.estimator_risk(np.zeros((30, 30)), synth.make_low_rank(
-                30, 30, 1, 1.0, synth.child_seed(cfg.seed, 10, r)))
+                30, 30, 1, a=1.0, seed=synth.child_seed(cfg.seed, 10, r)))
             for r in range(cfg.reps)])
         assert rep.aggregates["risk_median"] < 0.5 * zero_risk
 
@@ -586,13 +597,13 @@ class TestPoolMap:
 class TestSeparatedTruth:
     def test_exact_separation(self):
         rho = 10.0
-        M = separated_truth(16, 16, 1, 10.0, rho, seed=7)
+        M = separated_truth(16, 16, 1, a=10.0, rho=rho, seed=7)
         s = np.linalg.svd(M, compute_uv=False)
         assert math.sqrt(np.sum(s[1:] ** 2)) == pytest.approx(rho, rel=1e-9)
 
     def test_entry_bound_enforced(self):
         with pytest.raises(DomainError):
-            separated_truth(10, 10, 1, 0.05, 40.0, seed=8)
+            separated_truth(10, 10, 1, a=0.05, rho=40.0, seed=8)
 
 
 class TestLbdemoKind:
@@ -737,10 +748,10 @@ class TestCli:
         path = self.write_config(tmp_path)
         real = bench.make_low_rank
 
-        def failing(m1, m2, k, a, seed):
+        def failing(m1, m2, k, *, a, seed):
             if seed == synth.child_seed(5, 10, 3):
                 raise DomainError("replicate 3 cannot draw its truth")
-            return real(m1, m2, k, a, seed)
+            return real(m1, m2, k, a=a, seed=seed)
 
         monkeypatch.setattr(bench, "make_low_rank", failing)  # inherited by the fork
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -1002,10 +1013,10 @@ class TestFlagsReachRecords:
 
     @pytest.mark.parametrize("method", ["u_ci", "rss_ci"])
     def test_unconverged_center(self, unconverged_lasso, method):
-        M = synth.make_low_rank(10, 10, 1, 1.0, seed=90)
-        data = synth.sample_trace(M, 100, RADEMACHER, seed=91)
-        ball = (trace_uq.u_ci(data, 0.1, 1.0, 0.5) if method == "u_ci"
-                else trace_uq.rss_ci(data, 0.1, 0.5, 0.5, a=1.0))
+        M = synth.make_low_rank(10, 10, 1, a=1.0, seed=90)
+        data = synth.sample_trace(M, 100, noise=RADEMACHER, seed=91)
+        ball = (trace_uq.u_ci(data, 0.1, a=1.0, U=0.5) if method == "u_ci"
+                else trace_uq.rss_ci(data, 0.1, a=1.0, sigma=0.5, U=0.5))
         assert ball.flags == ("center_not_converged",)
         rep = run(coverage_config(method=method, reps=3))
         assert [rec["flag"] for rec in rep.records] == [1, 1, 1]
@@ -1017,9 +1028,10 @@ class TestFlagsReachRecords:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
     def test_search_gap(self, gapped_search):
-        M = synth.make_low_rank(10, 10, 1, 2.0, seed=92)
-        data = synth.sample_bernoulli(M, 60, RADEMACHER, seed=93)
-        assert bernoulli_uq.adaptive_ci(data, 1, 3, 2.0, 0.5, 0.0).flags == ("search_gap",)
+        M = synth.make_low_rank(10, 10, 1, a=2.0, seed=92)
+        data = synth.sample_bernoulli(M, 60, noise=RADEMACHER, seed=93)
+        ball = bernoulli_uq.adaptive_ci(data, 1, 3, a=2.0, sigma=0.5, threshold=0.0)
+        assert ball.flags == ("search_gap",)
         rep = run(ExperimentConfig(kind="diameter", model="bernoulli", method="adaptive_ci",
                                    m1=10, m2=10, n=60, k0=1, k=3, k_truth=3, a=2.0,
                                    noise=RADEMACHER, reps=2, restarts=2, cal_reps=100,
@@ -1074,14 +1086,14 @@ class TestTracerWraps:
         # .converged, PairedSet.n_pairs, InfimumResult.bracketed_zero and
         # .gap_flag); a renamed attribute would break only a traced run.
         tracer = _load_perfbench()
-        M = synth.make_low_rank(10, 10, 1, 1.0, seed=94)
-        trace_data = synth.sample_trace(M, 100, RADEMACHER, seed=95)
-        fit = estimate.matrix_lasso(trace_data, 0.05, 1.0)
+        M = synth.make_low_rank(10, 10, 1, a=1.0, seed=94)
+        trace_data = synth.sample_trace(M, 100, noise=RADEMACHER, seed=95)
+        fit = estimate.matrix_lasso(trace_data, 0.05, a=1.0)
         assert tracer._lasso_note((), {}, fit) == (fit.n_iter, fit.converged)
         pairs = trace_uq.pair_repeats(trace_data)
         assert tracer._pairs_note((), {}, pairs) == pairs.n_pairs > 0
-        data = synth.sample_bernoulli(M, 60, RADEMACHER, seed=96)
-        res = bernoulli_uq.infimum_stat(data, 1, 1.0, 0.5, restarts=2, seed=97)
+        data = synth.sample_bernoulli(M, 60, noise=RADEMACHER, seed=96)
+        res = bernoulli_uq.infimum_stat(data, 1, a=1.0, sigma=0.5, restarts=2, seed=97)
         assert tracer._infimum_note((), {}, res) == (res.bracketed_zero, res.gap_flag)
 
     def test_benchmark_entry_points(self):
@@ -1112,13 +1124,13 @@ class TestTracerWraps:
                 eigensolves.append(G.shape[0])
             return real_dsyevr(G, **kwargs)
 
-        M = synth.make_low_rank(20, 20, 3, 3.0, seed=80)
-        data = synth.sample_bernoulli(M, 300, RADEMACHER, seed=81)
+        M = synth.make_low_rank(20, 20, 3, a=3.0, seed=80)
+        data = synth.sample_bernoulli(M, 300, noise=RADEMACHER, seed=81)
         monkeypatch.setattr(core, "dsyevr", counting_dsyevr)
         t = tracer.Tracer()
         t.install()
         try:
-            bernoulli_uq.infimum_stat(data, 1, 3.0, 0.5, restarts=2, seed=82)
+            bernoulli_uq.infimum_stat(data, 1, a=3.0, sigma=0.5, restarts=2, seed=82)
         finally:
             leftover = t.restore()
         assert leftover == []

@@ -209,16 +209,16 @@ def _search_case(case):
         # One H1 dataset of the revealed lbdemo at m=96 (criterion 09
         # shape), searched as lbdemo's infimum test does; 34 steps.
         m, n, k = 96, 2304, 8
-        rho = lbdemo.rho_for(0.5, k, m, n)
-        data = lbdemo.h1_dataset(lbdemo.sample_h1(m, k, rho, seed=62), n, seed=162)
+        rho = lbdemo.rho_for(k, m, n, v=0.5)
+        data = lbdemo.h1_dataset(lbdemo.sample_h1(m, k, rho=rho, seed=62), n, seed=162)
         return data, dict(k0=1, a=1.0, sigma=math.sqrt(1.0 - 4.0 * rho * rho),
                           restarts=2, seed=262, max_iter=60)
     m1, m2, truth, k0, a = SEARCH_CASES[case]
     if truth == "null":
-        M = make_low_rank(m1, m2, k0, 1.0, seed=70 + k0)
+        M = make_low_rank(m1, m2, k0, a=1.0, seed=70 + k0)
     else:
-        M = make_low_rank(m1, m2, 3, 3.0, seed=72 + k0)
-    data = sample_bernoulli(M, 3 * m1 * m2 // 4, RADEMACHER, seed=74 + k0)
+        M = make_low_rank(m1, m2, 3, a=3.0, seed=72 + k0)
+    data = sample_bernoulli(M, 3 * m1 * m2 // 4, noise=RADEMACHER, seed=74 + k0)
     return data, dict(k0=k0, a=a, sigma=0.5, restarts=8, seed=76 + k0)
 
 
@@ -228,8 +228,8 @@ def _power_small_h1(idx):
     cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
                            k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
                            restarts=8, reps=30, seed=8)
-    data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, RADEMACHER,
-                            child_seed(cfg.seed, 11, idx))
+    data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, noise=RADEMACHER,
+                            seed=child_seed(cfg.seed, 11, idx))
     return data, dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, idx))
 
 
@@ -250,29 +250,29 @@ def _count_truncations(monkeypatch) -> dict:
 
 class TestInfimumStat:
     def test_k0_zero_is_exact(self):
-        M = make_low_rank(5, 5, 1, 1.0, seed=0)
-        data = sample_bernoulli(M, 15, RADEMACHER, seed=1)
-        res = infimum_stat(data, 0, 1.0, 0.5)
+        M = make_low_rank(5, 5, 1, a=1.0, seed=0)
+        data = sample_bernoulli(M, 15, noise=RADEMACHER, seed=1)
+        res = infimum_stat(data, 0, a=1.0, sigma=0.5)
         direct = abs(centered_residual_sum(data, np.zeros((5, 5)), 0.5))
         assert res.value == pytest.approx(direct / math.sqrt(30), rel=1e-12)
 
     def test_noiseless_truth_in_class_gives_zero(self):
-        M = make_low_rank(6, 6, 2, 1.0, seed=2)
-        data = sample_bernoulli(M, 24, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=3)
-        res = infimum_stat(data, 2, 1.0, 0.0, seed=4, center=M)
+        M = make_low_rank(6, 6, 2, a=1.0, seed=2)
+        data = sample_bernoulli(M, 24, noise=NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=3)
+        res = infimum_stat(data, 2, a=1.0, sigma=0.0, seed=4, center=M)
         assert res.value == 0.0
 
     def test_never_exceeds_supplied_candidate(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=5)
-        data = sample_bernoulli(M, 24, RADEMACHER, seed=6)
-        res = infimum_stat(data, 1, 1.0, 0.5, seed=7, center=M)
+        M = make_low_rank(6, 6, 1, a=1.0, seed=5)
+        data = sample_bernoulli(M, 24, noise=RADEMACHER, seed=6)
+        res = infimum_stat(data, 1, a=1.0, sigma=0.5, seed=7, center=M)
         at_truth = abs(centered_residual_sum(data, M, 0.5)) / math.sqrt(2 * 24)
         assert res.value <= at_truth + 1e-12
 
     def test_minimizer_stays_in_class(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=8)
-        data = sample_bernoulli(M, 30, RADEMACHER, seed=9)
-        res = infimum_stat(data, 1, 1.0, 0.5, seed=10)
+        M = make_low_rank(6, 6, 1, a=1.0, seed=8)
+        data = sample_bernoulli(M, 30, noise=RADEMACHER, seed=9)
+        res = infimum_stat(data, 1, a=1.0, sigma=0.5, seed=10)
         s = np.linalg.svd(res.minimizer, compute_uv=False)
         assert np.sum(s > 1e-10 * max(s[0], 1e-300)) <= 1
         assert np.max(np.abs(res.minimizer)) <= 1.0
@@ -284,20 +284,20 @@ class TestInfimumStat:
         assert np.max(np.abs(bernoulli_uq._project(X, 1, 0.3))) <= 0.3
 
     def test_zero_certificate_under_null_noise(self):
-        M = make_low_rank(10, 10, 1, 1.0, seed=11)
-        data = sample_bernoulli(M, 70, RADEMACHER, seed=12)
-        res = infimum_stat(data, 1, 1.0, 0.5, seed=13)
+        M = make_low_rank(10, 10, 1, a=1.0, seed=11)
+        data = sample_bernoulli(M, 70, noise=RADEMACHER, seed=12)
+        res = infimum_stat(data, 1, a=1.0, sigma=0.5, seed=13)
         assert res.value == 0.0
 
     @pytest.mark.parametrize("scenario", ["null", "signal"])
     def test_matches_rank_one_grid_oracle(self, scenario):
         rng = rng_for(14 if scenario == "null" else 15)
         if scenario == "null":
-            M = make_low_rank(4, 4, 1, 1.0, seed=16)
+            M = make_low_rank(4, 4, 1, a=1.0, seed=16)
         else:
-            M = make_low_rank(4, 4, 3, 3.0, seed=17)
-        data = sample_bernoulli(M, 12, RADEMACHER, seed=18)
-        res = infimum_stat(data, 1, 1e6, 0.5, restarts=16, seed=19, max_iter=300)
+            M = make_low_rank(4, 4, 3, a=3.0, seed=17)
+        data = sample_bernoulli(M, 12, noise=RADEMACHER, seed=18)
+        res = infimum_stat(data, 1, a=1e6, sigma=0.5, restarts=16, seed=19, max_iter=300)
         oracle = rank_one_grid_infimum(data, 0.5)
         assert abs(res.value - oracle) <= 1e-3
 
@@ -319,15 +319,15 @@ class TestInfimumStat:
             return (u * np.maximum(s - t, 0.0)) @ vt
 
         if scenario == "null":
-            M = make_low_rank(20, 20, 1, 1.0, seed=30)
+            M = make_low_rank(20, 20, 1, a=1.0, seed=30)
         else:
-            M = make_low_rank(20, 20, 3, 3.0, seed=31)
-        data = sample_bernoulli(M, 300, RADEMACHER, seed=32)
+            M = make_low_rank(20, 20, 3, a=3.0, seed=31)
+        data = sample_bernoulli(M, 300, noise=RADEMACHER, seed=32)
         with monkeypatch.context() as mp:
             mp.setattr(bernoulli_uq, "truncate_rank", truncate_rank_loop)
             mp.setattr(bernoulli_uq, "soft_threshold_estimator", soft_threshold_loop)
-            want = infimum_stat(data, 1, 3.0, 0.5, restarts=8, seed=33)
-        got = infimum_stat(data, 1, 3.0, 0.5, restarts=8, seed=33)
+            want = infimum_stat(data, 1, a=3.0, sigma=0.5, restarts=8, seed=33)
+        got = infimum_stat(data, 1, a=3.0, sigma=0.5, restarts=8, seed=33)
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
         assert got.gap_flag == want.gap_flag
         assert got.bracketed_zero == want.bracketed_zero
@@ -367,8 +367,8 @@ class TestInfimumStat:
         # The search ends that start there: the same result as the reference,
         # which stops a start only on a downward crossing, with fewer
         # projections.
-        M = make_low_rank(10, 10, 2, 1.0, seed=100)
-        data = sample_bernoulli(M, 60, RADEMACHER, seed=200)
+        M = make_low_rank(10, 10, 2, a=1.0, seed=100)
+        data = sample_bernoulli(M, 60, noise=RADEMACHER, seed=200)
         kw = dict(k0=1, a=5.0, sigma=1.0, restarts=8, seed=300)
         y = data.values[data.mask]
         assert np.sum(y * y) < data.n_hat * kw["sigma"] ** 2
@@ -389,8 +389,8 @@ class TestInfimumStat:
         cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
                                k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
                                restarts=8, reps=30, seed=8)
-        data = sample_bernoulli(_power_truth(cfg, 0.0, 0), cfg.n, RADEMACHER,
-                                child_seed(cfg.seed, 11, 0))
+        data = sample_bernoulli(_power_truth(cfg, 0.0, 0), cfg.n, noise=RADEMACHER,
+                                seed=child_seed(cfg.seed, 11, 0))
         kw = dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, 0))
         want = infimum_stat(data, **kw)
         monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", unreachable)
@@ -403,8 +403,8 @@ class TestInfimumStat:
         # below zero, inside the noise floor, while g(0) is far above it.
         # That bracket already makes the statistic 0, so the search ends
         # there without fitting the spectral start.
-        M = make_low_rank(12, 12, 1, 1.0, seed=40)
-        data = sample_bernoulli(M, 80, RADEMACHER, seed=41)
+        M = make_low_rank(12, 12, 1, a=1.0, seed=40)
+        data = sample_bernoulli(M, 80, noise=RADEMACHER, seed=41)
         y = data.values[data.mask]
         first = bernoulli_uq._project(np.where(data.mask, data.values, 0.0), 1, 1.0)
         r = y - first[data.mask]
@@ -420,7 +420,7 @@ class TestInfimumStat:
             raise AssertionError("the spectral fit was built after a bracket")
 
         monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", unreachable)
-        res = infimum_stat(data, 1, 1.0, float(sigma), restarts=4, seed=42)
+        res = infimum_stat(data, 1, a=1.0, sigma=float(sigma), restarts=4, seed=42)
         assert res.bracketed_zero and res.value == 0.0
 
     def test_power_small_starts_end_on_rejoining_a_stalled_basin(self, monkeypatch):
@@ -528,55 +528,67 @@ class TestInfimumStat:
         np.testing.assert_array_equal(got.minimizer, want.minimizer)
 
     def test_invalid_k0(self):
-        data = sample_bernoulli(np.zeros((4, 4)), 8, RADEMACHER, seed=20)
+        data = sample_bernoulli(np.zeros((4, 4)), 8, noise=RADEMACHER, seed=20)
         with pytest.raises(DomainError):
-            infimum_stat(data, 4, 1.0, 0.5)
+            infimum_stat(data, 4, a=1.0, sigma=0.5)
+
+    def test_overflowing_squared_sums_fail_closed(self):
+        # Entries of 1e300 once overflowed the zero-level floor to inf, and
+        # the statistic snapped to 0 with only a RuntimeWarning; a huge box
+        # overflows the residual sums of the random starts the same way.
+        huge = sample_bernoulli(make_low_rank(4, 4, 1, a=1e300, seed=21), 8, noise=RADEMACHER,
+                                seed=22)
+        small = sample_bernoulli(np.zeros((4, 4)), 8, noise=RADEMACHER, seed=23)
+        for data, a in ((huge, 1e300), (small, 1e300)):
+            with pytest.raises(DomainError, match="^squared residual sums overflow at a=1e[+]300"):
+                infimum_stat(data, 1, a=a, sigma=0.5)
 
 
 class TestThresholds:
     def test_theoretical_reference(self):
-        assert u_alpha_theoretical(0.05, 1.0, 2.0) == pytest.approx(math.sqrt(90), rel=1e-12)
+        assert u_alpha_theoretical(0.05, sigma=1.0, U=2.0) == pytest.approx(math.sqrt(90),
+                                                                            rel=1e-12)
 
     def test_theoretical_degenerate(self):
-        assert u_alpha_theoretical(0.3, 1.0, 1.0) == 0.0
+        assert u_alpha_theoretical(0.3, sigma=1.0, U=1.0) == 0.0
 
     def test_theoretical_alpha_scaling(self):
-        assert u_alpha_theoretical(0.05, 1.0, 2.0) == pytest.approx(
-            u_alpha_theoretical(0.1, 1.0, 2.0) * math.sqrt(2), rel=1e-12)
+        assert u_alpha_theoretical(0.05, sigma=1.0, U=2.0) == pytest.approx(
+            u_alpha_theoretical(0.1, sigma=1.0, U=2.0) * math.sqrt(2), rel=1e-12)
 
     def test_calibrated_rademacher_is_zero(self):
-        thr = u_alpha_calibrated(0.1, RADEMACHER, (10, 10), 50, reps=150, seed=0)
+        thr = u_alpha_calibrated(0.1, (10, 10), 50, noise=RADEMACHER, reps=150, seed=0)
         assert thr == 0.0
 
     def test_calibrated_below_theoretical(self):
         noise = NoiseSpec("scaled-rademacher", 0.5, 1.0)
-        cal = u_alpha_calibrated(0.1, noise, (10, 10), 50, reps=300, seed=1)
-        assert cal <= u_alpha_theoretical(0.1, 0.5, 1.0)
+        cal = u_alpha_calibrated(0.1, (10, 10), 50, noise=noise, reps=300, seed=1)
+        assert cal <= u_alpha_theoretical(0.1, sigma=0.5, U=1.0)
 
     def test_calibrated_stability_in_reps(self):
         noise = NoiseSpec("uniform", 0.5, 1.0)
-        a = u_alpha_calibrated(0.1, noise, (12, 12), 72, reps=2000, seed=2)
-        b = u_alpha_calibrated(0.1, noise, (12, 12), 72, reps=4000, seed=3)
+        a = u_alpha_calibrated(0.1, (12, 12), 72, noise=noise, reps=2000, seed=2)
+        b = u_alpha_calibrated(0.1, (12, 12), 72, noise=noise, reps=4000, seed=3)
         assert abs(a - b) / a < 0.05
 
     def test_calibrated_needs_enough_reps(self):
         with pytest.raises(DomainError):
-            u_alpha_calibrated(0.1, RADEMACHER, (5, 5), 10, reps=50)
+            u_alpha_calibrated(0.1, (5, 5), 10, noise=RADEMACHER, reps=50)
 
 
 class TestLowRankTest:
     def test_accepts_noiseless_truth_in_class(self):
-        M = make_low_rank(8, 8, 1, 1.0, seed=21)
+        M = make_low_rank(8, 8, 1, a=1.0, seed=21)
         noise0 = NoiseSpec("scaled-rademacher", 0.0, 1.0)
-        data = sample_bernoulli(M, 40, noise0, seed=22)
-        threshold = u_alpha_calibrated(0.1, noise0, (8, 8), 40, reps=100, seed=23)
-        verdict = low_rank_test(data, 1, 1.0, 0.0, threshold, seed=23)
+        data = sample_bernoulli(M, 40, noise=noise0, seed=22)
+        threshold = u_alpha_calibrated(0.1, (8, 8), 40, noise=noise0, reps=100, seed=23)
+        verdict = low_rank_test(data, 1, a=1.0, sigma=0.0, threshold=threshold, seed=23)
         assert not verdict.reject
 
     def test_reject_iff_statistic_exceeds_threshold(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=24)
-        data = sample_bernoulli(M, 24, RADEMACHER, seed=25)
-        verdict = low_rank_test(data, 1, 1.0, 0.5, 0.0, seed=26)
+        M = make_low_rank(6, 6, 1, a=1.0, seed=24)
+        data = sample_bernoulli(M, 24, noise=RADEMACHER, seed=25)
+        verdict = low_rank_test(data, 1, a=1.0, sigma=0.5, threshold=0.0, seed=26)
         assert verdict.reject == (verdict.statistic > verdict.threshold)
 
 
@@ -586,31 +598,31 @@ class TestAdaptiveCi:
         n = 300
         small = ADAPTIVE_K ** 2 * 1 * d / n
         large = ADAPTIVE_K ** 2 * 3 * d / n
-        M = make_low_rank(20, 20, 1, 1.0, seed=30)
-        data = sample_bernoulli(M, n, RADEMACHER, seed=31)
-        ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
+        M = make_low_rank(20, 20, 1, a=1.0, seed=30)
+        data = sample_bernoulli(M, n, noise=RADEMACHER, seed=31)
+        ball = adaptive_ci(data, 1, 3, a=1.0, sigma=0.5, threshold=0.0, seed=32)
         assert ball.radius_sq in (pytest.approx(small), pytest.approx(large))
 
     def test_radius_reads_adaptive_k_at_each_call(self, monkeypatch):
-        M = make_low_rank(20, 20, 1, 1.0, seed=30)
-        data = sample_bernoulli(M, 300, RADEMACHER, seed=31)
-        ball = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
+        M = make_low_rank(20, 20, 1, a=1.0, seed=30)
+        data = sample_bernoulli(M, 300, noise=RADEMACHER, seed=31)
+        ball = adaptive_ci(data, 1, 3, a=1.0, sigma=0.5, threshold=0.0, seed=32)
         monkeypatch.setattr(bernoulli_uq, "ADAPTIVE_K", 0.5)
-        small = adaptive_ci(data, 1, 3, 1.0, 0.5, 0.0, seed=32)
+        small = adaptive_ci(data, 1, 3, a=1.0, sigma=0.5, threshold=0.0, seed=32)
         assert small.reject == ball.reject
         assert small.radius_sq == pytest.approx(ball.radius_sq * (0.5 / ADAPTIVE_K) ** 2)
 
     def test_reject_gives_larger_radius(self):
-        M = make_low_rank(20, 20, 1, 1.0, seed=33)
-        data = sample_bernoulli(M, 300, RADEMACHER, seed=34)
-        accept_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, math.inf, seed=35)
-        reject_ball = adaptive_ci(data, 1, 3, 1.0, 0.5, -1.0, seed=35)
+        M = make_low_rank(20, 20, 1, a=1.0, seed=33)
+        data = sample_bernoulli(M, 300, noise=RADEMACHER, seed=34)
+        accept_ball = adaptive_ci(data, 1, 3, a=1.0, sigma=0.5, threshold=math.inf, seed=35)
+        reject_ball = adaptive_ci(data, 1, 3, a=1.0, sigma=0.5, threshold=-1.0, seed=35)
         assert reject_ball.radius_sq > accept_ball.radius_sq
 
     def test_center_respects_entry_bound(self):
-        M = make_low_rank(10, 10, 1, 1.0, seed=36)
-        data = sample_bernoulli(M, 60, RADEMACHER, seed=37)
-        ball = adaptive_ci(data, 1, 2, 0.3, 0.5, 0.0, seed=38)
+        M = make_low_rank(10, 10, 1, a=1.0, seed=36)
+        data = sample_bernoulli(M, 60, noise=RADEMACHER, seed=37)
+        ball = adaptive_ci(data, 1, 2, a=0.3, sigma=0.5, threshold=0.0, seed=38)
         assert np.max(np.abs(ball.center)) <= 0.3 + 1e-12
 
     def test_one_center_fit_per_call(self, monkeypatch):
@@ -621,16 +633,16 @@ class TestAdaptiveCi:
             return soft_threshold_estimator(data, lam)
 
         monkeypatch.setattr(bernoulli_uq, "soft_threshold_estimator", counting)
-        M = make_low_rank(20, 20, 3, 3.0, seed=41)
-        data = sample_bernoulli(M, 300, RADEMACHER, seed=42)
-        adaptive_ci(data, 1, 3, 3.0, 0.5, 0.0, seed=43)
+        M = make_low_rank(20, 20, 3, a=3.0, seed=41)
+        data = sample_bernoulli(M, 300, noise=RADEMACHER, seed=42)
+        adaptive_ci(data, 1, 3, a=3.0, sigma=0.5, threshold=0.0, seed=43)
         assert fits == [lambda_data_driven(data)]
 
     def test_requires_k0_below_k(self):
-        M = make_low_rank(6, 6, 1, 1.0, seed=39)
-        data = sample_bernoulli(M, 18, RADEMACHER, seed=40)
+        M = make_low_rank(6, 6, 1, a=1.0, seed=39)
+        data = sample_bernoulli(M, 18, noise=RADEMACHER, seed=40)
         with pytest.raises(DomainError):
-            adaptive_ci(data, 2, 2, 1.0, 0.5, 0.0)
+            adaptive_ci(data, 2, 2, a=1.0, sigma=0.5, threshold=0.0)
 
 
 class TestWeakRipSanity:
@@ -640,11 +652,11 @@ class TestWeakRipSanity:
         # weighted energy in practically every draw.
         m, n, k0 = 20, 200, 1
         p = n / (m * m)
-        M = make_low_rank(m, m, 3, 1.0, seed=41)
+        M = make_low_rank(m, m, 3, a=1.0, seed=41)
         hits = 0
         reps = 500
         for r in range(reps):
-            A = make_low_rank(m, m, k0, 1.0, seed=child_seed(42, r))
+            A = make_low_rank(m, m, k0, a=1.0, seed=child_seed(42, r))
             rng = rng_for(43, r)
             mask = rng.random((m, m)) < p
             D = A - M
@@ -663,13 +675,13 @@ class TestTypeIControlGrid:
         for k0 in (1, 2):
             for sigma in (0.25, 0.5):
                 noise = NoiseSpec("scaled-rademacher", sigma, sigma)
-                thr = u_alpha_calibrated(alpha, noise, (m, m), n,
+                thr = u_alpha_calibrated(alpha, (m, m), n, noise=noise,
                                          reps=200, seed=child_seed(50, k0))
                 rejections = 0
                 for r in range(reps):
-                    M = make_low_rank(m, m, k0, a, child_seed(51, k0, r))
-                    data = sample_bernoulli(M, n, noise, child_seed(52, k0, r))
-                    verdict = low_rank_test(data, k0, a, sigma, thr,
+                    M = make_low_rank(m, m, k0, a=a, seed=child_seed(51, k0, r))
+                    data = sample_bernoulli(M, n, noise=noise, seed=child_seed(52, k0, r))
+                    verdict = low_rank_test(data, k0, a=a, sigma=sigma, threshold=thr,
                                             seed=child_seed(53, k0, r))
                     rejections += verdict.reject
                 assert rejections / reps <= cap, (k0, sigma)

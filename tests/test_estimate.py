@@ -97,22 +97,22 @@ class TestSoftThresholdEstimator:
 
 class TestMatrixLasso:
     def test_noiseless_interpolation(self):
-        M = make_low_rank(5, 5, 1, 1.0, seed=30)
+        M = make_low_rank(5, 5, 1, a=1.0, seed=30)
         # with replacement, 600 draws on 25 cells observe everything
-        data = sample_trace(M, 600, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=31)
+        data = sample_trace(M, 600, noise=NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=31)
         assert len(set(zip(data.rows.tolist(), data.cols.tolist()))) == 25
         fit = matrix_lasso(data, lam=1e-9, a=1.0, max_iter=3000, tol=1e-16)
         assert estimator_risk(fit.estimate, M) < 1e-12
 
     def test_entry_bound_invariant(self):
-        M = make_low_rank(6, 6, 2, 2.0, seed=32)
-        data = sample_trace(M, 80, NoiseSpec("scaled-rademacher", 1.0, 1.0), seed=33)
+        M = make_low_rank(6, 6, 2, a=2.0, seed=32)
+        data = sample_trace(M, 80, noise=NoiseSpec("scaled-rademacher", 1.0, 1.0), seed=33)
         fit = matrix_lasso(data, lam=0.01, a=0.5)
         assert np.max(np.abs(fit.estimate)) <= 0.5 + 1e-12
 
     def test_objective_monotone(self):
-        M = make_low_rank(8, 8, 2, 1.0, seed=34)
-        data = sample_trace(M, 120, RADEMACHER, seed=35)
+        M = make_low_rank(8, 8, 2, a=1.0, seed=34)
+        data = sample_trace(M, 120, noise=RADEMACHER, seed=35)
         fit = matrix_lasso(data, lam=0.02, a=1.0)
         assert np.all(np.diff(fit.objectives) <= 1e-15)
 
@@ -124,10 +124,10 @@ class TestMatrixLasso:
         for k in (1, 3):
             risks = []
             for r in range(reps):
-                M = make_low_rank(m, m, k, 1.0, child_seed(36, k, r))
-                data = sample_trace(M, n, noise, child_seed(36, 10 + k, r))
+                M = make_low_rank(m, m, k, a=1.0, seed=child_seed(36, k, r))
+                data = sample_trace(M, n, noise=noise, seed=child_seed(36, 10 + k, r))
                 half = data.subset(data.n // 2, data.n)
-                lam = lambda_practical_trace(sigma, m, m, half.n)
+                lam = lambda_practical_trace(m, m, half.n, sigma=sigma)
                 fit = matrix_lasso(half, lam, a=1.0)
                 risks.append(estimator_risk(fit.estimate, M))
             guard = 0.25 * k * 2 * m * math.log(2 * m) / n
@@ -143,10 +143,10 @@ def _criterion_01_panel(seeds=6):
         for sigma in (0.5, 1.0):
             noise = NoiseSpec("scaled-rademacher", sigma, sigma)
             for r in range(seeds):
-                M = make_low_rank(m, m, k, 1.0, child_seed(37, k, r))
-                data = sample_trace(M, n, noise, child_seed(38, k, r, int(2 * sigma)))
+                M = make_low_rank(m, m, k, a=1.0, seed=child_seed(37, k, r))
+                data = sample_trace(M, n, noise=noise, seed=child_seed(38, k, r, int(2 * sigma)))
                 second = data.subset(n // 2, n)
-                panel.append((second, lambda_practical_trace(sigma, m, m, second.n)))
+                panel.append((second, lambda_practical_trace(m, m, second.n, sigma=sigma)))
     return panel
 
 
@@ -244,10 +244,10 @@ class TestMatrixLassoAgainstSvdReference:
     def test_practical_tuning(self, m1, m2, a, clip_active):
         n = m1 * m2
         for r in range(3):
-            M = make_low_rank(m1, m2, 2, 1.0, child_seed(70, m1, m2, r))
-            data = sample_trace(M, n, RADEMACHER, child_seed(71, m1, m2, r))
-            lam = lambda_practical_trace(0.5, m1, m2, n)
-            fit = matrix_lasso(data, lam, a)
+            M = make_low_rank(m1, m2, 2, a=1.0, seed=child_seed(70, m1, m2, r))
+            data = sample_trace(M, n, noise=RADEMACHER, seed=child_seed(71, m1, m2, r))
+            lam = lambda_practical_trace(m1, m2, n, sigma=0.5)
+            fit = matrix_lasso(data, lam, a=a)
             ref = _matrix_lasso_svd_reference(data, lam, a)
             assert fit.n_iter == ref.n_iter
             assert fit.converged == ref.converged
@@ -256,8 +256,8 @@ class TestMatrixLassoAgainstSvdReference:
             assert err <= 1e-12 * np.linalg.norm(ref.estimate)
 
     def test_tiny_lambda(self):
-        M = make_low_rank(5, 5, 1, 1.0, seed=30)
-        data = sample_trace(M, 600, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=31)
+        M = make_low_rank(5, 5, 1, a=1.0, seed=30)
+        data = sample_trace(M, 600, noise=NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=31)
         fit = matrix_lasso(data, lam=1e-9, a=1.0, max_iter=3000, tol=1e-16)
         ref = _matrix_lasso_svd_reference(data, lam=1e-9, a=1.0, max_iter=3000, tol=1e-16)
         assert fit.n_iter == ref.n_iter
@@ -266,8 +266,8 @@ class TestMatrixLassoAgainstSvdReference:
 
     @pytest.mark.parametrize("m1, m2", [(12, 8), (8, 12)], ids=["tall", "wide"])
     def test_nothing_above_threshold_gives_zero(self, m1, m2):
-        M = make_low_rank(m1, m2, 1, 1.0, seed=72)
-        data = sample_trace(M, 200, RADEMACHER, seed=73)
+        M = make_low_rank(m1, m2, 1, a=1.0, seed=72)
+        data = sample_trace(M, 200, noise=RADEMACHER, seed=73)
         fit = matrix_lasso(data, lam=1e6, a=1.0)
         assert np.all(fit.estimate == 0.0)
         assert fit.estimate.shape == (m1, m2)
@@ -276,9 +276,9 @@ class TestMatrixLassoAgainstSvdReference:
 
 class TestDataDrivenLambda:
     def test_positive_and_scales_with_energy(self):
-        M = make_low_rank(10, 10, 1, 1.0, seed=40)
-        d1 = sample_bernoulli(M, 60, RADEMACHER, seed=41)
-        d2 = sample_bernoulli(2.0 * M, 60, NoiseSpec("scaled-rademacher", 0.5, 0.5), seed=41)
+        M = make_low_rank(10, 10, 1, a=1.0, seed=40)
+        d1 = sample_bernoulli(M, 60, noise=RADEMACHER, seed=41)
+        d2 = sample_bernoulli(2.0 * M, 60, noise=NoiseSpec("scaled-rademacher", 0.5, 0.5), seed=41)
         assert 0 < lambda_data_driven(d1) < lambda_data_driven(d2)
 
     @pytest.mark.parametrize("observed", [True, False], ids=["zeros-observed", "none-observed"])
@@ -300,8 +300,8 @@ class TestDataDrivenLambda:
         for k in (1, 2, 4):
             risks = []
             for r in range(reps):
-                M = make_low_rank(m, m, k, 1.0, child_seed(42, k, r, 0))
-                data = sample_bernoulli(M, n, noise, child_seed(42, k, r, 1))
+                M = make_low_rank(m, m, k, a=1.0, seed=child_seed(42, k, r, 0))
+                data = sample_bernoulli(M, n, noise=noise, seed=child_seed(42, k, r, 1))
                 M_hat = clip_entries(
                     soft_threshold_estimator(data, lambda_data_driven(data)), 1.0)
                 risks.append(estimator_risk(M_hat, M))
@@ -312,11 +312,11 @@ class TestDataDrivenLambda:
 
 class TestEstimatorRisk:
     def test_zero_for_equal(self):
-        M = make_low_rank(4, 4, 1, 1.0, seed=50)
+        M = make_low_rank(4, 4, 1, a=1.0, seed=50)
         assert estimator_risk(M, M) == 0.0
 
     def test_constant_shift(self):
-        M = make_low_rank(4, 5, 1, 1.0, seed=51)
+        M = make_low_rank(4, 5, 1, a=1.0, seed=51)
         assert estimator_risk(M + 0.3, M) == pytest.approx(0.09, rel=1e-12)
 
     def test_matches_entrywise_sum(self):

@@ -95,9 +95,9 @@ def u_statistic_bias_z() -> float:
     gaps = np.empty(REPS)
     with recorded_u_statistic() as seen:
         for r in range(REPS):
-            M = make_low_rank(M_SIDE, M_SIDE, RANK, A, child_seed(SEED, 10, r))
-            data = sample_trace(M, N, NOISE, child_seed(SEED, 11, r))
-            ball = trace_uq.u_ci(data, ALPHA, A, NOISE.U)
+            M = make_low_rank(M_SIDE, M_SIDE, RANK, a=A, seed=child_seed(SEED, 10, r))
+            data = sample_trace(M, N, noise=NOISE, seed=child_seed(SEED, 11, r))
+            ball = trace_uq.u_ci(data, ALPHA, a=A, U=NOISE.U)
             pairs = trace_uq.pair_repeats(_SPLIT(data)[0])
             gaps[r] = seen[-1] - float(np.mean((M - ball.center)[pairs.rows, pairs.cols] ** 2))
     return float(np.mean(gaps) / (np.std(gaps, ddof=1) / math.sqrt(REPS)))
@@ -136,14 +136,15 @@ def adaptive_far_coverage() -> float:
     units from rank ``K0``, at criterion 08's shape and calibrated threshold."""
     m, n = ADAPTIVE_M, ADAPTIVE_N
     noise = NoiseSpec("scaled-rademacher", ADAPTIVE_SIGMA, ADAPTIVE_SIGMA)
-    threshold = bernoulli_uq.u_alpha_calibrated(ALPHA, noise, (m, m), n, reps=400, seed=801)
+    threshold = bernoulli_uq.u_alpha_calibrated(ALPHA, (m, m), n, noise=noise, reps=400, seed=801)
     unit = math.sqrt(m * m * K0 * 2 * m / n)
     covered = 0
     for r in range(ADAPTIVE_REPS):
-        M = separated_truth(m, m, K0, ADAPTIVE_A, ADAPTIVE_SEPARATION * unit, child_seed(805, r))
-        data = sample_bernoulli(M, n, noise, child_seed(806, r))
-        ball = bernoulli_uq.adaptive_ci(data, K0, K, ADAPTIVE_A, ADAPTIVE_SIGMA, threshold,
-                                        seed=child_seed(807, r))
+        M = separated_truth(m, m, K0, a=ADAPTIVE_A, rho=ADAPTIVE_SEPARATION * unit,
+                            seed=child_seed(805, r))
+        data = sample_bernoulli(M, n, noise=noise, seed=child_seed(806, r))
+        ball = bernoulli_uq.adaptive_ci(data, K0, K, a=ADAPTIVE_A, sigma=ADAPTIVE_SIGMA,
+                                        threshold=threshold, seed=child_seed(807, r))
         covered += ball.contains(M)
     return covered / ADAPTIVE_REPS
 
@@ -179,7 +180,7 @@ def rss_ci_coverage() -> float:
 def lbdemo_revealed_error_sum() -> float:
     """Smallest error sum of lbdemo's four tests with the variance revealed,
     at m = 16, n = 128, k = 2, v = 0.5 and criterion 09's revealed seed."""
-    return lbdemo.indistinguishability_experiment(16, 128, 2, 1, 0.5, reps=100, seed=903,
+    return lbdemo.indistinguishability_experiment(16, 128, k0=1, k=2, v=0.5, reps=100, seed=903,
                                                   cal_reps=100, reveal_sigma=True)["min_error_sum"]
 
 
@@ -221,22 +222,23 @@ DEFECTS = {
                                       lambda pairs, M_hat: 0.0),
     # u_ci's quantile slack is a twentieth of its value.
     "u_quantile-slack-over-20": ("u_ci-covers", trace_uq, "u_quantile",
-                                 lambda *args: _U_QUANTILE(*args) / 20),
+                                 lambda alpha, N, *, a, U: _U_QUANTILE(alpha, N, a=a, U=U) / 20),
     # u_ci's quantile slack is a fifth of its value.
     "u_quantile-slack-over-5": ("u_ci-covers-small-box", trace_uq, "u_quantile",
-                                lambda *args: _U_QUANTILE(*args) / 5),
+                                lambda alpha, N, *, a, U: _U_QUANTILE(alpha, N, a=a, U=U) / 5),
     # rss_ci is told a noise level 1.5 times the true one.
     "rss_ci-sigma-inflated": (
         "rss_ci-covers", trace_uq, "rss_ci",
-        lambda data, alpha, sigma, U, a: _RSS_CI(data, alpha, 1.5 * sigma, 1.5 * U, a)),
+        lambda data, alpha, *, a, sigma, U: _RSS_CI(data, alpha, a=a, sigma=1.5 * sigma,
+                                                    U=1.5 * U)),
     # Couples are two observations of different entries.
     "pair_repeats-mixes-entries": ("u_statistic-unbiased", trace_uq, "pair_repeats",
                                    pair_consecutive),
     # lbdemo's tests never learn the variance, so the revealed demo is blind.
     "lbdemo-ignores-reveal_sigma": (
         "lbdemo-revealed-separates", lbdemo, "_pair_replicate",
-        lambda m, n, k, k0, rho, reveal_sigma, seed, r:
-            _PAIR_REPLICATE(m, n, k, k0, rho, False, seed, r)),
+        lambda m, n, k0, k, rho, reveal_sigma, seed, r:
+            _PAIR_REPLICATE(m, n, k0, k, rho, False, seed, r)),
 }
 
 

@@ -81,7 +81,7 @@ def _power_small(seeds, reps):
             for r in range(reps):
                 idx = j * reps + r
                 M = _power_truth(cfg, s_mult, idx)
-                data = sample_bernoulli(M, cfg.n, noise, child_seed(seed, 11, idx))
+                data = sample_bernoulli(M, cfg.n, noise=noise, seed=child_seed(seed, 11, idx))
                 yield Case("power-small " + ("H0" if s_mult == 0.0 else "H1"),
                            f"seed {seed} job {idx}", data,
                            dict(k0=1, a=30.0, sigma=0.5, restarts=8,
@@ -96,10 +96,10 @@ def _criterion_08(reps):
                                                ("far", (805, 806, 807))):
         for r in range(reps):
             if truth == "rank-k0":
-                M = make_low_rank(m, m, k0, a, child_seed(s_truth, r))
+                M = make_low_rank(m, m, k0, a=a, seed=child_seed(s_truth, r))
             else:
-                M = separated_truth(m, m, k0, a, 2.0 * unit, child_seed(s_truth, r))
-            data = sample_bernoulli(M, n, noise, child_seed(s_data, r))
+                M = separated_truth(m, m, k0, a=a, rho=2.0 * unit, seed=child_seed(s_truth, r))
+            data = sample_bernoulli(M, n, noise=noise, seed=child_seed(s_data, r))
             yield Case("criterion 08", f"{truth} rep {r}", data,
                        dict(k0=k0, a=a, sigma=sigma, restarts=8,
                             seed=child_seed(s_search, r), max_iter=120))
@@ -107,11 +107,11 @@ def _criterion_08(reps):
 
 def _lbdemo_h1(seeds, reps):
     m, n, k, k0 = 96, 2304, 8, 1
-    rho = lbdemo.rho_for(0.5, k, m, n)
+    rho = lbdemo.rho_for(k, m, n, v=0.5)
     for seed in seeds:
         for r in range(reps):
-            draw = lbdemo.sample_h1(m, k, rho, child_seed(seed, 4, r))
-            data = lbdemo.h1_dataset(draw, n, child_seed(seed, 5, r))
+            draw = lbdemo.sample_h1(m, k, rho=rho, seed=child_seed(seed, 4, r))
+            data = lbdemo.h1_dataset(draw, n, seed=child_seed(seed, 5, r))
             yield Case("lbdemo H1", f"seed {seed} rep {r}", data,
                        dict(k0=k0, a=1.0, sigma=math.sqrt(1.0 - 4.0 * rho * rho),
                             restarts=2, seed=child_seed(seed, 6, r), max_iter=60))
@@ -121,13 +121,13 @@ def _grid_4x4(count):
     noise = NoiseSpec("scaled-rademacher", 0.5, 0.5)
     cases = []
     for trial, k_true in enumerate((1, 3, 2)):  # criterion 07
-        M = make_low_rank(4, 4, k_true, 1.0 + trial, seed=702 + trial)
+        M = make_low_rank(4, 4, k_true, a=1.0 + trial, seed=702 + trial)
         cases.append((f"criterion 07 trial {trial}",
-                      sample_bernoulli(M, 12, noise, seed=705 + trial), 708))
+                      sample_bernoulli(M, 12, noise=noise, seed=705 + trial), 708))
     for scenario, k_true, a_true, seed in (("null", 1, 1.0, 16), ("signal", 3, 3.0, 17)):
-        M = make_low_rank(4, 4, k_true, a_true, seed=seed)
+        M = make_low_rank(4, 4, k_true, a=a_true, seed=seed)
         cases.append((f"grid oracle test {scenario}",
-                      sample_bernoulli(M, 12, noise, seed=18), 19))
+                      sample_bernoulli(M, 12, noise=noise, seed=18), 19))
     for name, data, seed in cases[:count]:
         yield Case("grid 4x4", name, data,
                    dict(k0=1, a=1e6, sigma=0.5, restarts=16, seed=seed, max_iter=300),

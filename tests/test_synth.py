@@ -23,30 +23,30 @@ RADEMACHER = NoiseSpec("scaled-rademacher", 0.5, 0.5)
 
 class TestMakeLowRank:
     def test_rank_one_and_entry_bound(self):
-        M = make_low_rank(8, 5, 1, 2.0, seed=3)
+        M = make_low_rank(8, 5, 1, a=2.0, seed=3)
         assert np.linalg.matrix_rank(M) == 1
         assert np.max(np.abs(M)) == 2.0
 
     def test_exact_singular_count(self):
-        M = make_low_rank(6, 6, 3, 1.0, seed=9)
+        M = make_low_rank(6, 6, 3, a=1.0, seed=9)
         s = np.linalg.svd(M, compute_uv=False)
         assert int(np.sum(s > 1e-10 * s[0])) == 3
 
     def test_deterministic(self):
-        A = make_low_rank(7, 7, 2, 1.0, seed=11)
-        B = make_low_rank(7, 7, 2, 1.0, seed=11)
+        A = make_low_rank(7, 7, 2, a=1.0, seed=11)
+        B = make_low_rank(7, 7, 2, a=1.0, seed=11)
         np.testing.assert_array_equal(A, B)
 
     def test_seed_changes_draw(self):
-        A = make_low_rank(7, 7, 2, 1.0, seed=11)
-        B = make_low_rank(7, 7, 2, 1.0, seed=12)
+        A = make_low_rank(7, 7, 2, a=1.0, seed=11)
+        B = make_low_rank(7, 7, 2, a=1.0, seed=12)
         assert not np.array_equal(A, B)
 
     def test_invalid_rank(self):
         with pytest.raises(DomainError):
-            make_low_rank(4, 4, 5, 1.0, seed=0)
+            make_low_rank(4, 4, 5, a=1.0, seed=0)
         with pytest.raises(DomainError):
-            make_low_rank(4, 4, 0, 1.0, seed=0)
+            make_low_rank(4, 4, 0, a=1.0, seed=0)
 
     @staticmethod
     def _stub_draws(monkeypatch, draws):
@@ -66,7 +66,7 @@ class TestMakeLowRank:
         first = self._deficient_pair(rng)
         L, R = rng.standard_normal((9, 2)), rng.standard_normal((7, 2))
         self._stub_draws(monkeypatch, [*first, L, R])
-        M = make_low_rank(9, 7, 2, 1.5, seed=0)
+        M = make_low_rank(9, 7, 2, a=1.5, seed=0)
         assert np.linalg.matrix_rank(M) == 2
         assert np.max(np.abs(M)) == 1.5
         want = L @ R.T
@@ -77,7 +77,7 @@ class TestMakeLowRank:
         # Exactly ten: an eleventh draw would end the stub with StopIteration.
         self._stub_draws(monkeypatch, [f for _ in range(10) for f in self._deficient_pair(rng)])
         with pytest.raises(synth.GenerationError):
-            make_low_rank(9, 7, 2, 1.5, seed=0)
+            make_low_rank(9, 7, 2, a=1.5, seed=0)
 
 
 class TestDrawNoise:
@@ -144,15 +144,15 @@ class TestTruncatedGaussianScale:
 
     @pytest.mark.parametrize("seed", [3, 40])
     def test_draws_bit_identical_to_unmemoised_solve(self, monkeypatch, seed):
-        M = make_low_rank(10, 12, 2, 1.0, seed=seed)
+        M = make_low_rank(10, 12, 2, a=1.0, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(core, "_truncated_gaussian_scale",
                       _truncated_gaussian_scale_reference)
             spec = NoiseSpec("truncated-gaussian", 0.5, 1.0)
             ref_noise = spec.draw(5000, rng_for(seed))
-            ref_data = sample_trace(M, 500, spec, seed=seed + 1)
+            ref_data = sample_trace(M, 500, noise=spec, seed=seed + 1)
         np.testing.assert_array_equal(self.SPEC.draw(5000, rng_for(seed)), ref_noise)
-        data = sample_trace(M, 500, self.SPEC, seed=seed + 1)
+        data = sample_trace(M, 500, noise=self.SPEC, seed=seed + 1)
         np.testing.assert_array_equal(data.rows, ref_data.rows)
         np.testing.assert_array_equal(data.cols, ref_data.cols)
         np.testing.assert_array_equal(data.y, ref_data.y)
@@ -274,13 +274,13 @@ print(json.dumps(faults))
 
 class TestSampleTrace:
     def test_noiseless_values_exact(self):
-        M = make_low_rank(5, 5, 2, 1.0, seed=5)
-        data = sample_trace(M, 50, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=6)
+        M = make_low_rank(5, 5, 2, a=1.0, seed=5)
+        data = sample_trace(M, 50, noise=NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=6)
         np.testing.assert_array_equal(data.y, M[data.rows, data.cols])
 
     def test_uniform_position_frequencies(self):
         M = np.zeros((5, 5))
-        data = sample_trace(M, 10 ** 5, RADEMACHER, seed=7)
+        data = sample_trace(M, 10 ** 5, noise=RADEMACHER, seed=7)
         counts = np.zeros(25)
         np.add.at(counts, data.rows * 5 + data.cols, 1)
         freq = counts / data.n
@@ -288,46 +288,46 @@ class TestSampleTrace:
         assert np.all(np.abs(freq - 0.04) <= 3 * se)
 
     def test_deterministic(self):
-        M = make_low_rank(4, 4, 1, 1.0, seed=8)
-        d1 = sample_trace(M, 30, RADEMACHER, seed=9)
-        d2 = sample_trace(M, 30, RADEMACHER, seed=9)
+        M = make_low_rank(4, 4, 1, a=1.0, seed=8)
+        d1 = sample_trace(M, 30, noise=RADEMACHER, seed=9)
+        d2 = sample_trace(M, 30, noise=RADEMACHER, seed=9)
         np.testing.assert_array_equal(d1.rows, d2.rows)
         np.testing.assert_array_equal(d1.y, d2.y)
 
     def test_repeats_happen(self):
         M = np.zeros((3, 3))
-        data = sample_trace(M, 40, RADEMACHER, seed=10)
+        data = sample_trace(M, 40, noise=RADEMACHER, seed=10)
         positions = list(zip(data.rows.tolist(), data.cols.tolist()))
         assert len(set(positions)) < len(positions)
 
     def test_noise_bound_holds(self):
-        M = make_low_rank(6, 6, 2, 1.0, seed=11)
-        data = sample_trace(M, 500, NoiseSpec("uniform", 0.4, 1.0), seed=12)
+        M = make_low_rank(6, 6, 2, a=1.0, seed=11)
+        data = sample_trace(M, 500, noise=NoiseSpec("uniform", 0.4, 1.0), seed=12)
         assert np.max(np.abs(data.y - M[data.rows, data.cols])) <= 1.0
 
 
 class TestSampleBernoulli:
     def test_full_observation(self):
-        M = make_low_rank(4, 4, 1, 1.0, seed=15)
-        data = sample_bernoulli(M, 16, RADEMACHER, seed=16)
+        M = make_low_rank(4, 4, 1, a=1.0, seed=15)
+        data = sample_bernoulli(M, 16, noise=RADEMACHER, seed=16)
         assert data.n_hat == 16
         assert data.mask.all()
 
     def test_noiseless_values(self):
-        M = make_low_rank(5, 5, 2, 1.0, seed=17)
-        data = sample_bernoulli(M, 12, NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=18)
+        M = make_low_rank(5, 5, 2, a=1.0, seed=17)
+        data = sample_bernoulli(M, 12, noise=NoiseSpec("scaled-rademacher", 0.0, 1.0), seed=18)
         np.testing.assert_array_equal(data.values, np.where(data.mask, M, 0.0))
 
     def test_each_entry_at_most_once(self):
         M = np.zeros((4, 4))
-        data = sample_bernoulli(M, 8, RADEMACHER, seed=19)
+        data = sample_bernoulli(M, 8, noise=RADEMACHER, seed=19)
         assert data.mask.dtype == bool  # the mask cannot double-count
 
     def test_expected_count_binomial(self):
         M = np.zeros((10, 10))
         n, reps = 40, 10 ** 4
         hats = np.array([
-            sample_bernoulli(M, n, RADEMACHER, seed=child_seed(20, r)).n_hat
+            sample_bernoulli(M, n, noise=RADEMACHER, seed=child_seed(20, r)).n_hat
             for r in range(reps)
         ])
         p = n / 100
@@ -335,7 +335,7 @@ class TestSampleBernoulli:
 
     def test_n_out_of_range(self):
         with pytest.raises(DomainError):
-            sample_bernoulli(np.zeros((3, 3)), 10, RADEMACHER, seed=0)
+            sample_bernoulli(np.zeros((3, 3)), 10, noise=RADEMACHER, seed=0)
 
     @pytest.mark.parametrize("n", [0, 10])
     def test_mask_and_dataset_check_n(self, n):
