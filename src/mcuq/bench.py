@@ -21,7 +21,6 @@ import functools
 import itertools
 import json
 import math
-import multiprocessing
 import operator
 import time
 from collections.abc import Callable
@@ -270,20 +269,8 @@ class ExperimentConfig:
         if self.kind == "lbdemo":
             if self.m1 != self.m2:
                 errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
-            if not 0 <= self.k0 < self.k:
-                errors.append(f"k0/k: need 0 <= k0 < k, got {self.k0}, {self.k}")
-            if self.k > self.m1:
-                errors.append(f"k: must lie in [1, {self.m1}] for lbdemo, got {self.k}")
-            elif self.k >= 1:
-                cols = self.m1 // self.k * self.k  # the columns sample_h1 keeps
-                if self.m1 * cols < self.n <= self.m1 * self.m2:
-                    errors.append(f"n: must be <= {self.m1 * cols} for lbdemo, whose alternative "
-                                  f"keeps {cols} of {self.m1} columns at k={self.k}")
-                rho = lbdemo.rho_for(self.k, self.m1, self.n, v=self.v)
-                if rho >= 0.5:
-                    errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
-            if self.cal_reps < 1:
-                errors.append(f"cal_reps: lbdemo needs >= 1, got {self.cal_reps}")
+            errors += lbdemo.setting_errors(self.m1, self.n, k0=self.k0, k=self.k, v=self.v,
+                                            reps=self.reps, cal_reps=self.cal_reps)
         if tested and self.threshold_mode == "calibrated" and self.cal_reps < 100:
             errors.append(f"cal_reps: a calibrated threshold needs >= 100, got {self.cal_reps}")
         return errors
@@ -420,6 +407,7 @@ def _map_for(threads: int):
         raise DomainError(f"--threads: must be >= 1, got {threads}")
     if threads == 1:
         return map, None
+    import multiprocessing  # only a pool needs it, so serial runs and imports skip it
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError as e:

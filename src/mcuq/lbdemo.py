@@ -144,29 +144,42 @@ def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
     return dict(zip(_STATISTICS, (second_moment, observed_variance, infimum, rank_energy)))
 
 
-def _calibration_replicate(m: int, n: int, k0: int, k: int, seed: int, r: int) -> dict:
-    ds = h0_dataset(m, n, seed=child_seed(seed, 0, r))
-    return _statistics(ds, 1.0, k0, k, child_seed(seed, 1, r))
-
-
-def _pair_replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
-                    seed: int, r: int) -> tuple:
-    ds0 = h0_dataset(m, n, seed=child_seed(seed, 2, r))
-    stats0 = _statistics(ds0, 1.0, k0, k, child_seed(seed, 3, r))
-    draw = sample_h1(m, k, rho=rho, seed=child_seed(seed, 4, r))
-    ds1 = h1_dataset(draw, n, seed=child_seed(seed, 5, r))
-    sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
-    stats1 = _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, r))
-    return stats0, stats1
-
-
 def _replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
                seed: int, reps: int, j: int):
-    """Job ``j`` of the experiment's one map: pair ``j`` for ``j < reps``,
-    else calibration draw ``j - reps``."""
-    if j < reps:
-        return _pair_replicate(m, n, k0, k, rho, reveal_sigma, seed, j)
-    return _calibration_replicate(m, n, k0, k, seed, j - reps)
+    """Job ``j`` of the experiment's one map: the statistics of pair ``j`` (an H0
+    and an H1 dataset) for ``j < reps``, else of calibration draw ``j - reps``."""
+    if j >= reps:
+        ds = h0_dataset(m, n, seed=child_seed(seed, 0, j - reps))
+        return _statistics(ds, 1.0, k0, k, child_seed(seed, 1, j - reps))
+    ds0 = h0_dataset(m, n, seed=child_seed(seed, 2, j))
+    stats0 = _statistics(ds0, 1.0, k0, k, child_seed(seed, 3, j))
+    draw = sample_h1(m, k, rho=rho, seed=child_seed(seed, 4, j))
+    ds1 = h1_dataset(draw, n, seed=child_seed(seed, 5, j))
+    sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
+    return stats0, _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, j))
+
+
+def setting_errors(m: int, n: int, *, k0: int, k: int, v: float, reps: int,
+                   cal_reps: int) -> list[str]:
+    """Every rule the experiment's settings break, in the words ``uq validate``
+    prints for an lbdemo config with ``m1 = m2 = m``.  An ``n`` above ``m*m``
+    breaks the sampling model, and is left to :func:`mcuq.synth.sample_bernoulli`."""
+    errors = [f"reps: must be >= 0, got {reps}"] if reps < 0 else []
+    if not 0 <= k0 < k:
+        errors.append(f"k0/k: need 0 <= k0 < k, got {k0}, {k}")
+    if k > m:
+        errors.append(f"k: must lie in [1, {m}] for lbdemo, got {k}")
+    elif k >= 1:
+        cols = m // k * k  # the columns sample_h1 keeps
+        if m * cols < n <= m * m:
+            errors.append(f"n: must be <= {m * cols} for lbdemo, whose alternative "
+                          f"keeps {cols} of {m} columns at k={k}")
+        rho = rho_for(k, m, n, v=v)
+        if rho >= 0.5:
+            errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
+    if cal_reps < 1:
+        errors.append(f"cal_reps: lbdemo needs >= 1, got {cal_reps}")
+    return errors
 
 
 def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float,
@@ -182,19 +195,17 @@ def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float
     them, which is what a known-variance procedure would use.  ``map_fn``
     lets callers substitute a parallel map; replicate seeds are derived per
     index, so the result does not depend on the mapping strategy.  Without
-    pairs (``reps`` 0) every error rate is NaN.
+    pairs (``reps`` 0) every error rate is NaN.  Broken :func:`setting_errors`
+    rules raise one :class:`DomainError` before any job runs.
     """
-    if not 0 <= k0 < k:
-        raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
+    errors = setting_errors(m, n, k0=k0, k=k, v=v, reps=reps, cal_reps=cal_reps)
+    if errors:
+        raise DomainError("; ".join(errors))
     if k > m ** (1 / 3):
         import warnings
         warnings.warn(f"k={k} exceeds the recommended m^(1/3)={m ** (1/3):.2f}",
                       RuntimeWarning)
     rho = rho_for(k, m, n, v=v)
-    if rho >= 0.5:
-        raise DomainError(f"rho={rho:.4f} >= 1/2; reduce v")
-    if cal_reps < 1:
-        raise DomainError(f"cal_reps must be >= 1, got {cal_reps}")
 
     # The pairs and the calibration draws run as one map, the costlier pairs
     # first; the thresholds are needed only to count rejections afterwards.

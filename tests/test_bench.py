@@ -832,7 +832,7 @@ class TestCli:
             calibrations.append(args)
             return 1.0
 
-        monkeypatch.setattr(bench.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         monkeypatch.setattr(bernoulli_uq, "u_alpha_calibrated", calibrated)
         cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=10, m2=10,
                                n=60, k0=1, a=9.0, noise=RADEMACHER, alpha=0.1,

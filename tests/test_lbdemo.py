@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcuq import lbdemo
+from mcuq.bench import ExperimentConfig
 from mcuq.core import DomainError
 from mcuq.lbdemo import (_statistics, h0_dataset, h1_dataset,
                          indistinguishability_experiment, rho_for, sample_h1,
@@ -153,18 +154,37 @@ class TestSeparationCheck:
 
 
 class TestIndistinguishability:
-    # This once ran: without calibration draws it ended in an IndexError
-    # from np.quantile.
-    # The swapped ranks ran to a min_error_sum of 1.0 (24x24, n = 144).
+    # Each setting below fails `uq validate` for an lbdemo config.  The
+    # library call once ran with some of them: without calibration draws it
+    # ended in an IndexError from np.quantile; the swapped ranks (24x24,
+    # n = 144) and reps = -3 ran to a min_error_sum of 1.0; k above m and an
+    # n above the kept columns raised only from inside a mapped job.
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(cal_reps=0), "cal_reps must be >= 1, got 0"),
-        (dict(k0=2, k=1), "need 0 <= k0 < k, got k0=2, k=1"),
-        (dict(k0=-1), "need 0 <= k0 < k, got k0=-1, k=2"),
-    ], ids=["cal_reps-0", "k0-above-k", "k0-negative"])
+        (dict(cal_reps=0), "cal_reps: lbdemo needs >= 1, got 0"),
+        (dict(k0=2, k=1), "k0/k: need 0 <= k0 < k, got 2, 1"),
+        (dict(k0=-1), "k0/k: need 0 <= k0 < k, got -1, 2"),
+        (dict(reps=-3), "reps: must be >= 0, got -3"),
+        (dict(k=12), "k: must lie in [1, 8] for lbdemo, got 12"),
+        (dict(n=64, k=3), "n: must be <= 48 for lbdemo, whose alternative keeps 6 of 8 columns "
+                          "at k=3"),
+        (dict(n=10, v=1.0), "v: gives rho=1.0637 >= 1/2; reduce v or raise n"),
+    ], ids=["cal_reps-0", "k0-above-k", "k0-negative", "reps-negative", "k-above-m",
+            "n-above-kept-columns", "v-rho-half"])
     def test_bad_test_settings_fail_closed(self, kwargs, message):
-        settings = {**dict(k0=1, k=2, v=0.5, reps=2, seed=1), **kwargs}
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            indistinguishability_experiment(8, 32, **settings)
+        settings = {**dict(n=32, k0=1, k=2, v=0.5, reps=2, cal_reps=5), **kwargs}
+        with pytest.raises(DomainError) as validated:
+            ExperimentConfig(kind="lbdemo", m1=8, m2=8, **settings).validate()
+        mapped = []
+
+        def recording_map(fn, jobs):
+            mapped.append(jobs)
+            return map(fn, jobs)
+
+        with pytest.raises(DomainError) as called:
+            indistinguishability_experiment(8, settings.pop("n"), seed=1, map_fn=recording_map,
+                                            **settings)
+        assert str(called.value) == str(validated.value) == message
+        assert mapped == []
 
     def test_thresholds_read_alpha_test_at_each_call(self, monkeypatch):
         # Each threshold is the 1 - ALPHA_TEST quantile of its calibration

@@ -37,6 +37,11 @@ fail, so the check shows it can.
   shape, ``sigma`` times 1.5 (with ``U`` raised to match) leaves nothing
   covered, while ``sigma`` times 1.25 still covers 0.997: the check sees
   only a large inflation.
+* The calibrated threshold of the low-rank test is the ``1 - alpha/3``
+  quantile of simulated null statistics.  Under uniform noise that threshold
+  is not 0, and a higher quantile costs power near the detection boundary:
+  at criterion 07's shape, 0.45 rate units from rank 1, the test rejects 0.83
+  of its draws, and 0.69 with the threshold at the largest null draw.
 * lbdemo's tests separate the hypotheses once they are told the noise
   variance of the data in front of them; a demo that never tells them is
   blind, and its smallest error sum stays near 1.
@@ -65,7 +70,8 @@ _SPLIT = trace_uq.split_sample
 _LOW_RANK_TEST = bernoulli_uq.low_rank_test
 _U_QUANTILE = trace_uq.u_quantile
 _RSS_CI = trace_uq.rss_ci
-_PAIR_REPLICATE = lbdemo._pair_replicate
+_REPLICATE = lbdemo._replicate
+_U_ALPHA_CALIBRATED = bernoulli_uq.u_alpha_calibrated
 
 #: Criterion 01's shape at sigma = U = 0.5, rank 1, and its seed.
 M_SIDE, N, RANK, A, ALPHA, SEED, REPS = 30, 900, 1, 1.0, 0.1, 101, 300
@@ -184,6 +190,24 @@ def lbdemo_revealed_error_sum() -> float:
                                                   cal_reps=100, reveal_sigma=True)["min_error_sum"]
 
 
+#: The low-rank test near its detection boundary: criterion 07's shape and
+#: seed under uniform noise, whose calibrated threshold is not 0, at
+#: ``NEAR_SEPARATION`` rate units.  The floor was sized over seeds 701-705:
+#: clean power 0.76-0.90, and 0.38-0.69 with the threshold at the largest of
+#: the null draws.
+UNIFORM = NoiseSpec("uniform", 0.5 / math.sqrt(3), 0.5)
+NEAR_SEPARATION, NEAR_REPS, NEAR_CAL_REPS, NEAR_FLOOR = 0.45, 100, 1000, 0.72
+
+
+def near_boundary_power() -> float:
+    """Rejection rate of the calibrated low-rank test at ``NEAR_SEPARATION``
+    rate units from rank 1, at 20x20, n = 300, alpha = 0.1 and a = 30."""
+    cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300, k0=1,
+                           a=30.0, noise=UNIFORM, alpha=ALPHA, reps=NEAR_REPS, seed=701,
+                           separation_grid=(NEAR_SEPARATION,), cal_reps=NEAR_CAL_REPS)
+    return run(cfg).aggregates["power_max_separation"]
+
+
 def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
     """Couple samples 0 and 1, 2 and 3, ..., whatever their positions."""
     t = np.arange(half.n - half.n % 2).reshape(-1, 2)
@@ -203,6 +227,7 @@ CHECKS = {
     "rss_ci-covers": (rss_ci_coverage, lambda cov: cov >= RSS_CI_FLOOR),
     # Criterion 09's bound on the revealed error sum.
     "lbdemo-revealed-separates": (lbdemo_revealed_error_sum, lambda err: err <= 0.7),
+    "test-detects-near-boundary": (near_boundary_power, lambda power: power >= NEAR_FLOOR),
 }
 
 #: Planted defects: name -> (the check it must fail, module, attribute, replacement).
@@ -236,9 +261,15 @@ DEFECTS = {
                                    pair_consecutive),
     # lbdemo's tests never learn the variance, so the revealed demo is blind.
     "lbdemo-ignores-reveal_sigma": (
-        "lbdemo-revealed-separates", lbdemo, "_pair_replicate",
-        lambda m, n, k0, k, rho, reveal_sigma, seed, r:
-            _PAIR_REPLICATE(m, n, k0, k, rho, False, seed, r)),
+        "lbdemo-revealed-separates", lbdemo, "_replicate",
+        lambda m, n, k0, k, rho, reveal_sigma, seed, reps, j:
+            _REPLICATE(m, n, k0, k, rho, False, seed, reps, j)),
+    # The calibrated threshold is the 1 - alpha/300 quantile of the null
+    # draws, their largest at 1,000 draws, in place of 1 - alpha/3.
+    "u_alpha_calibrated-quantile-too-high": (
+        "test-detects-near-boundary", bernoulli_uq, "u_alpha_calibrated",
+        lambda alpha, shape, n, *, noise, reps=400, seed=0:
+            _U_ALPHA_CALIBRATED(alpha / 100, shape, n, noise=noise, reps=reps, seed=seed)),
 }
 
 
@@ -277,6 +308,11 @@ def test_u_ci_covers_in_a_small_box():
 def test_rss_ci_covers_at_criterion_01_shape():
     cov, holds = measure("rss_ci-covers")
     assert holds, f"coverage {cov:.4f}"
+
+
+def test_low_rank_test_detects_near_its_boundary():
+    power, holds = measure("test-detects-near-boundary")
+    assert holds, f"power {power:.2f}"
 
 
 def test_lbdemo_revealed_tests_separate():

@@ -215,6 +215,23 @@ print(json.dumps([codes, before, linalg, after]))
         assert linalg == []
         assert after == ["scipy.stats", "scipy.optimize"]
 
+    def test_multiprocessing_loads_only_for_a_pool(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "lbdemo", "m1": 8, "m2": 8, "n": 32, "k": 2,
+                                      "reps": 2, "cal_reps": 3}))
+        assert run_fresh(f"""
+import contextlib, io, json
+from mcuq import bench, cli
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["validate"], ["run", "--out", {str(tmp_path / "out")!r}]):
+        assert cli.main([*argv, "--config", {str(config)!r}]) == 0
+        loaded.append("multiprocessing" in sys.modules)
+bench.run(bench.ExperimentConfig.from_dict(json.load(open({str(config)!r}))), threads=2)
+loaded.append("multiprocessing" in sys.modules)
+print(json.dumps(loaded))
+""") == [False, False, True]
+
     def test_gram_eigh_matches_scipy_linalg_imported_after_mcuq(self):
         # scipy.linalg, imported after mcuq, loads its own copy of the LAPACK
         # module; both must run the same dsyevr, bit for bit.
