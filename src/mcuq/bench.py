@@ -267,10 +267,7 @@ class ExperimentConfig:
         if self.kind == "test_power" and not self.separation_grid:
             errors.append("separation_grid: must not be empty")
         if self.kind == "lbdemo":
-            if self.m1 != self.m2:
-                errors.append(f"m1/m2: lbdemo needs a square matrix, got {self.m1}x{self.m2}")
-            errors += lbdemo.setting_errors(self.m1, self.n, k0=self.k0, k=self.k, v=self.v,
-                                            reps=self.reps, cal_reps=self.cal_reps)
+            errors += lbdemo.setting_errors(self)
         if tested and self.threshold_mode == "calibrated" and self.cal_reps < 100:
             errors.append(f"cal_reps: a calibrated threshold needs >= 100, got {self.cal_reps}")
         return errors
@@ -650,9 +647,7 @@ def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dic
 
 def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
     """Indistinguishability demo; it maps its pairs and calibration draws itself."""
-    return lbdemo.indistinguishability_experiment(
-        cfg.m1, cfg.n, k0=cfg.k0, k=cfg.k, v=cfg.v, reps=cfg.reps, seed=cfg.seed,
-        cal_reps=cfg.cal_reps, reveal_sigma=cfg.reveal_sigma, map_fn=map_fn)
+    return lbdemo.indistinguishability_experiment(cfg, map_fn=map_fn)
 
 
 def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:

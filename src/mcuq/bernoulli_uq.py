@@ -129,6 +129,9 @@ def infimum_stat(data: BernoulliDataset, k0: int, *, a: float, sigma: float,
     soft-threshold fit at the data-driven ``lam``, which is also the center
     of :func:`adaptive_ci`; it is built only when its start comes up.
     ``k0 = 0`` evaluates the single class member ``A = 0`` exactly.
+    It takes ``sigma`` but no noise bound, so its data cannot refute
+    ``sigma``, as the data of :func:`mcuq.trace_uq.u_ci` refute a bound
+    ``a + U`` that is too small.
     """
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
@@ -293,7 +296,8 @@ def low_rank_test(data: BernoulliDataset, k0: int, *, a: float, sigma: float,
     :func:`u_alpha_calibrated` simulates the null quantile under a given law,
     :func:`u_alpha_theoretical` is the closed form (valid but very
     conservative at small sizes).  ``center`` is passed on to
-    :func:`infimum_stat` as its spectral start.
+    :func:`infimum_stat` as its spectral start.  As there, the data cannot
+    refute ``sigma``: no noise bound comes with it.
     """
     res = infimum_stat(data, k0, a=a, sigma=sigma, restarts=restarts, seed=seed, center=center)
     return TestVerdict(res.value, float(threshold), res.value > threshold, res.gap_flag)
@@ -315,6 +319,8 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, *, a: float, sigma: flo
     radius is ``K^2 * k * d / n`` when the rank-``k0`` hypothesis is
     rejected at ``threshold`` (see :func:`low_rank_test`) and
     ``K^2 * k0 * d / n`` otherwise; ``K`` is :data:`ADAPTIVE_K`, read at each call.
+    As in :func:`low_rank_test`, the data cannot refute ``sigma``: no noise
+    bound comes with it.
     """
     if not 0 <= k0 < k:
         raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")

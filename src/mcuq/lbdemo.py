@@ -60,8 +60,6 @@ def sample_h1(m: int, k: int, *, rho: float, seed: int) -> PriorDraw:
     if not 1 <= k <= m:
         raise DomainError(f"k must lie in [1, {m}], got {k}")
     group = m // k
-    if group < 1:
-        raise DomainError(f"cannot split {m} columns into {k} groups")
     m_cols = k * group
     rng = rng_for(seed)
     perm = rng.permutation(m_cols)
@@ -159,12 +157,11 @@ def _replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
     return stats0, _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, j))
 
 
-def setting_errors(m: int, n: int, *, k0: int, k: int, v: float, reps: int,
-                   cal_reps: int) -> list[str]:
-    """Every rule the experiment's settings break, in the words ``uq validate``
-    prints for an lbdemo config with ``m1 = m2 = m``.  An ``n`` above ``m*m``
-    breaks the sampling model, and is left to :func:`mcuq.synth.sample_bernoulli`."""
-    errors = [f"reps: must be >= 0, got {reps}"] if reps < 0 else []
+def setting_errors(cfg) -> list[str]:
+    """The rules that the experiment adds between the fields of an lbdemo
+    config whose fields keep their own, in the words ``uq validate`` prints."""
+    m, n, k0, k = cfg.m1, cfg.n, cfg.k0, cfg.k
+    errors = [] if m == cfg.m2 else [f"m1/m2: lbdemo needs a square matrix, got {m}x{cfg.m2}"]
     if not 0 <= k0 < k:
         errors.append(f"k0/k: need 0 <= k0 < k, got {k0}, {k}")
     if k > m:
@@ -174,19 +171,19 @@ def setting_errors(m: int, n: int, *, k0: int, k: int, v: float, reps: int,
         if m * cols < n <= m * m:
             errors.append(f"n: must be <= {m * cols} for lbdemo, whose alternative "
                           f"keeps {cols} of {m} columns at k={k}")
-        rho = rho_for(k, m, n, v=v)
+        rho = rho_for(k, m, n, v=cfg.v)
         if rho >= 0.5:
             errors.append(f"v: gives rho={rho:.4f} >= 1/2; reduce v or raise n")
-    if cal_reps < 1:
-        errors.append(f"cal_reps: lbdemo needs >= 1, got {cal_reps}")
+    if cfg.cal_reps < 1:
+        errors.append(f"cal_reps: lbdemo needs >= 1, got {cfg.cal_reps}")
     return errors
 
 
-def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float,
-                                    reps: int, seed: int = 0, cal_reps: int = 200,
-                                    reveal_sigma: bool = False, map_fn=map) -> dict:
+def indistinguishability_experiment(cfg, *, map_fn=map) -> dict:
     """Measure type I + type II error of each of the four tests against the
-    hidden prior.
+    hidden prior, as set by ``cfg``, an lbdemo :class:`mcuq.bench.ExperimentConfig`.
+    It runs ``cfg.validate()`` before any job, so it rejects exactly what
+    ``uq validate`` rejects, in the same words.
 
     Every test is a statistic of :func:`_statistics`, with its rejection
     threshold calibrated to level :data:`ALPHA_TEST` on simulated null datasets.
@@ -195,12 +192,12 @@ def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float
     them, which is what a known-variance procedure would use.  ``map_fn``
     lets callers substitute a parallel map; replicate seeds are derived per
     index, so the result does not depend on the mapping strategy.  Without
-    pairs (``reps`` 0) every error rate is NaN.  Broken :func:`setting_errors`
-    rules raise one :class:`DomainError` before any job runs.
+    pairs (``reps`` 0) every error rate is NaN.
     """
-    errors = setting_errors(m, n, k0=k0, k=k, v=v, reps=reps, cal_reps=cal_reps)
-    if errors:
-        raise DomainError("; ".join(errors))
+    if cfg.kind != "lbdemo":
+        raise DomainError(f"kind: the experiment needs an lbdemo config, got {cfg.kind!r}")
+    cfg.validate()
+    m, n, k0, k, v, reps = cfg.m1, cfg.n, cfg.k0, cfg.k, cfg.v, cfg.reps
     if k > m ** (1 / 3):
         import warnings
         warnings.warn(f"k={k} exceeds the recommended m^(1/3)={m ** (1/3):.2f}",
@@ -210,9 +207,9 @@ def indistinguishability_experiment(m: int, n: int, *, k0: int, k: int, v: float
     # The pairs and the calibration draws run as one map, the costlier pairs
     # first; the thresholds are needed only to count rejections afterwards.
     # Without pairs there is nothing to calibrate for.
-    jobs = range(reps + cal_reps if reps > 0 else 0)
-    done = list(map_fn(functools.partial(_replicate, m, n, k0, k, rho, reveal_sigma, seed,
-                                         reps), jobs))
+    jobs = range(reps + cfg.cal_reps if reps > 0 else 0)
+    done = list(map_fn(functools.partial(_replicate, m, n, k0, k, rho, cfg.reveal_sigma,
+                                         cfg.seed, reps), jobs))
     pairs, cal = done[:reps], done[reps:]
     thresholds = {
         name: float(np.quantile(np.array([c[name] for c in cal]),

@@ -26,6 +26,11 @@ MEMBER_ENTRY_TOL = 1e-9
 #: The free positive constant ``z`` of :func:`rss_ci`'s radius (:func:`rss_radius_sq`).
 RSS_Z = 1.0
 
+#: Relative slack on ``a + U`` when the observations are checked against it.
+#: It covers :class:`NoiseSpec`'s own 1e-12 slack on a uniform half-width and
+#: the rounding of an entry plus its noise.
+DATA_BOUND_RTOL = 1e-9
+
 
 @dataclass
 class PairedSet:
@@ -132,6 +137,15 @@ def u_quantile(alpha: float, N: int, *, a: float, U: float) -> float:
     return (U * U + 4.0 * a * a) / math.sqrt(N * alpha)
 
 
+def _check_data_bound(data: TraceDataset, *, a: float, U: float) -> None:
+    """Raise :class:`DomainError` when an observation refutes ``|y| <= a + U``,
+    which entries in ``[-a, a]`` and noise in ``[-U, U]`` imply."""
+    top = float(np.max(np.abs(data.y), initial=0.0))
+    if top > (a + U) * (1.0 + DATA_BOUND_RTOL):
+        raise DomainError(f"the data refute the bounds: max|y| = {top:.6g} exceeds "
+                          f"a + U = {a + U:.6g} (a={a}, U={U})")
+
+
 def _fit_flags(fit: LassoFit) -> tuple[str, ...]:
     return () if fit.converged else ("center_not_converged",)
 
@@ -142,8 +156,10 @@ def u_ci(data: TraceDataset, alpha: float, *, a: float, U: float) -> FrobeniusBa
     The center is a constrained nuclear-norm fit on the second half (tuned
     with the noise bound ``U`` standing in for the unknown standard
     deviation); the radius is the paired-residual statistic of the first
-    half plus the quantile slack.
+    half plus the quantile slack.  Data with an observation above ``a + U``
+    refute the bounds, and raise :class:`DomainError`.
     """
+    _check_data_bound(data, a=a, U=U)
     m = min(data.m1, data.m2)
     d = data.m1 + data.m2
     if not m * math.log(d) <= data.n <= data.m1 * data.m2:
@@ -207,10 +223,14 @@ def rss_ci(data: TraceDataset, alpha: float, *, a: float, sigma: float, U: float
 
     The quantile constants are ``z_alpha = log(3/alpha)`` and
     ``xi = sqrt(2)*sigma*U*log(3/alpha)``, and ``z`` is :data:`RSS_Z`.
-    ``a`` bounds the entries of the center fit.
+    ``a`` bounds the entries of the center fit.  A ``sigma`` above ``U``, or
+    data with an observation above ``a + U``, raise :class:`DomainError`.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0 <= sigma <= U:
+        raise DomainError(f"need 0 <= sigma <= U, got sigma={sigma}, U={U}")
+    _check_data_bound(data, a=a, U=U)
     first, second = split_sample(data)
     lam = lambda_practical_trace(data.m1, data.m2, second.n, sigma=max(sigma, 1e-12))
     fit = matrix_lasso(second, lam, a=a)

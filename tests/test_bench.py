@@ -250,6 +250,9 @@ class TestConfig:
         (dict(a=1e308), "a: must be <= 1e+100, got 1e+308"),
         (dict(noise={"kind": "scaled-rademacher", "sigma": 1e300, "U": 1e300}),
          "noise: U must be <= 1e+100, got 1e+300"),
+        # The one-shot model observes each entry at most once, at every grid cell.
+        (dict(kind="risk", model="bernoulli", n_grid=[50, 101]),
+         "n_grid: entries must be <= m1*m2=100 in the bernoulli model, got [50, 101]"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -264,7 +267,7 @@ class TestConfig:
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells",
             "power-grid-repeated", "diameter-k_truth-is-k0", "power-a-overflows",
-            "a-overflows", "noise-U-overflows"])
+            "a-overflows", "noise-U-overflows", "risk-bernoulli-n_grid"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
@@ -318,11 +321,6 @@ class TestCoverage:
             np.median([r["radius_sq"] for r in rep.records]))
         assert rep.aggregates["flagged"] == sum(r["flag"] for r in rep.records)
         assert rep.config == coverage_config().to_dict()
-
-    def test_deterministic_across_threads(self):
-        rep1 = run(coverage_config(), threads=1)
-        rep3 = run(coverage_config(), threads=3)
-        assert rep1.records == rep3.records
 
     def test_noiseless_data_covers_always(self):
         cfg = coverage_config(m1=5, m2=5, n=500, reps=8,
@@ -618,13 +616,6 @@ class TestLbdemoKind:
 
 
 class TestRecordsCsv:
-    def test_byte_identical_across_threads(self, tmp_path):
-        cfg = coverage_config(reps=10)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(run(cfg, threads=1), p1)
-        write_records_csv(run(cfg, threads=3), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_report_json_structure(self, tmp_path):
         rep = run(coverage_config(reps=5))
         path = tmp_path / "report.json"
@@ -1061,15 +1052,6 @@ class TestMethodModelPairing:
             dataclasses.replace(cfg, model="trace"), tmp_path / "trace.csv")
         with pytest.raises(DomainError, match="n: must be <= m1[*]m2=100 in the bernoulli"):
             dataclasses.replace(cfg, method="adaptive_ci", k=3).validate()
-
-    def test_lbdemo_parallel_deterministic(self, tmp_path):
-        cfg = ExperimentConfig(kind="lbdemo", model="bernoulli", m1=24, m2=24,
-                               n=144, k=2, k0=1, v=0.1, reps=6, cal_reps=12,
-                               seed=13)
-        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        write_records_csv(run(cfg, threads=1), p1)
-        write_records_csv(run(cfg, threads=2), p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestTracerWraps:

@@ -3,9 +3,10 @@
 ``golden_records.json`` holds one config per kind (each coverage method
 once) and the sha256 of the ``records.csv`` it gives.  A pure refactor or a
 kernel swap keeps those bytes, and this test checks it.  Bits depend on the
-numpy and scipy builds and the machine, so the digests are compared only on
-the environment they were captured on, and the test skips with the reason
-elsewhere; ``test_bench.py`` runs the same configs everywhere and compares
+numpy and scipy builds, the machine, and the kernel that each bundled
+OpenBLAS copy picks for the CPU (its core name, such as ``SkylakeX`` or
+``Haswell``), so the digests are compared only on the environment they were
+captured on, and the test skips with the reason elsewhere; ``test_bench.py`` runs the same configs everywhere and compares
 serial and pooled records.  To re-capture them on purpose (say, after adding a record
 column), run
 
@@ -15,6 +16,7 @@ which prints each entry whose digest changed, with its old and new digest,
 and commit the rewritten ``golden_records.json``.
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -31,9 +33,27 @@ GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
+def openblas_cores() -> dict:
+    """The core name of each OpenBLAS copy that the numpy and scipy wheels
+    bundle, keyed by package; a copy whose library or symbol is missing is
+    left out."""
+    cores = {}
+    for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
+                                 (scipy, "libscipy_openblas-*", "")):
+        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in sorted(libs_dir.glob(lib)):
+            try:
+                corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename" + suffix)
+            except (OSError, AttributeError):
+                continue
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            cores[f"{package.__name__}_openblas_core"] = corename().decode()
+    return cores
+
+
 def environment() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(), **openblas_cores()}
 
 
 def records_sha256(config: dict, out_dir: Path) -> str:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,12 +154,18 @@ class TestSeparationCheck:
         assert verified >= 15
 
 
+def lbdemo_config(m: int, n: int, **settings) -> ExperimentConfig:
+    return ExperimentConfig(kind="lbdemo", m1=m, m2=m, n=n, **settings)
+
+
 class TestIndistinguishability:
     # Each setting below fails `uq validate` for an lbdemo config.  The
     # library call once ran with some of them: without calibration draws it
     # ended in an IndexError from np.quantile; the swapped ranks (24x24,
     # n = 144) and reps = -3 ran to a min_error_sum of 1.0; k above m and an
-    # n above the kept columns raised only from inside a mapped job.
+    # n above the kept columns raised only from inside a mapped job.  When it
+    # took the settings one by one, an n above m*m raised the sampler's words
+    # from inside the first job, and v = 0 and n = 0 raised rho_for's words.
     @pytest.mark.parametrize("kwargs, message", [
         (dict(cal_reps=0), "cal_reps: lbdemo needs >= 1, got 0"),
         (dict(k0=2, k=1), "k0/k: need 0 <= k0 < k, got 2, 1"),
@@ -168,12 +175,18 @@ class TestIndistinguishability:
         (dict(n=64, k=3), "n: must be <= 48 for lbdemo, whose alternative keeps 6 of 8 columns "
                           "at k=3"),
         (dict(n=10, v=1.0), "v: gives rho=1.0637 >= 1/2; reduce v or raise n"),
+        (dict(n=100), "n: must be <= m1*m2=64 in the bernoulli model"),
+        (dict(v=0.0), "v: must be > 0, got 0.0"),
+        (dict(n=0), "n: must be >= 1, got 0"),
+        (dict(m2=9), "m1/m2: lbdemo needs a square matrix, got 8x9"),
     ], ids=["cal_reps-0", "k0-above-k", "k0-negative", "reps-negative", "k-above-m",
-            "n-above-kept-columns", "v-rho-half"])
+            "n-above-kept-columns", "v-rho-half", "n-above-m-squared", "v-0", "n-0",
+            "not-square"])
     def test_bad_test_settings_fail_closed(self, kwargs, message):
-        settings = {**dict(n=32, k0=1, k=2, v=0.5, reps=2, cal_reps=5), **kwargs}
+        settings = {**dict(m2=8, n=32, k0=1, k=2, v=0.5, reps=2, cal_reps=5, seed=1), **kwargs}
+        cfg = ExperimentConfig(kind="lbdemo", m1=8, **settings)
         with pytest.raises(DomainError) as validated:
-            ExperimentConfig(kind="lbdemo", m1=8, m2=8, **settings).validate()
+            cfg.validate()
         mapped = []
 
         def recording_map(fn, jobs):
@@ -181,18 +194,24 @@ class TestIndistinguishability:
             return map(fn, jobs)
 
         with pytest.raises(DomainError) as called:
-            indistinguishability_experiment(8, settings.pop("n"), seed=1, map_fn=recording_map,
-                                            **settings)
+            indistinguishability_experiment(cfg, map_fn=recording_map)
         assert str(called.value) == str(validated.value) == message
         assert mapped == []
+
+    def test_needs_an_lbdemo_config(self):
+        # A config of another kind does not meet lbdemo's rules in validate.
+        cfg = ExperimentConfig(kind="coverage", m1=8, m2=8, n=32, k0=1, k=2, v=0.5, reps=2)
+        with pytest.raises(DomainError, match="^kind: the experiment needs an lbdemo config, "
+                                              "got 'coverage'$"):
+            indistinguishability_experiment(cfg)
 
     def test_thresholds_read_alpha_test_at_each_call(self, monkeypatch):
         # Each threshold is the 1 - ALPHA_TEST quantile of its calibration
         # draws, so a higher level gives thresholds no higher, and lower for
         # a statistic that varies.
         def thresholds():
-            return indistinguishability_experiment(12, 72, k0=1, k=2, v=0.3, reps=2, seed=5,
-                                                   cal_reps=40)["thresholds"]
+            return indistinguishability_experiment(lbdemo_config(
+                12, 72, k0=1, k=2, v=0.3, reps=2, seed=5, cal_reps=40))["thresholds"]
 
         at_default = thresholds()
         monkeypatch.setattr(lbdemo, "ALPHA_TEST", 0.5)
@@ -202,7 +221,7 @@ class TestIndistinguishability:
 
     def test_zero_reps_gives_empty_report(self):
         # No pairs measure no error: every rate is NaN, not a perfect 0.0.
-        res = indistinguishability_experiment(12, 36, k0=1, k=2, v=0.05, reps=0, seed=0)
+        res = indistinguishability_experiment(lbdemo_config(12, 36, k0=1, k=2, v=0.05, reps=0))
         assert res["rows"] == [] or all(row["reps"] == 0 for row in res["rows"])
         assert math.isnan(res["min_error_sum"])
 
@@ -219,14 +238,14 @@ class TestIndistinguishability:
         # 96^(1/3) = 4.58: k = 5 lies above the recommended bound although
         # it does not exceed round(4.58) = 5.
         with pytest.warns(RuntimeWarning, match=r"m\^\(1/3\)=4\.58"):
-            indistinguishability_experiment(96, 2304, k0=1, k=5, v=0.05, reps=0)
+            indistinguishability_experiment(lbdemo_config(96, 2304, k0=1, k=5, v=0.05, reps=0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            indistinguishability_experiment(96, 2304, k0=1, k=4, v=0.05, reps=0)
+            indistinguishability_experiment(lbdemo_config(96, 2304, k0=1, k=4, v=0.05, reps=0))
 
     def test_report_rows_structure(self):
-        res = indistinguishability_experiment(24, 144, k0=1, k=2, v=0.05, reps=8,
-                                              seed=18, cal_reps=12)
+        res = indistinguishability_experiment(lbdemo_config(24, 144, k0=1, k=2, v=0.05, reps=8,
+                                                            seed=18, cal_reps=12))
         assert [row["test_name"] for row in res["rows"]] == [
             "second_moment", "observed_variance", "infimum_sigma_assumed", "rank_energy"]
         for row in res["rows"]:
@@ -235,10 +254,8 @@ class TestIndistinguishability:
             assert 0 <= row["type1"] <= 1 and 0 <= row["type2"] <= 1
 
     def test_revealed_variance_separates(self):
-        blind = indistinguishability_experiment(24, 288, k0=1, k=2, v=0.4, reps=30,
-                                                seed=19, cal_reps=40)
-        revealed = indistinguishability_experiment(24, 288, k0=1, k=2, v=0.4, reps=30,
-                                                   seed=19, cal_reps=40,
-                                                   reveal_sigma=True)
+        cfg = lbdemo_config(24, 288, k0=1, k=2, v=0.4, reps=30, seed=19, cal_reps=40)
+        blind = indistinguishability_experiment(cfg)
+        revealed = indistinguishability_experiment(replace(cfg, reveal_sigma=True))
         assert revealed["min_error_sum"] < blind["min_error_sum"]
         assert revealed["min_error_sum"] <= 0.2

@@ -186,8 +186,9 @@ def rss_ci_coverage() -> float:
 def lbdemo_revealed_error_sum() -> float:
     """Smallest error sum of lbdemo's four tests with the variance revealed,
     at m = 16, n = 128, k = 2, v = 0.5 and criterion 09's revealed seed."""
-    return lbdemo.indistinguishability_experiment(16, 128, k0=1, k=2, v=0.5, reps=100, seed=903,
-                                                  cal_reps=100, reveal_sigma=True)["min_error_sum"]
+    cfg = ExperimentConfig(kind="lbdemo", m1=16, m2=16, n=128, k0=1, k=2, v=0.5, reps=100,
+                           seed=903, cal_reps=100, reveal_sigma=True)
+    return lbdemo.indistinguishability_experiment(cfg)["min_error_sum"]
 
 
 #: The low-rank test near its detection boundary: criterion 07's shape and

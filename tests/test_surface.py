@@ -19,7 +19,7 @@ SRC = Path(mcuq.__file__).resolve().parent
 #: Public definitions that are off the surface and that no other package code
 #: uses, each with the ROADMAP item that removes it.
 UNUSED = {
-    ("core", "svd_deterministic"): "item 8, once item 1 drops its benchmark tracer rows",
+    ("core", "svd_deterministic"): "item 7, once item 1 drops its benchmark tracer rows",
     ("lbdemo", "separation_check"): "item 4, or its deletion",
 }
 
@@ -73,10 +73,10 @@ def test_every_public_definition_is_on_the_surface_or_used_in_the_package():
     assert unused == set(UNUSED)
 
 
-#: Parameters that may be passed by position: data objects and matrices, and
-#: structural numbers.  Every other parameter of a public library function is
+#: Parameters that may be passed by position: data objects, configs and
+#: matrices, and structural numbers.  Every other parameter of a public library function is
 #: keyword-only: the bounds, noise facts and search controls.
-POSITIONAL = {"data", "half", "pairs", "draw", "ds", "M", "M_hat", "A", "rng",
+POSITIONAL = {"data", "half", "pairs", "draw", "ds", "cfg", "M", "M_hat", "A", "rng",
               "alpha", "N", "R_hat", "lam", "k0", "k", "m1", "m2", "m", "n", "d", "shape"}
 
 #: The stream helpers keep their positional seed and stream coordinates.
@@ -107,13 +107,12 @@ def test_bounds_noise_and_controls_are_keyword_only():
 def test_swapped_positional_bounds_raise_type_error():
     # With positional bounds, each call below ran to a void result and raised
     # nothing: at criterion 01's shape, the two sets covered 0 of 60
-    # replicates against 60 of 60 for the right calls, and the demo with its
-    # ranks swapped read a smallest error sum of 1.0.
+    # replicates against 60 of 60 for the right calls.  The demo, which once
+    # read a smallest error sum of 1.0 with its ranks swapped, now takes a
+    # config, which names every field.
     M = synth.make_low_rank(30, 30, 1, a=1.0, seed=1)
     data = synth.sample_trace(M, 900, noise=NoiseSpec("scaled-rademacher", 0.5, 0.5), seed=2)
     with pytest.raises(TypeError):
         trace_uq.u_ci(data, 0.1, 0.5, 1.0)
     with pytest.raises(TypeError):
         trace_uq.rss_ci(data, 0.1, 1.0, 0.5, 0.5)
-    with pytest.raises(TypeError):
-        lbdemo.indistinguishability_experiment(24, 144, 1, 2, 0.05, reps=4, seed=1, cal_reps=20)

@@ -335,3 +335,62 @@ class TestUCiCoverageOtherNoise:
             covered += ball.contains(M)
         floor = 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)
         assert covered / reps >= floor
+
+
+class TestBoundsRefutedByData:
+    # Entries in [-a, a] and noise in [-U, U] give every observation
+    # |y| <= a + U.  Told a smaller bound, u_ci once built a set that looked
+    # valid: in the cell below, with U/2, U/4 and U/10 its coverage read
+    # 0.957, 0.857 and 0.820 over 300 replicates, and the data refuted the
+    # bound in each of them.
+    def cell_data(self, noise):
+        M = make_low_rank(30, 30, 1, a=0.25, seed=child_seed(101, 10, 0))
+        return sample_trace(M, 900, noise=noise, seed=child_seed(101, 11, 0))
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec("scaled-rademacher", 1.0, 1.0),
+        NoiseSpec("uniform", 1.0 / math.sqrt(3.0), 1.0),
+        NoiseSpec("truncated-gaussian", 0.5, 1.5),
+    ], ids=["scaled-rademacher", "uniform", "truncated-gaussian"])
+    @pytest.mark.parametrize("divisor", [2, 4, 10])
+    def test_understated_noise_bound_is_refused(self, noise, divisor):
+        data = self.cell_data(noise)
+        U = noise.U / divisor
+        top = float(np.max(np.abs(data.y)))
+        message = (f"^the data refute the bounds: max[|]y[|] = {top:.6g} exceeds "
+                   f"a [+] U = {0.25 + U:.6g} [(]a=0.25, U={U}[)]$")
+        with pytest.raises(DomainError, match=message):
+            u_ci(data, 0.1, a=0.25, U=U)
+        with pytest.raises(DomainError, match=message):
+            rss_ci(data, 0.1, a=0.25, sigma=min(noise.sigma, U), U=U)
+
+    def test_understated_entry_bound_is_refused(self):
+        # At criterion 01's a = 1 and sigma = U = 0.5, a = 0.2 and U = 0.1
+        # once gave a set that missed the truth.
+        M = make_low_rank(30, 30, 1, a=1.0, seed=child_seed(101, 10, 0))
+        data = sample_trace(M, 900, noise=RADEMACHER, seed=child_seed(101, 11, 0))
+        with pytest.raises(DomainError, match=r"exceeds a \+ U = 0\.3 \(a=0\.2, U=0\.1\)$"):
+            u_ci(data, 0.1, a=0.2, U=0.1)
+        ball = u_ci(data, 0.1, a=1.0, U=0.5)
+        assert ball.contains(M)
+
+    def test_rss_ci_refuses_sigma_above_U(self):
+        # Bounded noise cannot have sigma > U; the set once came back with
+        # radius_sq 0.0.
+        data = sample_trace(make_low_rank(8, 8, 1, a=1.0, seed=29), 128, noise=RADEMACHER,
+                            seed=30)
+        with pytest.raises(DomainError, match=r"^need 0 <= sigma <= U, got sigma=2\.0, U=0\.5$"):
+            rss_ci(data, 0.1, a=1.0, sigma=2.0, U=0.5)
+        noiseless = sample_trace(make_low_rank(8, 8, 1, a=1.0, seed=29), 128,
+                                 noise=NoiseSpec("scaled-rademacher", 0.0, 0.5), seed=30)
+        assert rss_ci(noiseless, 0.1, a=1.0, sigma=0.0, U=0.5).radius_sq > 0.0
+
+    def test_bound_allows_the_noise_laws_own_slack(self):
+        # NoiseSpec admits a uniform half-width up to U * (1 + 1e-12), so an
+        # observation that far above a + U does not refute the bounds.
+        a, U = 1.0, 0.5
+        top = a + U * (1.0 + 1e-12)
+        data = dataset_from_positions(2, 2, [(0, 0), (0, 0), (1, 1), (1, 1)],
+                                      [top, top, -top, -top])
+        u_ci(data, 0.1, a=a, U=U)
+        rss_ci(data, 0.1, a=a, sigma=U, U=U)
