@@ -52,7 +52,7 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 
 #: Most replicates of one run (``reps`` times the grid cells of its kind), and
 #: most calibration draws (``cal_reps``).  A run keeps every job and its
-#: record until it aggregates, about 1.3 KiB each, and lbdemo keeps a dict of
+#: record until it aggregates, about 1.3 KiB each, and lbdemo keeps a row of
 #: four statistics per calibration draw: about 130 MiB at the cap.  The
 #: ``test_power`` dry run in ``validate`` builds every separated truth first,
 #: 0.24 ms each at 20x20, so it finishes in about 25 s at the cap.
@@ -63,6 +63,11 @@ MAX_REPLICATES = 10 ** 5
 #: about 7 s there, and the search keeps one ``m1 x m2`` stall point per
 #: start that stalls.
 MAX_RESTARTS = 1000
+
+#: Most pool workers of one run.  The jobs are CPU-bound, so workers beyond the
+#: host's cores only share them; 256 is above the cores of any one common host,
+#: and a mistyped count such as 100000 is refused before it forks a process.
+MAX_THREADS = 256
 
 
 def _is_finite(value) -> bool:
@@ -390,7 +395,8 @@ def _drain(fn: Callable, jobs: list) -> list:
 def _map_for(threads: int):
     """``(map, None)`` for one thread, else ``(map_fn, pool)`` over a fork
     pool of ``threads`` workers, for the caller to close and join; a count
-    below 1, or a platform without ``fork``, raises :class:`DomainError`.
+    below 1 or above :data:`MAX_THREADS`, or a platform without ``fork``,
+    raises :class:`DomainError`.
 
     ``map_fn(fn, jobs)`` hands each worker ``fn`` and the job list once; the
     workers then take jobs one at a time from a shared counter, and the
@@ -402,6 +408,8 @@ def _map_for(threads: int):
     """
     if threads < 1:
         raise DomainError(f"--threads: must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise DomainError(f"--threads: must be <= {MAX_THREADS}, got {threads}")
     if threads == 1:
         return map, None
     import multiprocessing  # only a pool needs it, so serial runs and imports skip it
@@ -650,15 +658,6 @@ def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
     return lbdemo.indistinguishability_experiment(cfg, map_fn=map_fn)
 
 
-def _lbdemo_aggregates(cfg: ExperimentConfig, rows: list, result: dict) -> dict:
-    return {
-        "min_error_sum": result["min_error_sum"],
-        "error_sum": {row["test_name"]: row["error_sum"] for row in rows},
-        "thresholds": result["thresholds"],
-        "rho": result["rho"],
-    }
-
-
 def _prepare_extras(config: ExperimentConfig) -> dict:
     """Work shared across replicates, done once up front (e.g. calibration)."""
     if config.reps == 0 or not config.reads("threshold_mode"):  # no replicate runs the test
@@ -680,8 +679,8 @@ class Kind:
     extras, job)`` turns one into a record with ``columns``, with ``extras``
     from :func:`_prepare_extras`, and ``aggregate(cfg, records, extras)``
     summarises the records.  With ``grids=None`` the kind maps its own
-    jobs: ``replicate(cfg, map_fn)`` returns a result whose ``rows`` are
-    the records and which ``aggregate`` gets as ``extras``.
+    jobs: ``replicate(cfg, map_fn)`` returns its aggregates with the records
+    under ``rows``, and ``aggregate`` gets the aggregates as ``extras``.
     """
 
     columns: tuple
@@ -703,7 +702,7 @@ KINDS.update({
                        lambda cfg: (cfg.separation_grid,)),
     "lbdemo": Kind(("test_name", "type1", "type2", "error_sum", "v", "rho", "m", "n", "k",
                     "reps"),
-                   _lbdemo_experiment, _lbdemo_aggregates, None),
+                   _lbdemo_experiment, lambda cfg, records, aggregates: aggregates, None),
 })
 
 
@@ -723,7 +722,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         try:
             if kind.grids is None:
                 extras = kind.replicate(config, map_fn)
-                records = extras["rows"]
+                records = extras.pop("rows")
             else:
                 extras = _prepare_extras(config)
                 jobs = [(i, *job) for i, job in enumerate(

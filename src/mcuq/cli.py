@@ -8,6 +8,8 @@ numerical flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -57,17 +59,37 @@ def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
     return raw, ExperimentConfig.from_dict(raw)
 
 
+@contextlib.contextmanager
+def _writing(out_dir: Path):
+    """Turn an ``OSError`` met in the block into :class:`DomainError`."""
+    try:
+        yield
+    except OSError as e:
+        raise DomainError(f"cannot write to {out_dir}: {e}") from e
+
+
 def _cmd_run(args) -> int:
     _, cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.reps is not None:
         cfg.reps = args.reps
-    report = run(cfg, threads=args.threads)  # validates the overridden config
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_csv(report, out_dir / "records.csv")
-    write_report_json(report, out_dir / "report.json")
+    # The directory is made before the run, so an unusable one fails before
+    # any replicate; a run that fails removes the directories made here.
+    with _writing(out_dir):
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+        out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        report = run(cfg, threads=args.threads)  # validates the overridden config
+    except BaseException:
+        for d in made:  # the deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    with _writing(out_dir):
+        write_records_csv(report, out_dir / "records.csv")
+        write_report_json(report, out_dir / "report.json")
     flagged = int(report.aggregates.get("flagged", 0))
     print(f"wrote {out_dir / 'records.csv'} and {out_dir / 'report.json'} "
           f"({len(report.records)} records, {flagged} flagged, "

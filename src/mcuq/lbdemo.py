@@ -121,14 +121,15 @@ _STATISTICS = ("second_moment", "observed_variance", "infimum_sigma_assumed", "r
 
 
 def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
-                seed: int) -> dict:
-    """The four test statistics of one dataset at assumed noise variance ``sigma_sq``.
+                seed: int) -> tuple:
+    """The row of test statistics of one dataset at assumed variance ``sigma_sq``.
 
-    ``second_moment`` and ``observed_variance`` compare the observed values'
-    second moment and variance with ``sigma_sq``; ``infimum_sigma_assumed`` is
-    the rank-``k0`` infimum statistic in the unit box; ``rank_energy`` is the
-    energy of the top ``k`` singular values of the rescaled data.  ``seed``
-    seeds the infimum search's random starts.
+    In :data:`_STATISTICS` order, ``second_moment`` and ``observed_variance``
+    compare the observed values' second moment and variance with
+    ``sigma_sq``; ``infimum_sigma_assumed`` is the rank-``k0`` infimum
+    statistic in the unit box; ``rank_energy`` is the energy of the top
+    ``k`` singular values of the rescaled data.  ``seed`` seeds the infimum
+    search's random starts.
     """
     obs = ds.values[ds.mask]
     second_moment = abs(float(np.sum(obs * obs)) - sigma_sq * obs.size) / math.sqrt(2.0 * ds.n)
@@ -139,22 +140,22 @@ def _statistics(ds: BernoulliDataset, sigma_sq: float, k0: int, k: int,
     # Energy of the top k singular values: the top k Gram eigenvalues.
     W = (ds.m1 * ds.m2 / ds.n) * ds.values
     rank_energy = float(np.sum(gram_eigvals(W)[-min(k, min(W.shape)):]))
-    return dict(zip(_STATISTICS, (second_moment, observed_variance, infimum, rank_energy)))
+    return second_moment, observed_variance, infimum, rank_energy
 
 
 def _replicate(m: int, n: int, k0: int, k: int, rho: float, reveal_sigma: bool,
-               seed: int, reps: int, j: int):
-    """Job ``j`` of the experiment's one map: the statistics of pair ``j`` (an H0
-    and an H1 dataset) for ``j < reps``, else of calibration draw ``j - reps``."""
+               seed: int, reps: int, j: int) -> list:
+    """Job ``j`` of the experiment's one map: the rows of pair ``j`` (H0, then
+    H1) for ``j < reps``, else the one row of calibration draw ``j - reps``."""
     if j >= reps:
         ds = h0_dataset(m, n, seed=child_seed(seed, 0, j - reps))
-        return _statistics(ds, 1.0, k0, k, child_seed(seed, 1, j - reps))
+        return [_statistics(ds, 1.0, k0, k, child_seed(seed, 1, j - reps))]
     ds0 = h0_dataset(m, n, seed=child_seed(seed, 2, j))
     stats0 = _statistics(ds0, 1.0, k0, k, child_seed(seed, 3, j))
     draw = sample_h1(m, k, rho=rho, seed=child_seed(seed, 4, j))
     ds1 = h1_dataset(draw, n, seed=child_seed(seed, 5, j))
     sigma_sq = 1.0 - 4.0 * rho * rho if reveal_sigma else 1.0
-    return stats0, _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, j))
+    return [stats0, _statistics(ds1, sigma_sq, k0, k, child_seed(seed, 6, j))]
 
 
 def setting_errors(cfg) -> list[str]:
@@ -191,8 +192,10 @@ def indistinguishability_experiment(cfg, *, map_fn=map) -> dict:
     ``reveal_sigma`` they are told the true variance of the data in front of
     them, which is what a known-variance procedure would use.  ``map_fn``
     lets callers substitute a parallel map; replicate seeds are derived per
-    index, so the result does not depend on the mapping strategy.  Without
-    pairs (``reps`` 0) every error rate is NaN.
+    index, so the result does not depend on the mapping strategy.  It holds
+    the four report ``rows`` and the aggregate that ``uq run`` reports:
+    ``min_error_sum``, ``error_sum`` and ``thresholds`` by test, and ``rho``.
+    Without pairs (``reps`` 0) every error rate is NaN, and no test has a threshold.
     """
     if cfg.kind != "lbdemo":
         raise DomainError(f"kind: the experiment needs an lbdemo config, got {cfg.kind!r}")
@@ -205,37 +208,23 @@ def indistinguishability_experiment(cfg, *, map_fn=map) -> dict:
     rho = rho_for(k, m, n, v=v)
 
     # The pairs and the calibration draws run as one map, the costlier pairs
-    # first; the thresholds are needed only to count rejections afterwards.
-    # Without pairs there is nothing to calibrate for.
+    # first, and their rows form one table; the thresholds are needed only to
+    # count rejections afterwards.  Without pairs there is nothing to calibrate for.
     jobs = range(reps + cfg.cal_reps if reps > 0 else 0)
-    done = list(map_fn(functools.partial(_replicate, m, n, k0, k, rho, cfg.reveal_sigma,
-                                         cfg.seed, reps), jobs))
-    pairs, cal = done[:reps], done[reps:]
-    thresholds = {
-        name: float(np.quantile(np.array([c[name] for c in cal]),
-                                1.0 - ALPHA_TEST, method="higher"))
-        for name in _STATISTICS
-    } if reps > 0 else {}
-
-    rej_h0 = {name: 0 for name in _STATISTICS}
-    rej_h1 = {name: 0 for name in _STATISTICS}
-    for stats0, stats1 in pairs:
-        for name in _STATISTICS:
-            rej_h0[name] += stats0[name] > thresholds[name]
-            rej_h1[name] += stats1[name] > thresholds[name]
-
-    rows = []
-    for name in _STATISTICS:
-        type1 = rej_h0[name] / reps if reps else math.nan
-        type2 = 1.0 - rej_h1[name] / reps if reps else math.nan
-        rows.append({
-            "test_name": name, "type1": type1, "type2": type2,
-            "error_sum": type1 + type2, "v": v, "rho": rho,
-            "m": m, "n": n, "k": k, "reps": reps,
-        })
-    return {
-        "rows": rows,
-        "min_error_sum": min(r["error_sum"] for r in rows),
-        "thresholds": thresholds,
-        "rho": rho,
-    }
+    done = map_fn(functools.partial(_replicate, m, n, k0, k, rho, cfg.reveal_sigma,
+                                    cfg.seed, reps), jobs)
+    table = np.array([row for rows in done for row in rows])
+    if reps > 0:  # pair j's H0 and H1 rows, j = 0, 1, ..., then the calibration rows
+        pairs, cal = table[:2 * reps].reshape(reps, 2, -1), table[2 * reps:]
+        thresholds = np.quantile(cal, 1.0 - ALPHA_TEST, axis=0, method="higher")
+        rejected = np.count_nonzero(pairs > thresholds, axis=0) / reps  # by hypothesis, test
+    else:
+        thresholds, rejected = np.empty(0), np.full((2, len(_STATISTICS)), math.nan)
+    type1, type2 = rejected[0], 1.0 - rejected[1]
+    error_sum = (type1 + type2).tolist()
+    rows = [{"test_name": name, "type1": t1, "type2": t2, "error_sum": err, "v": v, "rho": rho,
+             "m": m, "n": n, "k": k, "reps": reps}
+            for name, t1, t2, err in zip(_STATISTICS, type1.tolist(), type2.tolist(), error_sum)]
+    return {"rows": rows, "min_error_sum": min(error_sum),
+            "error_sum": dict(zip(_STATISTICS, error_sum)),
+            "thresholds": dict(zip(_STATISTICS, thresholds.tolist())), "rho": rho}

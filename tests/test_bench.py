@@ -856,6 +856,59 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert stages == []
 
+    @pytest.mark.parametrize("threads", [bench.MAX_THREADS + 1, 100000])
+    def test_threads_above_the_cap_exit_two_before_any_fork(self, tmp_path, capsys,
+                                                             monkeypatch, threads):
+        # Such a count once forked that many workers.  The cap admits the
+        # pools that the acceptance run (8) and TestPoolMap (up to 9) start.
+        def no_process(method=None):
+            raise AssertionError("a pool above the cap asked for a start method")
+
+        stages = []
+        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        monkeypatch.setattr(bench, "_prepare_extras", lambda cfg: stages.append(cfg) or {})
+        assert bench.MAX_THREADS >= 9
+        with pytest.raises(DomainError, match=f"^--threads: must be <= {bench.MAX_THREADS}, "
+                                              f"got {threads}$"):
+            bench._map_for(threads)
+        path = self.write_config(tmp_path)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--threads", str(threads)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --threads: must be <= {bench.MAX_THREADS}, got {threads}\n")
+        assert not (tmp_path / "out").exists()
+        assert stages == []
+
+    @pytest.mark.parametrize("out", ["afile/sub", "afile"])
+    def test_unusable_out_exits_two_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        # With a regular file in the path, the run once went to its end and
+        # then ended in a traceback from the mkdir.
+        def uncalled(config, threads=1):
+            raise AssertionError("the run started before its output directory was made")
+
+        monkeypatch.setattr(cli, "run", uncalled)
+        path = self.write_config(tmp_path)
+        (tmp_path / "afile").write_text("not a directory\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to {tmp_path / out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        # The output directory is made before the run; a run that fails
+        # takes away what was made for it, and leaves what was there.
+        path = self.write_config(tmp_path)
+        (tmp_path / "there").mkdir()
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "there/a/b"),
+                         "--reps", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: reps: must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["there"]
+        assert list((tmp_path / "there").iterdir()) == []
+
     def test_run_seed_and_reps_override(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out2"

@@ -231,8 +231,9 @@ class TestIndistinguishability:
         draw = sample_h1(12, 3, rho=0.1, seed=15)
         ds1 = h1_dataset(draw, 60, seed=16)
         ds0 = h0_dataset(12, 60, seed=17)
-        assert _statistics(ds1, 1.0, 1, 3, seed=0)["second_moment"] == 0.0
-        assert _statistics(ds0, 1.0, 1, 3, seed=0)["second_moment"] == 0.0
+        second_moment = lbdemo._STATISTICS.index("second_moment")
+        assert _statistics(ds1, 1.0, 1, 3, seed=0)[second_moment] == 0.0
+        assert _statistics(ds0, 1.0, 1, 3, seed=0)[second_moment] == 0.0
 
     def test_warns_above_cube_root_of_m(self):
         # 96^(1/3) = 4.58: k = 5 lies above the recommended bound although
@@ -259,3 +260,41 @@ class TestIndistinguishability:
         revealed = indistinguishability_experiment(replace(cfg, reveal_sigma=True))
         assert revealed["min_error_sum"] < blind["min_error_sum"]
         assert revealed["min_error_sum"] <= 0.2
+
+    @pytest.mark.parametrize("reveal_sigma", [False, True], ids=["blind", "revealed"])
+    def test_table_scores_match_per_name_loops(self, reveal_sigma):
+        # The experiment scores its tests with array operations over one
+        # table of statistics.  The reference maps the same jobs and scores
+        # each test by name, one pair at a time; the golden lbdemo digest
+        # compares only where it was captured, and this holds everywhere.
+        cfg = lbdemo_config(12, 72, k0=1, k=2, v=0.4, reps=9, seed=21, cal_reps=23,
+                            reveal_sigma=reveal_sigma)
+        rho = rho_for(cfg.k, cfg.m1, cfg.n, v=cfg.v)
+        done = [[dict(zip(lbdemo._STATISTICS, row)) for row in lbdemo._replicate(
+                    cfg.m1, cfg.n, cfg.k0, cfg.k, rho, reveal_sigma, cfg.seed, cfg.reps, j)]
+                for j in range(cfg.reps + cfg.cal_reps)]
+        pairs, cal = done[:cfg.reps], [rows[0] for rows in done[cfg.reps:]]
+        thresholds = {name: float(np.quantile(np.array([c[name] for c in cal]),
+                                              1.0 - lbdemo.ALPHA_TEST, method="higher"))
+                      for name in lbdemo._STATISTICS}
+        rej_h0 = {name: 0 for name in lbdemo._STATISTICS}
+        rej_h1 = {name: 0 for name in lbdemo._STATISTICS}
+        for stats0, stats1 in pairs:
+            for name in lbdemo._STATISTICS:
+                rej_h0[name] += stats0[name] > thresholds[name]
+                rej_h1[name] += stats1[name] > thresholds[name]
+        expected = []
+        for name in lbdemo._STATISTICS:
+            type1, type2 = rej_h0[name] / cfg.reps, 1.0 - rej_h1[name] / cfg.reps
+            expected.append({"test_name": name, "type1": type1, "type2": type2,
+                             "error_sum": type1 + type2, "v": cfg.v, "rho": rho,
+                             "m": cfg.m1, "n": cfg.n, "k": cfg.k, "reps": cfg.reps})
+
+        res = indistinguishability_experiment(cfg)
+        assert res["thresholds"] == thresholds
+        assert res["rows"] == expected
+        assert res["error_sum"] == {row["test_name"]: row["error_sum"] for row in expected}
+        assert res["min_error_sum"] == min(row["error_sum"] for row in expected)
+        # Some test rejects some but not all of its pairs' draws, so the counts
+        # are not trivial.
+        assert any(0 < row[c] < 1 for row in expected for c in ("type1", "type2"))

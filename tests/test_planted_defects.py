@@ -45,11 +45,19 @@ fail, so the check shows it can.
 * lbdemo's tests separate the hypotheses once they are told the noise
   variance of the data in front of them; a demo that never tells them is
   blind, and its smallest error sum stays near 1.
+* The infimum search is only an upper bound on the infimum, and its random
+  starts lower it.  A search that keeps only its zero start passes every
+  size and power check at desk scale, whose nulls the zero start brackets;
+  criterion 07, the near-boundary power and the far-truth coverage read the
+  same with and without it.  Only the search-quality slice of
+  ``test_search_quality.py`` sees it: its ``lbdemo H1`` group's summed
+  excess rises from 0.0007 to 0.127, against 0.025 for the plain search.
+  That slice's clean pass is ``test_search_quality.py``'s own test.
 
 Run as a script, ``PYTHONPATH=src python tests/test_planted_defects.py``, it
-runs these tests verbosely: one line for each check on clean code and one for
-each defect, and exit status 1 when a check fails on clean code or a defect
-goes unseen.
+runs these tests and the search-quality slice's verbosely: one line for each
+check on clean code and one for each defect, and exit status 1 when a check
+fails on clean code or a defect goes unseen.
 """
 
 import contextlib
@@ -65,6 +73,8 @@ from mcuq.bench import ExperimentConfig, run, separated_truth
 from mcuq.core import NoiseSpec
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, sample_bernoulli, sample_trace
 
+import test_search_quality as search_quality
+
 #: The library functions that defects replace, kept before any is planted.
 _SPLIT = trace_uq.split_sample
 _LOW_RANK_TEST = bernoulli_uq.low_rank_test
@@ -72,6 +82,7 @@ _U_QUANTILE = trace_uq.u_quantile
 _RSS_CI = trace_uq.rss_ci
 _REPLICATE = lbdemo._replicate
 _U_ALPHA_CALIBRATED = bernoulli_uq.u_alpha_calibrated
+_INFIMUM_STAT = bernoulli_uq.infimum_stat
 
 #: Criterion 01's shape at sigma = U = 0.5, rank 1, and its seed.
 M_SIDE, N, RANK, A, ALPHA, SEED, REPS = 30, 900, 1, 1.0, 0.1, 101, 300
@@ -209,6 +220,15 @@ def near_boundary_power() -> float:
     return run(cfg).aggregates["power_max_separation"]
 
 
+def search_groups_failed() -> int:
+    """Groups of the tier-1 search-quality slice on which ``infimum_stat``
+    brackets zero less often than the plain-step search, or ends further
+    above the reference in sum."""
+    groups = search_quality.summarize(search_quality.evaluate(case)
+                                      for case in search_quality.panel(search_quality.FAST))
+    return sum(not search_quality.passes(grp) for grp in groups.values())
+
+
 def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
     """Couple samples 0 and 1, 2 and 3, ..., whatever their positions."""
     t = np.arange(half.n - half.n % 2).reshape(-1, 2)
@@ -229,6 +249,8 @@ CHECKS = {
     # Criterion 09's bound on the revealed error sum.
     "lbdemo-revealed-separates": (lbdemo_revealed_error_sum, lambda err: err <= 0.7),
     "test-detects-near-boundary": (near_boundary_power, lambda power: power >= NEAR_FLOOR),
+    # Its clean pass is test_search_quality.py's tier-1 test.
+    "infimum-search-no-weaker": (search_groups_failed, lambda failed: failed == 0),
 }
 
 #: Planted defects: name -> (the check it must fail, module, attribute, replacement).
@@ -271,6 +293,14 @@ DEFECTS = {
         "test-detects-near-boundary", bernoulli_uq, "u_alpha_calibrated",
         lambda alpha, shape, n, *, noise, reps=400, seed=0:
             _U_ALPHA_CALIBRATED(alpha / 100, shape, n, noise=noise, reps=reps, seed=seed)),
+    # The infimum search keeps only its first start: no random starts, and
+    # the zero matrix in place of the spectral fit.  No size or power check
+    # sees it at desk scale.
+    "infimum_stat-first-start-only": (
+        "infimum-search-no-weaker", bernoulli_uq, "infimum_stat",
+        lambda data, k0, *, a, sigma, restarts=8, seed=0, max_iter=120, center=None:
+            _INFIMUM_STAT(data, k0, a=a, sigma=sigma, restarts=0, seed=seed, max_iter=max_iter,
+                          center=np.zeros((data.m1, data.m2)))),
 }
 
 
@@ -330,4 +360,5 @@ def test_planted_defect_fails_its_check(monkeypatch, name):
 
 
 if __name__ == "__main__":
-    sys.exit(pytest.main([__file__, "-v"]))
+    sys.exit(pytest.main([__file__, f"{search_quality.__file__}::"
+                          "test_momentum_search_is_no_weaker_on_each_group", "-v"]))
