@@ -2,7 +2,7 @@
 
 Experiments are pure functions of their configuration, seed included.
 :func:`run` is the one entry point for every kind: it looks the kind up in
-``KINDS`` and maps its replicates through a serial map or a fork pool.  Every
+``KINDS`` and hands its experiment a serial map or a fork pool's map.  Every
 replicate derives its own generator stream from (seed, replicate index),
 and records are emitted in replicate order, so serial and parallel runs
 produce byte-identical output.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import functools
 import itertools
 import json
@@ -225,9 +226,9 @@ class ExperimentConfig:
             # Dry run of every separated replicate's truth, so an entry bound
             # too small for any of them fails here and not after calibration.
             try:
-                for j, s_mult in enumerate(self.separation_grid):
-                    for r in range(self.reps if s_mult != 0.0 else 0):
-                        _power_truth(self, s_mult, j * self.reps + r)
+                for idx, s_mult, _ in _jobs(self):
+                    if s_mult != 0.0:
+                        _power_truth(self, s_mult, idx)
             except DomainError as e:
                 errors = [f"a: {e}"]
         if errors:
@@ -242,8 +243,7 @@ class ExperimentConfig:
             errors.append(f"n: must be <= m1*m2={self.m1 * self.m2} in the bernoulli model")
         if self.reads("k_truth") and not 1 <= self.k_truth <= d:
             errors.append(f"k_truth: must lie in [1, {d}], got {self.k_truth}")
-        grids = KINDS[self.kind].grids
-        cells = math.prod(map(len, grids(self))) if grids else 1
+        cells = math.prod(map(len, KINDS[self.kind].grids(self)))
         if self.reps * cells > MAX_REPLICATES:
             errors.append(f"reps: times the {cells} grid cells of {self.kind} must be "
                           f"<= {MAX_REPLICATES}, got {self.reps}")
@@ -256,8 +256,8 @@ class ExperimentConfig:
                           f"got {self.k_truth}")
         if tested and not 0 <= self.k0 < d:
             errors.append(f"k0: must lie in [0, {d - 1}], got {self.k0}")
-        if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k:
-            errors.append(f"k: must exceed k0={self.k0}, got {self.k}")
+        if self.kind in _SETS and self.method == "adaptive_ci" and not self.k0 < self.k <= d:
+            errors.append(f"k: must exceed k0={self.k0} and be <= {d} in adaptive_ci, got {self.k}")
         if tested and self.threshold_mode == "theoretical" and self.noise.sigma == 0:
             errors.append("noise: the theoretical test threshold needs sigma > 0")
         if self.kind == "risk":
@@ -331,34 +331,36 @@ def rate_se(p_hat: float, reps: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / reps)
 
 
+def _openblas(*symbols: str):
+    """Yield each OpenBLAS copy that the numpy and scipy wheels bundle, as its
+    package's name and its ``scipy_openblas_<symbol>`` functions; a copy whose
+    library or symbol is missing is left out."""
+    for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
+                                 (scipy, "libscipy_openblas-*", "")):
+        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in sorted(libs_dir.glob(lib)):
+            try:
+                copy = ctypes.CDLL(str(path))
+                functions = [getattr(copy, f"scipy_openblas_{s}{suffix}") for s in symbols]
+            except (OSError, AttributeError):
+                continue
+            yield package.__name__, functions
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Inside the block, run both OpenBLAS copies that the numpy and scipy
-    wheels bundle (numpy's ``libscipy_openblas64_`` for matrix products,
-    scipy's ``libscipy_openblas`` for ``dsyevr``) on one thread; after it,
-    give each the caller's count back.  On more threads a reduction sums in
-    another order, so ``records.csv`` would depend on the host, and a pool's
-    workers would oversubscribe the CPUs.  A copy whose library or symbol is
-    missing, or that is already on one thread, is left alone.
-    """
-    import ctypes
-
+    """Inside the block, run both bundled OpenBLAS copies (numpy's for matrix
+    products, scipy's for ``dsyevr``) on one thread; after it, give each the
+    caller's count back.  On more threads a reduction sums in another order,
+    so ``records.csv`` would depend on the host, and a pool's workers would
+    oversubscribe the CPUs.  A copy already on one thread is left alone."""
     with contextlib.ExitStack() as restore:
-        for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
-                                     (scipy, "libscipy_openblas-*", "")):
-            libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-            for path in libs_dir.glob(lib):
-                try:
-                    openblas = ctypes.CDLL(str(path))
-                    get_threads = getattr(openblas, "scipy_openblas_get_num_threads" + suffix)
-                    set_threads = getattr(openblas, "scipy_openblas_set_num_threads" + suffix)
-                except (OSError, AttributeError):
-                    continue
-                get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-                if (threads := get_threads()) != 1:
-                    set_threads(1)
-                    restore.callback(set_threads, threads)
+        for _, (get_threads, set_threads) in _openblas("get_num_threads", "set_num_threads"):
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            if (threads := get_threads()) != 1:
+                set_threads(1)
+                restore.callback(set_threads, threads)
         yield
 
 
@@ -438,13 +440,14 @@ def _map_for(threads: int):
     return map_fn, pool
 
 
-def _build_ci(cfg: ExperimentConfig, data, extras: dict, r: int) -> trace_uq.FrobeniusBall:
+def _build_ci(cfg: ExperimentConfig, data, threshold: float | None,
+              r: int) -> trace_uq.FrobeniusBall:
     if cfg.method == "u_ci":
         return trace_uq.u_ci(data, cfg.alpha, a=cfg.a, U=cfg.noise.U)
     if cfg.method == "rss_ci":
         return trace_uq.rss_ci(data, cfg.alpha, a=cfg.a, sigma=cfg.noise.sigma, U=cfg.noise.U)
     return bernoulli_uq.adaptive_ci(
-        data, cfg.k0, cfg.k, a=cfg.a, sigma=cfg.noise.sigma, threshold=extras["threshold"],
+        data, cfg.k0, cfg.k, a=cfg.a, sigma=cfg.noise.sigma, threshold=threshold,
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
 
 
@@ -454,7 +457,7 @@ def _sample(cfg: ExperimentConfig, M, r: int):
     return sample_bernoulli(M, cfg.n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
 
 
-def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+def _ci_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
     """One confidence set, for a coverage job ``(r, r)`` or a diameter job
     ``(idx, k_truth, r)``; the record holds the columns of both kinds."""
     # Common random numbers: the sampling stream depends on the replicate
@@ -464,7 +467,7 @@ def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     k_t = cell[0] if cell else cfg.k_truth
     M = make_low_rank(cfg.m1, cfg.m2, k_t, a=cfg.a, seed=child_seed(cfg.seed, 10, r, *cell))
     data = _sample(cfg, M, r)
-    ball = _build_ci(cfg, data, extras, r)
+    ball = _build_ci(cfg, data, threshold, r)
     return {
         "replicate": idx,
         "k_truth": k_t,
@@ -477,7 +480,7 @@ def _ci_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
     }
 
 
-def _coverage_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
+def _coverage_aggregates(cfg: ExperimentConfig, records: list) -> dict:
     """Empirical coverage of the configured confidence set; NaN without records."""
     if not records:
         return dict.fromkeys(("coverage", "coverage_se", "radius_sq_median", "radius_sq_q90",
@@ -493,7 +496,7 @@ def _coverage_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> 
     }
 
 
-def _diameter_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
+def _diameter_aggregates(cfg: ExperimentConfig, records: list) -> dict:
     """Median squared diameter under the sub-model rank and the full rank.
 
     ``reps`` replicates run with truth rank ``k0`` and another ``reps``
@@ -515,7 +518,7 @@ def _diameter_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> 
     }
 
 
-def _risk_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+def _risk_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
     idx, k_t, n_t, _ = job
     sub = replace(cfg, k_truth=k_t, n=n_t)
     M = make_low_rank(sub.m1, sub.m2, k_t, a=sub.a, seed=child_seed(cfg.seed, 10, idx))
@@ -543,7 +546,7 @@ def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _risk_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
+def _risk_aggregates(cfg: ExperimentConfig, records: list) -> dict:
     """Median normalized estimator risk over a (k, n) grid, with log-log slopes."""
     k_grid, n_grid = _risk_grids(cfg)
     med = {}
@@ -617,19 +620,19 @@ def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
                            seed=child_seed(cfg.seed, 10, idx))
 
 
-def _power_replicate(cfg: ExperimentConfig, extras: dict, job: tuple) -> dict:
+def _power_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
     idx, s_mult, _ = job
     M = _power_truth(cfg, s_mult, idx)
     data = _sample(cfg, M, idx)
     verdict = bernoulli_uq.low_rank_test(
-        data, cfg.k0, a=cfg.a, sigma=cfg.noise.sigma, threshold=extras["threshold"],
+        data, cfg.k0, a=cfg.a, sigma=cfg.noise.sigma, threshold=threshold,
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, idx))
     return {"replicate": idx, "separation": s_mult, "T_n": verdict.statistic,
             "threshold": verdict.threshold, "reject": int(verdict.reject),
             "flag": int(verdict.gap_flag)}
 
 
-def _power_aggregates(cfg: ExperimentConfig, records: list, extras: dict) -> dict:
+def _power_aggregates(cfg: ExperimentConfig, records: list) -> dict:
     """Size and power of the low-rank test across a separation sweep.
 
     Separations are multiples of the rate unit sqrt(m1*m2*k0*d/n); the zero
@@ -658,51 +661,54 @@ def _lbdemo_experiment(cfg: ExperimentConfig, map_fn) -> dict:
     return lbdemo.indistinguishability_experiment(cfg, map_fn=map_fn)
 
 
-def _prepare_extras(config: ExperimentConfig) -> dict:
-    """Work shared across replicates, done once up front (e.g. calibration)."""
-    if config.reps == 0 or not config.reads("threshold_mode"):  # no replicate runs the test
-        return {}
-    if config.threshold_mode == "calibrated":
-        return {"threshold": bernoulli_uq.u_alpha_calibrated(
-            config.alpha, (config.m1, config.m2), config.n, noise=config.noise,
-            reps=config.cal_reps, seed=child_seed(config.seed, 999))}
-    return {"threshold": bernoulli_uq.u_alpha_theoretical(
-        config.alpha, sigma=config.noise.sigma, U=config.noise.U)}
+def _threshold(cfg: ExperimentConfig) -> float | None:
+    """The low-rank test's threshold, computed once before any replicate;
+    ``None`` when no replicate runs the test."""
+    if cfg.reps == 0 or not cfg.reads("threshold_mode"):
+        return None
+    if cfg.threshold_mode == "calibrated":
+        return bernoulli_uq.u_alpha_calibrated(cfg.alpha, (cfg.m1, cfg.m2), cfg.n, noise=cfg.noise,
+                                               reps=cfg.cal_reps, seed=child_seed(cfg.seed, 999))
+    return bernoulli_uq.u_alpha_theoretical(cfg.alpha, sigma=cfg.noise.sigma, U=cfg.noise.U)
+
+
+def _jobs(cfg: ExperimentConfig) -> list:
+    """The jobs ``(index, *grid values, r)`` of a run, grid by grid, then replicate."""
+    return [(i, *job) for i, job in enumerate(
+        itertools.product(*KINDS[cfg.kind].grids(cfg), range(cfg.reps)))]
+
+
+def _replicates(replicate, aggregate, cfg: ExperimentConfig, map_fn) -> dict:
+    """The experiment of a grid kind: ``replicate(cfg, threshold, job)`` maps
+    over :func:`_jobs` to the records, and ``aggregate(cfg, records)`` summarises them."""
+    records = list(map_fn(functools.partial(replicate, cfg, _threshold(cfg)), _jobs(cfg)))
+    return {"rows": records, **aggregate(cfg, records)}
 
 
 @dataclass(frozen=True)
 class Kind:
-    """How :func:`run` runs one experiment kind.
-
-    Jobs ``(index, *grid values, r)`` run over
-    ``itertools.product(*grids(cfg), range(cfg.reps))``; ``replicate(cfg,
-    extras, job)`` turns one into a record with ``columns``, with ``extras``
-    from :func:`_prepare_extras`, and ``aggregate(cfg, records, extras)``
-    summarises the records.  With ``grids=None`` the kind maps its own
-    jobs: ``replicate(cfg, map_fn)`` returns its aggregates with the records
-    under ``rows``, and ``aggregate`` gets the aggregates as ``extras``.
-    """
+    """How :func:`run` runs one experiment kind: ``experiment(cfg, map_fn)``
+    returns the aggregates, with the records, which hold ``columns``, under
+    ``rows``; each cell of the grids ``grids(cfg)`` runs ``reps`` jobs."""
 
     columns: tuple
-    replicate: Callable
-    aggregate: Callable
-    grids: Callable | None = lambda cfg: ()
+    experiment: Callable
+    grids: Callable = lambda cfg: ()
 
 
 KINDS.update({
     "coverage": Kind(("replicate", "covered", "radius_sq", "risk", "n_aux", "flag"),
-                     _ci_replicate, _coverage_aggregates),
+                     functools.partial(_replicates, _ci_replicate, _coverage_aggregates)),
     "diameter": Kind(("replicate", "k_truth", "radius_sq", "covered", "reject", "flag"),
-                     _ci_replicate, _diameter_aggregates,
+                     functools.partial(_replicates, _ci_replicate, _diameter_aggregates),
                      lambda cfg: ((cfg.k0, cfg.k_truth),)),
     "risk": Kind(("replicate", "k", "n", "risk", "flag"),
-                 _risk_replicate, _risk_aggregates, _risk_grids),
+                 functools.partial(_replicates, _risk_replicate, _risk_aggregates), _risk_grids),
     "test_power": Kind(("replicate", "separation", "T_n", "threshold", "reject", "flag"),
-                       _power_replicate, _power_aggregates,
+                       functools.partial(_replicates, _power_replicate, _power_aggregates),
                        lambda cfg: (cfg.separation_grid,)),
     "lbdemo": Kind(("test_name", "type1", "type2", "error_sum", "v", "rho", "m", "n", "k",
-                    "reps"),
-                   _lbdemo_experiment, lambda cfg, records, aggregates: aggregates, None),
+                    "reps"), _lbdemo_experiment),
 })
 
 
@@ -720,19 +726,12 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     with _one_blas_thread():
         map_fn, pool = _map_for(threads)
         try:
-            if kind.grids is None:
-                extras = kind.replicate(config, map_fn)
-                records = extras.pop("rows")
-            else:
-                extras = _prepare_extras(config)
-                jobs = [(i, *job) for i, job in enumerate(
-                    itertools.product(*kind.grids(config), range(config.reps)))]
-                records = list(map_fn(functools.partial(kind.replicate, config, extras), jobs))
+            aggregates = kind.experiment(config, map_fn)
         finally:
             if pool is not None:
                 pool.close()
                 pool.join()
-    aggregates = {**kind.aggregate(config, records, extras),
-                  "flagged": sum(rec.get("flag", 0) for rec in records)}
+    records = aggregates.pop("rows")
+    aggregates["flagged"] = sum(rec.get("flag", 0) for rec in records)
     return ExperimentReport(records, list(kind.columns), aggregates, config.to_dict(),
                             time.perf_counter() - t0)

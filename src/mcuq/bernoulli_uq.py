@@ -322,8 +322,9 @@ def adaptive_ci(data: BernoulliDataset, k0: int, k: int, *, a: float, sigma: flo
     As in :func:`low_rank_test`, the data cannot refute ``sigma``: no noise
     bound comes with it.
     """
-    if not 0 <= k0 < k:
-        raise DomainError(f"need 0 <= k0 < k, got k0={k0}, k={k}")
+    d = min(data.m1, data.m2)
+    if not 0 <= k0 < k <= d:
+        raise DomainError(f"need 0 <= k0 < k <= min(m1, m2)={d}, got k0={k0}, k={k}")
     center = clip_entries(soft_threshold_estimator(data, lambda_data_driven(data)), a)
     verdict = low_rank_test(data, k0, a=a, sigma=sigma, threshold=threshold,
                             restarts=restarts, seed=seed, center=center)

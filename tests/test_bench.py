@@ -253,6 +253,10 @@ class TestConfig:
         # The one-shot model observes each entry at most once, at every grid cell.
         (dict(kind="risk", model="bernoulli", n_grid=[50, 101]),
          "n_grid: entries must be <= m1*m2=100 in the bernoulli model, got [50, 101]"),
+        # It passed `uq validate`, and `uq run` then ended in "OverflowError:
+        # int too large to convert to float" at the adaptive set's radius.
+        (dict(model="bernoulli", method="adaptive_ci", m1=8, m2=8, n=32, k0=1, k=10 ** 330),
+         f"k: must exceed k0=1 and be <= 8 in adaptive_ci, got {10 ** 330}"),
     ], ids=["lam", "restarts", "cal_reps", "diameter-k0", "power-a",
             "power-grid", "power-a-late-replicate", "power-cal-reps", "adaptive-cal-reps",
             "lbdemo-k", "lbdemo-rho", "lbdemo-n", "seed", "reps-float", "m1-float",
@@ -267,7 +271,7 @@ class TestConfig:
             "m1*m2-huge", "n-huge", "risk-n_grid-huge", "cal_reps-huge", "restarts-huge",
             "power-reps-huge", "reps-huge", "diameter-reps-times-cells",
             "power-grid-repeated", "diameter-k_truth-is-k0", "power-a-overflows",
-            "a-overflows", "noise-U-overflows", "risk-bernoulli-n_grid"])
+            "a-overflows", "noise-U-overflows", "risk-bernoulli-n_grid", "adaptive-k-huge"])
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
@@ -422,7 +426,7 @@ class TestTestPower:
         cfg = ExperimentConfig(kind="test_power", model="bernoulli", reps=2,
                                separation_grid=(4.0,))
         records = [{"separation": 4.0, "reject": 1}, {"separation": 4.0, "reject": 0}]
-        agg = bench._power_aggregates(cfg, records, {})
+        agg = bench._power_aggregates(cfg, records)
         assert math.isnan(agg["size"]) and math.isnan(agg["size_se"])
         assert agg["power_max_separation"] == 0.5
 
@@ -847,7 +851,7 @@ class TestCli:
     def test_threads_below_one_exits_two(self, tmp_path, capsys, monkeypatch, threads):
         # Such a run once ran serially and exited 0.
         stages = []
-        monkeypatch.setattr(bench, "_prepare_extras", lambda cfg: stages.append(cfg) or {})
+        monkeypatch.setattr(bench, "_threshold", lambda cfg: stages.append(cfg))
         path = self.write_config(tmp_path)
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                          "--threads", threads])
@@ -866,7 +870,7 @@ class TestCli:
 
         stages = []
         monkeypatch.setattr(multiprocessing, "get_context", no_process)
-        monkeypatch.setattr(bench, "_prepare_extras", lambda cfg: stages.append(cfg) or {})
+        monkeypatch.setattr(bench, "_threshold", lambda cfg: stages.append(cfg))
         assert bench.MAX_THREADS >= 9
         with pytest.raises(DomainError, match=f"^--threads: must be <= {bench.MAX_THREADS}, "
                                               f"got {threads}$"):
@@ -923,21 +927,25 @@ class TestCli:
 class TestBlasThreads:
     def test_records_do_not_depend_on_openblas_threads(self, tmp_path):
         # A run sets both bundled OpenBLAS copies to one thread.  Left at
-        # two, a multithreaded reduction sums in another order, and the risk
-        # of two of these replicates moves in the last digit.
+        # two, or unset, which is one per core, a multithreaded reduction sums
+        # in another order, and the risk of two of these replicates moves in
+        # the last digit.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"kind": "coverage", "m1": 200, "m2": 200, "n": 20000,
                                     "k_truth": 3, "reps": 6, "seed": 3}))
         src = Path(cli.__file__).resolve().parents[1]
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         written = []
-        for threads in ("2", "1"):
+        for threads in ("2", "1", None):
             out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            env = {**unset, "PYTHONPATH": str(src)}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
             subprocess.run([sys.executable, "-m", "mcuq.cli", "run", "--config", str(path),
                             "--out", str(out)], env=env, check=True, capture_output=True,
                            timeout=300)
             written.append((out / "records.csv").read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
         # A library run pins the BLAS threads of its own process and of the
         # pool it forks, so serially and at two workers it writes uq run's
         # bytes at two BLAS threads.
@@ -957,18 +965,11 @@ write_records_csv(run(cfg, threads=2), {str(library[1])!r})
         # getters, before and after each run, and inside the runs that raise.
         src = Path(cli.__file__).resolve().parents[1]
         done = subprocess.run([sys.executable, "-c", """
-import ctypes
-from pathlib import Path
-import numpy as np, scipy
 from mcuq import trace_uq
-from mcuq.bench import ExperimentConfig, run
+from mcuq.bench import ExperimentConfig, _openblas, run
 from mcuq.core import DomainError
 
-getters = []
-for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
-                             (scipy, "libscipy_openblas-*", "")):
-    for path in Path(package.__file__).parent.with_name(package.__name__ + ".libs").glob(lib):
-        getters.append(getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads" + suffix))
+getters = [get for _, (get,) in _openblas("get_num_threads")]
 counts = lambda: [get() for get in getters]
 
 def raising(*args, **kwargs):

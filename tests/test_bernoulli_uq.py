@@ -644,6 +644,17 @@ class TestAdaptiveCi:
         with pytest.raises(DomainError):
             adaptive_ci(data, 2, 2, a=1.0, sigma=0.5, threshold=0.0)
 
+    @pytest.mark.parametrize("k", [7, 10 ** 330])
+    def test_requires_k_within_the_shape(self, k):
+        # A rank of 10**330 once ended in "OverflowError: int too large to
+        # convert to float" at the radius; the full rank is the largest.
+        M = make_low_rank(6, 6, 1, a=1.0, seed=39)
+        data = sample_bernoulli(M, 18, noise=RADEMACHER, seed=40)
+        with pytest.raises(DomainError, match=r"k <= min\(m1, m2\)=6, got k0=1, k="):
+            adaptive_ci(data, 1, k, a=1.0, sigma=0.5, threshold=0.0)
+        ball = adaptive_ci(data, 1, 6, a=1.0, sigma=0.5, threshold=-1.0)
+        assert ball.radius_sq == pytest.approx(ADAPTIVE_K ** 2 * 6 * 12 / 18)
+
 
 class TestWeakRipSanity:
     def test_masked_energy_keeps_half(self):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mcuq.bench import ExperimentConfig, run, write_records_csv
+from mcuq.bench import ExperimentConfig, _openblas, run, write_records_csv
 
 GOLDEN_PATH = Path(__file__).with_name("golden_records.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -38,16 +38,9 @@ def openblas_cores() -> dict:
     bundle, keyed by package; a copy whose library or symbol is missing is
     left out."""
     cores = {}
-    for package, lib, suffix in ((np, "libscipy_openblas64_-*", "64_"),
-                                 (scipy, "libscipy_openblas-*", "")):
-        libs_dir = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-        for path in sorted(libs_dir.glob(lib)):
-            try:
-                corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename" + suffix)
-            except (OSError, AttributeError):
-                continue
-            corename.argtypes, corename.restype = (), ctypes.c_char_p
-            cores[f"{package.__name__}_openblas_core"] = corename().decode()
+    for package, (corename,) in _openblas("get_corename"):
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        cores[f"{package}_openblas_core"] = corename().decode()
     return cores
 
 

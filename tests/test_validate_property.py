@@ -69,7 +69,7 @@ EXTRAS = [
     ("m1", 10 ** 20), ("n", 10 ** 20), ("n_grid", [10 ** 20]),
     ("reps", 10 ** 20), ("cal_reps", 10 ** 20), ("restarts", 10 ** 20),
     ("separation_grid", [0.0, 0.0]), ("separation_grid", [0, 0.0]), ("k_grid", [1, 1]),
-    ("n_grid", [4, 4]),
+    ("n_grid", [4, 4]), ("k", 10 ** 400),
 ]
 
 #: Values that some or all kinds reject, one of which may replace a field of
