@@ -56,13 +56,16 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 #: record until it aggregates, about 1.3 KiB each, and lbdemo keeps a row of
 #: four statistics per calibration draw: about 130 MiB at the cap.  The
 #: ``test_power`` dry run in ``validate`` builds every separated truth first,
-#: 0.24 ms each at 20x20, so it finishes in about 25 s at the cap.
+#: 0.24 ms each at 20x20, so it finishes in about 25 s at the cap; it keeps
+#: them for the replicates only up to ``KEPT_TRUTH_BYTES``.
 MAX_REPLICATES = 10 ** 5
 
-#: Most random starts of one infimum search.  Each start makes up to 120
-#: projections (58 us each at 20x20), so one search at the cap takes up to
-#: about 7 s there, and the search keeps one ``m1 x m2`` stall point per
-#: start that stalls.
+#: Most random starts of one infimum search; the search draws no more once
+#: two of them have rejoined a stalled basin
+#: (``bernoulli_uq.RANDOM_REJOINS_TO_STOP``), but a search whose starts keep
+#: stalling draws them all.  Each start makes up to 120 projections (58 us
+#: each at 20x20), so one search at the cap takes up to about 7 s there, and
+#: the search keeps one ``m1 x m2`` stall point per start that stalls.
 MAX_RESTARTS = 1000
 
 #: Most pool workers of one run.  The jobs are CPU-bound, so workers beyond the
@@ -223,12 +226,8 @@ class ExperimentConfig:
             errors.append(f"m1*m2: must be <= {INTP_MAX}, got {self.m1 * self.m2}")
         errors = errors or self._errors()
         if not errors and self.kind == "test_power":
-            # Dry run of every separated replicate's truth, so an entry bound
-            # too small for any of them fails here and not after calibration.
             try:
-                for idx, s_mult, _ in _jobs(self):
-                    if s_mult != 0.0:
-                        _power_truth(self, s_mult, idx)
+                _separated_truths(self)
             except DomainError as e:
                 errors = [f"a: {e}"]
         if errors:
@@ -609,15 +608,49 @@ def _power_truth(cfg: ExperimentConfig, s_mult: float, idx: int) -> np.ndarray:
 
     A null truth (``s_mult = 0``) lies in the rank-``k0`` class: the zero
     matrix at ``k0 = 0``.  The rate unit takes rank ``max(k0, 1)``, since the
-    rate at rank 0 is zero.
+    rate at rank 0 is zero.  A separated truth comes from the dry run of a
+    config equal to ``cfg`` when that run kept it (see :func:`_separated_truths`).
     """
     if s_mult == 0.0:
         if cfg.k0 == 0:
             return np.zeros((cfg.m1, cfg.m2))
         return make_low_rank(cfg.m1, cfg.m2, cfg.k0, a=cfg.a, seed=child_seed(cfg.seed, 10, idx))
+    kept_cfg, truths = _kept_truths  # one read: another thread may replace it
+    if kept_cfg == cfg:
+        return truths[idx]
     unit = math.sqrt(minimax_rate_sq(cfg.m1, cfg.m2, max(cfg.k0, 1), cfg.n))
     return separated_truth(cfg.m1, cfg.m2, cfg.k0, a=cfg.a, rho=s_mult * unit,
                            seed=child_seed(cfg.seed, 10, idx))
+
+
+#: Most bytes of separated truths that a ``test_power`` dry run keeps for the
+#: run's replicates: 16 MiB holds 5,242 truths at 20x20.  The replicates of a
+#: larger run build their truths again.
+KEPT_TRUTH_BYTES = 16 * 2 ** 20
+
+#: ``(config, truths by job index)`` of the last dry run that kept its truths.
+_kept_truths = (None, {})
+
+
+def _separated_truths(cfg: ExperimentConfig) -> None:
+    """Dry run of ``validate``: build every separated job's truth, so an entry
+    bound too small for any of them fails there and not after calibration.
+
+    When the truths fit in :data:`KEPT_TRUTH_BYTES`, they are kept, read-only,
+    with a copy of ``cfg``, and :func:`_power_truth` hands them to the
+    replicates of a config equal to it.  :func:`run` validates before its
+    pool forks, so the workers find them too, and a run builds each truth once.
+    """
+    global _kept_truths
+    separated = [(idx, s_mult) for idx, s_mult, _ in _jobs(cfg) if s_mult != 0.0]
+    keep = len(separated) * cfg.m1 * cfg.m2 * 8 <= KEPT_TRUTH_BYTES
+    truths = {}
+    for idx, s_mult in separated:
+        M = _power_truth(cfg, s_mult, idx)
+        if keep:
+            M.flags.writeable = False
+            truths[idx] = M
+    _kept_truths = (replace(cfg), truths) if keep else (None, {})
 
 
 def _power_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:

@@ -446,6 +446,45 @@ class TestTestPower:
         unit = math.sqrt(core.minimax_rate_sq(20, 20, 1, 300))
         assert np.linalg.norm(M) == pytest.approx(25.0 * unit, rel=1e-12)
 
+    def test_run_builds_each_separated_truth_once(self, tmp_path, monkeypatch):
+        # power-small at seed 1: the dry run of validate builds the 30
+        # separated truths and the replicates reuse them, serial or in a pool
+        # of 2, with the records of a run whose replicates build them again.
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
+                               k0=1, a=30.0, noise=RADEMACHER, alpha=0.1, restarts=8,
+                               separation_grid=(0.0, 25.0), reps=30, seed=1)
+        builds = multiprocessing.get_context("fork").Value("i", 0)  # pool workers count too
+
+        def counting(*args, **kwargs):
+            with builds.get_lock():
+                builds.value += 1
+            return separated_truth(*args, **kwargs)
+
+        def built(**run_kw) -> tuple:
+            monkeypatch.setattr(bench, "_kept_truths", (None, {}))
+            builds.value = 0
+            records = records_bytes(cfg, tmp_path / "records.csv", **run_kw)
+            return builds.value, records
+
+        monkeypatch.setattr(bench, "separated_truth", counting)
+        with monkeypatch.context() as mp:
+            mp.setattr(bench, "KEPT_TRUTH_BYTES", 0)
+            count, rebuilt = built()
+        assert count == 60
+        assert built() == (30, rebuilt)
+        assert built(threads=2) == (30, rebuilt)
+
+    def test_kept_truths_serve_only_an_equal_config(self):
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=10, m2=10, n=60,
+                               k0=1, a=9.0, noise=RADEMACHER, alpha=0.1, reps=3, seed=6,
+                               separation_grid=(0.0, 4.0))
+        cfg.validate()
+        kept = bench._power_truth(cfg, 4.0, 3)
+        assert not kept.flags.writeable  # a replicate cannot change a later one's truth
+        assert bench._power_truth(dataclasses.replace(cfg), 4.0, 3) is kept
+        other = bench._power_truth(dataclasses.replace(cfg, seed=7), 4.0, 3)
+        assert other is not kept and not np.array_equal(other, kept)
+
     def test_samples_in_the_bernoulli_model_whatever_model_says(self, tmp_path):
         # The low-rank test belongs to the one-shot model; `model` is read by
         # `risk` alone, so a test_power config that names the trace model

@@ -75,10 +75,11 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
     search before momentum was added.  With ``momentum`` and ``rejoin`` a
     start also ends once an accepted iterate comes within Frobenius distance
     ``d_S`` of a point ``S`` where an earlier start stalled, with
-    ``d_S^2 + 2 r_S d_S = |g_S|/2``; ``rejoin=False`` is the momentum search
-    before that rule.  Each fallback appends the projection count of its
-    start to ``momentum_restarts``, and each stall point appends ``(S, g_S)``
-    to ``stall_points``, when that list is given."""
+    ``d_S^2 + 2 r_S d_S = |g_S|/2``, and no further random start runs once
+    two random starts have ended that way; ``rejoin=False`` is the momentum
+    search before those rules.  Each fallback appends the projection count of
+    its start to ``momentum_restarts``, and each stall point appends
+    ``(S, g_S)`` to ``stall_points``, when that list is given."""
     if not 0 <= k0 < min(data.m1, data.m2):
         raise DomainError(f"k0 must lie in [0, {min(data.m1, data.m2) - 1}], got {k0}")
     if a <= 0:
@@ -130,6 +131,7 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
     g_hi = -math.inf
     improved_any = False
     stalls = [] if momentum and rejoin else None
+    random_rejoins = 0
 
     def consider(A, g):
         nonlocal g_best, A_best, g_lo, g_hi
@@ -138,7 +140,9 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
         if g_best is None or abs(g) < abs(g_best):
             g_best, A_best = g, A
 
-    for A in starts:
+    for i, A in enumerate(starts):
+        if i >= 2 and stalls is not None and random_rejoins >= 2:
+            break
         g = g_of(A)
         g_start = g
         consider(A, g)
@@ -169,6 +173,7 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
             if stalls is not None and any(np.sum((A - S) ** 2) <= d_S ** 2
                                           for S, d_S in stalls):
                 stalled = False
+                random_rejoins += i >= 2
                 break
         if stalled and stalls is not None:
             half = abs(g) / 2.0
@@ -191,16 +196,19 @@ def _infimum_stat_reference(data, k0, a, sigma, restarts=8, seed=0, max_iter=120
 
 
 #: Searches for the reference test: (m1, m2, truth, k0, entry bound a).  The
-#: null truths have rank k0 and the signal truths rank 3.  Each search takes
-#: 14 to 24 steps, nearly all of which rescale into the box (42 to 50 without
-#: the rejoin rule), and falls back from a momentum step to the plain step at
-#: least once; the lbdemo case below ends with a bracketed zero.
+#: null truths have rank k0 and the signal truths rank 3.  Each search makes
+#: 11 to 42 projections, nearly all of which rescale into the box (44 to 52
+#: without the rejoin rules), and falls back from a momentum step to the plain
+#: step at least once; the lbdemo case below ends with a bracketed zero.  Each
+#: bound keeps its search above the 10 projections the tests below require:
+#: at a = 0.3, 1.0 and 1.5 the last three make 9, as their first two random
+#: starts rejoin the zero start's stall point within two steps each.
 SEARCH_CASES = {
     "null-k0=1-20x20": (20, 20, "null", 1, 0.3),
     "signal-k0=1-20x20": (20, 20, "signal", 1, 3.0),
-    "null-k0=2-20x20": (20, 20, "null", 2, 0.3),
-    "signal-k0=2-20x20": (20, 20, "signal", 2, 1.0),
-    "signal-k0=1-12x20": (12, 20, "signal", 1, 1.5),
+    "null-k0=2-20x20": (20, 20, "null", 2, 0.4),
+    "signal-k0=2-20x20": (20, 20, "signal", 2, 2.0),
+    "signal-k0=1-12x20": (12, 20, "signal", 1, 3.0),
 }
 
 
@@ -222,15 +230,35 @@ def _search_case(case):
     return data, dict(k0=k0, a=a, sigma=0.5, restarts=8, seed=76 + k0)
 
 
-def _power_small_h1(idx):
-    """Separated replicate ``idx`` of power-small (criterion 07 shape, seed
-    8) and the keywords of its search."""
+def _power_small_job(idx, seed=8):
+    """Job ``idx`` of power-small (criterion 07 shape) at ``seed`` and the
+    keywords of its search: jobs 0-29 are nulls, jobs 30-59 separated."""
     cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
                            k0=1, a=30.0, noise=RADEMACHER, separation_grid=(0.0, 25.0),
-                           restarts=8, reps=30, seed=8)
-    data = sample_bernoulli(_power_truth(cfg, 25.0, idx), cfg.n, noise=RADEMACHER,
-                            seed=child_seed(cfg.seed, 11, idx))
+                           restarts=8, reps=30, seed=seed)
+    M = _power_truth(cfg, 0.0 if idx < cfg.reps else 25.0, idx)
+    data = sample_bernoulli(M, cfg.n, noise=RADEMACHER, seed=child_seed(cfg.seed, 11, idx))
     return data, dict(k0=1, a=30.0, sigma=0.5, restarts=8, seed=child_seed(cfg.seed, 12, idx))
+
+
+def _count_random_draws(monkeypatch) -> list:
+    """Shapes of the standard normal factors that ``infimum_stat`` draws,
+    appended as it draws them: two per random start."""
+    drawn = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self.rng.standard_normal(size)
+
+        def uniform(self, low, high):
+            return self.rng.uniform(low, high)
+
+    monkeypatch.setattr(bernoulli_uq, "rng_for", lambda *key: Counting(rng_for(*key)))
+    return drawn
 
 
 def _count_truncations(monkeypatch) -> dict:
@@ -431,7 +459,7 @@ class TestInfimumStat:
         # statistic up to rounding.
         counts = _count_truncations(monkeypatch)
         for idx in range(30, 33):  # the first separated replicates
-            data, kw = _power_small_h1(idx)
+            data, kw = _power_small_job(idx)
             del counts["got"][:], counts["want"][:]
             got = infimum_stat(data, **kw)
             want = _infimum_stat_reference(data, rejoin=False, **kw)
@@ -439,6 +467,49 @@ class TestInfimumStat:
             assert want.value > 0.0 and got.value > 0.0
             assert got.value == pytest.approx(want.value, rel=1e-8, abs=0.0)
             assert got.gap_flag == want.gap_flag
+
+    def test_power_small_search_draws_fewer_random_starts(self, monkeypatch):
+        # Two of a separated power-small search's random starts rejoin an
+        # earlier start's stall point, so it draws no more of the 8 it may: the
+        # same statistic up to rounding as the search that runs every start
+        # to its end, from fewer projections.
+        data, kw = _power_small_job(30)
+        drawn = _count_random_draws(monkeypatch)
+        counts = _count_truncations(monkeypatch)
+        got = infimum_stat(data, **kw)
+        want = _infimum_stat_reference(data, rejoin=False, **kw)
+        assert 2 <= len(drawn) // 2 < kw["restarts"]
+        assert len(counts["got"]) < len(counts["want"])
+        assert not got.bracketed_zero and not want.bracketed_zero
+        assert got.value == pytest.approx(want.value, rel=1e-8, abs=0.0)
+        assert got.gap_flag == want.gap_flag
+
+    def test_third_random_start_still_brackets_after_stalls(self, monkeypatch):
+        # power-small's null at seed 1, job 6: the zero, spectral and first
+        # two random starts each stall, none rejoins, and the third random
+        # start brackets zero, so the search still draws it.
+        data, kw = _power_small_job(6, seed=1)
+        assert not infimum_stat(data, **dict(kw, restarts=2)).bracketed_zero
+        drawn = _count_random_draws(monkeypatch)
+        res = infimum_stat(data, **kw)
+        assert res.bracketed_zero and res.value == 0.0
+        assert len(drawn) // 2 == 3
+
+    @pytest.mark.parametrize("case", ["power-small-h1", *SEARCH_CASES, "lbdemo-h1-96"])
+    def test_two_random_starts_are_never_skipped(self, case, monkeypatch):
+        # The rule stops only after two random starts have rejoined, so a
+        # search with restarts=2, as lbdemo's, runs the same with or without it.
+        data, kw = _power_small_job(30) if case == "power-small-h1" else _search_case(case)
+        kw = dict(kw, restarts=2)
+        drawn = _count_random_draws(monkeypatch)
+        got = infimum_stat(data, **kw)
+        draws_got = drawn[:]
+        del drawn[:]
+        monkeypatch.setattr(bernoulli_uq, "RANDOM_REJOINS_TO_STOP", math.inf)
+        want = infimum_stat(data, **kw)
+        assert draws_got == drawn
+        assert got.value == want.value and got.bracketed_zero == want.bracketed_zero
+        np.testing.assert_array_equal(got.minimizer, want.minimizer)
 
     def test_rejoin_ball_is_a_point_where_g_is_zero(self):
         # At sigma = 0 a rank-1 fit through two observed entries stalls at
@@ -455,7 +526,7 @@ class TestInfimumStat:
         # sum stays within |g_S|/2 of g_S, so no candidate there can bracket
         # zero.  The bound is tight along the observed residual: the point
         # S - d_S R/|R|_F reaches g_S + |g_S|/2.
-        data, kw = _power_small_h1(30) if case == "power-small-h1" else _search_case(case)
+        data, kw = _power_small_job(30) if case == "power-small-h1" else _search_case(case)
         stall_points = []
         _infimum_stat_reference(data, stall_points=stall_points, **kw)
         assert stall_points

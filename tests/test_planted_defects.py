@@ -60,13 +60,18 @@ check on clean code and one for each defect, and exit status 1 when a check
 fails on clean code or a defect goes unseen.  It then prints the value of
 every check on clean code and with every defect planted (a few minutes on
 one core), and for each check the defects it sees: a check that sees only
-its own defect guards nothing else.
+its own defect guards nothing else.  Last, it runs acceptance criteria
+01-10 at their own tolerances on clean code and with every defect planted,
+and prints each criterion's verdicts and the defects it sees.
 """
 
 import contextlib
 import dataclasses
+import inspect
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +245,12 @@ def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
                               t.ravel())
 
 
+def blind_replicate(m, n, k0, k, rho, reveal_sigma, seed, reps, j):
+    """lbdemo's job with the variance never revealed; a named function, so a
+    pool can pickle it as the job it maps."""
+    return _REPLICATE(m, n, k0, k, rho, False, seed, reps, j)
+
+
 #: Checks: name -> (measure, whether its value holds).
 CHECKS = {
     "u_statistic-unbiased": (u_statistic_bias_z, lambda z: abs(z) <= 4),
@@ -285,10 +296,8 @@ DEFECTS = {
     "pair_repeats-mixes-entries": ("u_statistic-unbiased", trace_uq, "pair_repeats",
                                    pair_consecutive),
     # lbdemo's tests never learn the variance, so the revealed demo is blind.
-    "lbdemo-ignores-reveal_sigma": (
-        "lbdemo-revealed-separates", lbdemo, "_replicate",
-        lambda m, n, k0, k, rho, reveal_sigma, seed, reps, j:
-            _REPLICATE(m, n, k0, k, rho, False, seed, reps, j)),
+    "lbdemo-ignores-reveal_sigma": ("lbdemo-revealed-separates", lbdemo, "_replicate",
+                                    blind_replicate),
     # The calibrated threshold is the 1 - alpha/300 quantile of the null
     # draws, their largest at 1,000 draws, in place of 1 - alpha/3.
     "u_alpha_calibrated-quantile-too-high": (
@@ -385,8 +394,55 @@ def print_defect_matrix() -> None:
         print(f"{check} fails under: {', '.join(names) or 'no defect'}")
 
 
+def criteria_verdicts() -> list[str]:
+    """Run acceptance criteria 01-10 of ``test_acceptance.py`` at their own
+    tolerances and return each one's verdict in order: ``PASS``, ``FAIL``, or
+    ``ERR`` when it raised before reaching its check."""
+    import test_acceptance as acceptance  # its warning filter stays out of tier-1
+
+    criteria = sorted(name for name in vars(acceptance) if name.startswith("test_criterion_"))
+    verdicts = []
+
+    def record(num, name, ok, detail):
+        verdicts[-1] = "PASS" if ok else "FAIL"
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(acceptance, "check", record)
+        for name in criteria:
+            fn = getattr(acceptance, name)
+            args = (Path(tmp),) if "tmp_path" in inspect.signature(fn).parameters else ()
+            verdicts.append("ERR")
+            try:
+                fn(*args)
+            except Exception as e:  # reported, and the other criteria still run
+                print(f"{name} raised {type(e).__name__}: {e}")
+    return verdicts
+
+
+def print_criteria_matrix() -> None:
+    """Print the verdict of each acceptance criterion on clean code and with
+    each defect planted, ``FAIL*`` where a criterion fails, then the defects
+    that each criterion sees: a criterion that sees none has no teeth
+    against this panel's defects."""
+    seen = {}
+    print(f"{'defect':38}" + "".join(f"{f'c{num:02d}':>6}" for num in range(1, 11)))
+    for name, (_, module, attr, replacement) in {"(clean)": (None,) * 4, **DEFECTS}.items():
+        with pytest.MonkeyPatch.context() as mp:
+            if module is not None:
+                mp.setattr(module, attr, replacement)
+            verdicts = criteria_verdicts()
+        for num, verdict in enumerate(verdicts, 1):
+            if verdict != "PASS":
+                seen.setdefault(num, []).append(name)
+        print(f"{name:38}" + "".join(f"{v + '*' * (v != 'PASS'):>6}" for v in verdicts),
+              flush=True)
+    for num in range(1, len(verdicts) + 1):
+        print(f"criterion {num:02d} fails under: {', '.join(seen.get(num, [])) or 'no defect'}")
+
+
 if __name__ == "__main__":
     status = pytest.main([__file__, f"{search_quality.__file__}::"
                           "test_momentum_search_is_no_weaker_on_each_group", "-v"])
     print_defect_matrix()
+    print_criteria_matrix()
     sys.exit(status)
