@@ -25,7 +25,7 @@ import math
 import operator
 import time
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,8 @@ INTP_MAX = int(np.iinfo(np.intp).max)
 #: Most replicates of one run (``reps`` times the grid cells of its kind), and
 #: most calibration draws (``cal_reps``).  A run keeps every job and its
 #: record until it aggregates, about 1.3 KiB each, and lbdemo keeps a row of
-#: four statistics per calibration draw: about 130 MiB at the cap.  The
-#: ``test_power`` dry run in ``validate`` builds every separated truth first,
+#: four statistics per calibration draw: about 130 MiB at the cap.  Building a
+#: ``test_power`` config runs a dry run that builds every separated truth,
 #: 0.24 ms each at 20x20, so it finishes in about 25 s at the cap; it keeps
 #: them for the replicates only up to ``KEPT_TRUTH_BYTES``.
 MAX_REPLICATES = 10 ** 5
@@ -96,8 +96,8 @@ class FieldRule:
     """What one config field may hold, and which runs read it.
 
     ``json`` is the field's JSON type and ``entries`` the type of an array's
-    entries.  An ``"object"``, the noise law, is checked by ``from_dict``
-    and :class:`NoiseSpec`.  A string must be one of ``choices``.  ``ge``,
+    entries.  An ``"object"``, the noise law, is checked by :class:`NoiseSpec`
+    when the config is built.  A string must be one of ``choices``.  ``ge``,
     ``gt``, ``le`` and ``lt`` bound a number or each entry of an array,
     whatever the kind, and an array's entries are distinct grid cells.
     ``readers`` are the kinds and methods that read the field, every kind
@@ -146,11 +146,14 @@ _DRAWN = _SETS + ("risk", "test_power")  # lbdemo draws its own truth and noise
 _TESTED = ("adaptive_ci", "test_power")  # the runs of the low-rank test
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment of a run: every field can change its results, and the
     output directory is left to ``uq run --out``.  Each field declares its
-    :class:`FieldRule` beside its default; README's schema table lists them."""
+    :class:`FieldRule` beside its default; README's schema table lists them.
+    A config checks itself when it is built, raising :class:`DomainError`,
+    and is frozen, so every config is valid; ``dataclasses.replace``
+    overrides a field and checks the new config."""
 
     kind: str = _field(MISSING, "string", choices=KINDS)
     model: str = _field("trace", "string", choices=MODELS, readers=("risk",))
@@ -182,45 +185,47 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of the JSON object ``d``, which must name ``kind`` and
+        no unknown field; building it checks the rest."""
         if not isinstance(d, dict):
             raise DomainError(f"config must be a JSON object, got {type(d).__name__}")
-        d = dict(d)
         unknown = set(d) - set(RULES)
         if unknown:
             raise DomainError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(d.get("noise"), dict):
-            try:
-                d["noise"] = NoiseSpec(**d["noise"])
-            except (TypeError, DomainError) as e:
-                raise DomainError(f"noise: {e}") from e
-        elif "noise" in d and not isinstance(d["noise"], NoiseSpec):
-            raise DomainError(f"noise: must be an object with kind, sigma and U, "
-                              f"got {type(d['noise']).__name__}")
-        for key, rule in RULES.items():
-            if rule.entries and isinstance(d.get(key), list):
-                d[key] = tuple(d[key])
         if "kind" not in d:
             raise DomainError("kind: required field is missing")
         return cls(**d)
 
     def reads(self, name: str) -> bool:
-        """Whether a run of this valid config reads field ``name``."""
+        """Whether a run of this config reads field ``name``."""
         readers = RULES[name].readers
         return readers is None or self.kind in readers or (
             self.kind in _SETS and self.method in readers)
 
     def sampling_model(self) -> str:
-        """The model a run of this valid config samples in: that of its
+        """The model a run of this config samples in: that of its
         confidence set, ``model`` for ``risk``, and the one-shot model for the
         low-rank test and ``lbdemo``."""
         if self.kind in _SETS:
             return METHODS[self.method]
         return self.model if self.kind == "risk" else "bernoulli"
 
-    def validate(self) -> None:
-        """Raise :class:`DomainError` naming every field that breaks its own
-        rule; when none does, every broken rule between fields; when none is,
-        the ``test_power`` truth that does not fit inside the entry bound."""
+    def __post_init__(self):
+        """Turn a ``noise`` object into its :class:`NoiseSpec` and a grid array
+        into a tuple; then raise :class:`DomainError` naming every field that
+        breaks its own rule; when none does, every broken rule between fields;
+        when none is, the ``test_power`` truth that does not fit inside ``a``."""
+        if isinstance(self.noise, dict):
+            try:
+                object.__setattr__(self, "noise", NoiseSpec(**self.noise))
+            except (TypeError, DomainError) as e:
+                raise DomainError(f"noise: {e}") from e
+        elif not isinstance(self.noise, NoiseSpec):
+            raise DomainError(f"noise: must be an object with kind, sigma and U, "
+                              f"got {type(self.noise).__name__}")
+        for name, rule in RULES.items():
+            if rule.entries and isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         errors = [e for name, rule in RULES.items() if (e := rule.error(name, getattr(self, name)))]
         if _is_int(self.m1) and _is_int(self.m2) and self.m1 * self.m2 > INTP_MAX:
             errors.append(f"m1*m2: must be <= {INTP_MAX}, got {self.m1 * self.m2}")
@@ -450,10 +455,10 @@ def _build_ci(cfg: ExperimentConfig, data, threshold: float | None,
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, r))
 
 
-def _sample(cfg: ExperimentConfig, M, r: int):
+def _sample(cfg: ExperimentConfig, M, n: int, r: int):
     if cfg.sampling_model() == "trace":
-        return sample_trace(M, cfg.n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
-    return sample_bernoulli(M, cfg.n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
+        return sample_trace(M, n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
+    return sample_bernoulli(M, n, noise=cfg.noise, seed=child_seed(cfg.seed, 11, r))
 
 
 def _ci_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
@@ -465,7 +470,7 @@ def _ci_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) ->
     idx, *cell, r = job
     k_t = cell[0] if cell else cfg.k_truth
     M = make_low_rank(cfg.m1, cfg.m2, k_t, a=cfg.a, seed=child_seed(cfg.seed, 10, r, *cell))
-    data = _sample(cfg, M, r)
+    data = _sample(cfg, M, cfg.n, r)
     ball = _build_ci(cfg, data, threshold, r)
     return {
         "replicate": idx,
@@ -519,9 +524,8 @@ def _diameter_aggregates(cfg: ExperimentConfig, records: list) -> dict:
 
 def _risk_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
     idx, k_t, n_t, _ = job
-    sub = replace(cfg, k_truth=k_t, n=n_t)
-    M = make_low_rank(sub.m1, sub.m2, k_t, a=sub.a, seed=child_seed(cfg.seed, 10, idx))
-    data = _sample(sub, M, idx)
+    M = make_low_rank(cfg.m1, cfg.m2, k_t, a=cfg.a, seed=child_seed(cfg.seed, 10, idx))
+    data = _sample(cfg, M, n_t, idx)
     if cfg.model == "bernoulli":
         lam = estimate.lambda_data_driven(data)
         M_hat = clip_entries(estimate.soft_threshold_estimator(data, lam), cfg.a)
@@ -633,13 +637,13 @@ _kept_truths = (None, {})
 
 
 def _separated_truths(cfg: ExperimentConfig) -> None:
-    """Dry run of ``validate``: build every separated job's truth, so an entry
-    bound too small for any of them fails there and not after calibration.
+    """Dry run of building a config: build every separated job's truth, so an
+    entry bound too small for one of them fails there, not after calibration.
 
     When the truths fit in :data:`KEPT_TRUTH_BYTES`, they are kept, read-only,
-    with a copy of ``cfg``, and :func:`_power_truth` hands them to the
-    replicates of a config equal to it.  :func:`run` validates before its
-    pool forks, so the workers find them too, and a run builds each truth once.
+    with ``cfg``, and :func:`_power_truth` hands them to the replicates of a
+    config equal to it.  A config is built before :func:`run` forks its
+    pool, so the workers find them too, and a run builds each truth once.
     """
     global _kept_truths
     separated = [(idx, s_mult) for idx, s_mult, _ in _jobs(cfg) if s_mult != 0.0]
@@ -650,13 +654,13 @@ def _separated_truths(cfg: ExperimentConfig) -> None:
         if keep:
             M.flags.writeable = False
             truths[idx] = M
-    _kept_truths = (replace(cfg), truths) if keep else (None, {})
+    _kept_truths = (cfg, truths) if keep else (None, {})
 
 
 def _power_replicate(cfg: ExperimentConfig, threshold: float | None, job: tuple) -> dict:
     idx, s_mult, _ = job
     M = _power_truth(cfg, s_mult, idx)
-    data = _sample(cfg, M, idx)
+    data = _sample(cfg, M, cfg.n, idx)
     verdict = bernoulli_uq.low_rank_test(
         data, cfg.k0, a=cfg.a, sigma=cfg.noise.sigma, threshold=threshold,
         restarts=cfg.restarts, seed=child_seed(cfg.seed, 12, idx))
@@ -746,14 +750,14 @@ KINDS.update({
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Validate ``config`` once and run the experiment of its kind.
+    """Run the experiment of ``config``'s kind; the config checked itself
+    when it was built.
 
     The run and its pool, which forks before any stage, compute on one BLAS
     thread, and the caller's count comes back after.  Every job derives its
     streams from the seed and its own coordinates, and records come back in
     job order, so serial and parallel runs give the same records.
     """
-    config.validate()
     t0 = time.perf_counter()
     kind = KINDS[config.kind]
     with _one_blas_thread():

@@ -46,9 +46,9 @@ def _keep_freed_heap() -> None:
             mallopt(-1, 64 << 20)
 
 
-def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
-    """Parse the config at ``path`` into its JSON object and the config;
-    validation is left to the command."""
+def _load_config(path: str, **overrides) -> tuple[dict, ExperimentConfig]:
+    """The JSON object at ``path``, with each override that is not None set on
+    it, and the config built from it once, which checks itself."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -56,6 +56,8 @@ def _load_config(path: str) -> tuple[dict, ExperimentConfig]:
         raise DomainError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DomainError(f"config {path} is not valid JSON: {e}") from e
+    if isinstance(raw, dict):
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     return raw, ExperimentConfig.from_dict(raw)
 
 
@@ -69,11 +71,7 @@ def _writing(out_dir: Path):
 
 
 def _cmd_run(args) -> int:
-    _, cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.reps is not None:
-        cfg.reps = args.reps
+    _, cfg = _load_config(args.config, seed=args.seed, reps=args.reps)
     out_dir = Path(args.out)
     # The directory is made before the run, so an unusable one fails before
     # any replicate; a run that fails removes the directories made here.
@@ -81,7 +79,7 @@ def _cmd_run(args) -> int:
         made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = run(cfg, threads=args.threads)  # validates the overridden config
+        report = run(cfg, threads=args.threads)
     except BaseException:
         for d in made:  # the deepest first
             with contextlib.suppress(OSError):
@@ -99,7 +97,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     raw, cfg = _load_config(args.config)
-    cfg.validate()
     print(f"config ok: kind={cfg.kind} model={cfg.sampling_model()} {cfg.m1}x{cfg.m2} "
           f"n={cfg.n} reps={cfg.reps} seed={cfg.seed}")
     ignored = [name for name in raw if not cfg.reads(name)]

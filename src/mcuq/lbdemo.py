@@ -182,9 +182,8 @@ def setting_errors(cfg) -> list[str]:
 
 def indistinguishability_experiment(cfg, *, map_fn=map) -> dict:
     """Measure type I + type II error of each of the four tests against the
-    hidden prior, as set by ``cfg``, an lbdemo :class:`mcuq.bench.ExperimentConfig`.
-    It runs ``cfg.validate()`` before any job, so it rejects exactly what
-    ``uq validate`` rejects, in the same words.
+    hidden prior, as set by ``cfg``, an lbdemo :class:`mcuq.bench.ExperimentConfig`,
+    which checked lbdemo's rules (:func:`setting_errors`) when it was built.
 
     Every test is a statistic of :func:`_statistics`, with its rejection
     threshold calibrated to level :data:`ALPHA_TEST` on simulated null datasets.
@@ -199,7 +198,6 @@ def indistinguishability_experiment(cfg, *, map_fn=map) -> dict:
     """
     if cfg.kind != "lbdemo":
         raise DomainError(f"kind: the experiment needs an lbdemo config, got {cfg.kind!r}")
-    cfg.validate()
     m, n, k0, k, v, reps = cfg.m1, cfg.n, cfg.k0, cfg.k, cfg.v, cfg.reps
     if k > m ** (1 / 3):
         import warnings

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -48,6 +50,10 @@ def _load_perfbench(name="tracer"):
     return module
 
 
+#: The benchmark's workloads, whose configs `uq run` reads unchanged.
+WORKLOADS = _load_perfbench("workloads")
+
+
 def _schema_row(name: str) -> list[str]:
     """README's schema columns type, bounds, read by and default for a field,
     as its rule and its dataclass default give them."""
@@ -69,7 +75,7 @@ def _schema_row(name: str) -> list[str]:
 class TestConfig:
     def test_readme_schema_table_follows_the_rules(self):
         # README lists every field once, in declaration order, with the type,
-        # bounds, readers and default that validate() and the dataclass use.
+        # bounds, readers and default that the dataclass declares and checks.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
         rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
@@ -92,9 +98,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"model": "trace"})
 
     def test_field_level_messages(self):
-        cfg = coverage_config(alpha=2.0, n=0)
         with pytest.raises(DomainError) as exc:
-            cfg.validate()
+            coverage_config(alpha=2.0, n=0)
         assert "alpha" in str(exc.value)
         assert "n:" in str(exc.value)
 
@@ -106,10 +111,8 @@ class TestConfig:
             })
 
     def test_bernoulli_needs_n_within_grid(self):
-        cfg = coverage_config(model="bernoulli", method="adaptive_ci",
-                              n=200, k0=1, k=3)
         with pytest.raises(DomainError, match="n:"):
-            cfg.validate()
+            coverage_config(model="bernoulli", method="adaptive_ci", n=200, k0=1, k=3)
 
     @pytest.mark.parametrize("overrides, message", [
         # The center of each confidence set and of a risk run takes its
@@ -275,7 +278,7 @@ class TestConfig:
     def test_fails_closed(self, tmp_path, capsys, overrides, message):
         raw = {**coverage_config().to_dict(), **overrides}
         with pytest.raises(DomainError) as exc:
-            ExperimentConfig.from_dict(raw).validate()
+            ExperimentConfig.from_dict(raw)
         assert str(exc.value) == message
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -308,10 +311,44 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "config error: noise: failed to bracket the truncated Gaussian scale\n")
 
+    def test_noise_object_runs_as_its_spec(self, tmp_path):
+        # Built by keyword, a config turns a noise object into its NoiseSpec
+        # as from_dict does; such a run once ended in AttributeError.
+        as_object = coverage_config(noise={"kind": "uniform", "sigma": 0.1, "U": 1.0}, reps=4)
+        as_spec = coverage_config(noise=NoiseSpec("uniform", 0.1, 1.0), reps=4)
+        assert records_bytes(as_object, tmp_path / "object.csv") == records_bytes(
+            as_spec, tmp_path / "spec.csv")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(noise="x"), "noise: must be an object with kind, sigma and U, got str"),
+        (dict(kind="test_power", model="bernoulli", a=30.0,
+              noise={"kind": "uniform", "sigma": 0.5, "U": 0.5}),
+         "noise: uniform noise with sigma=0.5 needs half-width 0.866025 > U=0.5"),
+    ], ids=["string", "power-malformed-object"])
+    def test_bad_noise_fails_when_built(self, overrides, message):
+        with pytest.raises(DomainError) as exc:
+            coverage_config(**overrides)
+        assert str(exc.value) == message
+
+    def test_keyword_and_from_dict_build_equal_configs(self):
+        raw = {"kind": "test_power", "model": "bernoulli", "a": 30.0, "reps": 2,
+               "noise": {"kind": "uniform", "sigma": 0.25, "U": 0.5},
+               "separation_grid": [0.0, 5.0], "k_grid": [1, 2], "n_grid": [100, 200]}
+        by_keyword = ExperimentConfig(**raw)
+        assert by_keyword == ExperimentConfig.from_dict(raw)
+        assert by_keyword.noise == NoiseSpec("uniform", 0.25, 0.5)
+        assert (by_keyword.separation_grid, by_keyword.k_grid, by_keyword.n_grid) == (
+            (0.0, 5.0), (1, 2), (100, 200))
+
+    def test_fields_are_frozen(self):
+        cfg = coverage_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.reps = -1
+        assert cfg.reps == 12
+
     def test_lbdemo_requires_square(self):
-        cfg = ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
         with pytest.raises(DomainError, match="square"):
-            cfg.validate()
+            ExperimentConfig(kind="lbdemo", m1=10, m2=12, n=50, k0=1, k=2, v=0.1)
 
 
 class TestCoverage:
@@ -423,7 +460,7 @@ class TestTestPower:
             np.mean([r["reject"] for r in rep.records if r["separation"] == 0.0]))
 
     def test_no_zero_separation_has_no_size(self):
-        cfg = ExperimentConfig(kind="test_power", model="bernoulli", reps=2,
+        cfg = ExperimentConfig(kind="test_power", model="bernoulli", a=30.0, reps=2,
                                separation_grid=(4.0,))
         records = [{"separation": 4.0, "reject": 1}, {"separation": 4.0, "reject": 0}]
         agg = bench._power_aggregates(cfg, records)
@@ -447,12 +484,11 @@ class TestTestPower:
         assert np.linalg.norm(M) == pytest.approx(25.0 * unit, rel=1e-12)
 
     def test_run_builds_each_separated_truth_once(self, tmp_path, monkeypatch):
-        # power-small at seed 1: the dry run of validate builds the 30
-        # separated truths and the replicates reuse them, serial or in a pool
-        # of 2, with the records of a run whose replicates build them again.
-        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20, n=300,
-                               k0=1, a=30.0, noise=RADEMACHER, alpha=0.1, restarts=8,
-                               separation_grid=(0.0, 25.0), reps=30, seed=1)
+        # `uq run` of power-small at seed 1: building the config dry-runs the
+        # 30 separated truths and the replicates reuse them, serial or in a
+        # pool of 2, with the records of a run whose replicates build them again.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(WORKLOADS.config_for("power-small", 1)))
         builds = multiprocessing.get_context("fork").Value("i", 0)  # pool workers count too
 
         def counting(*args, **kwargs):
@@ -460,11 +496,12 @@ class TestTestPower:
                 builds.value += 1
             return separated_truth(*args, **kwargs)
 
-        def built(**run_kw) -> tuple:
+        def built(*flags) -> tuple:
             monkeypatch.setattr(bench, "_kept_truths", (None, {}))
             builds.value = 0
-            records = records_bytes(cfg, tmp_path / "records.csv", **run_kw)
-            return builds.value, records
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", str(path), "--out", str(out), *flags]) == 0
+            return builds.value, (out / "records.csv").read_bytes()
 
         monkeypatch.setattr(bench, "separated_truth", counting)
         with monkeypatch.context() as mp:
@@ -472,17 +509,19 @@ class TestTestPower:
             count, rebuilt = built()
         assert count == 60
         assert built() == (30, rebuilt)
-        assert built(threads=2) == (30, rebuilt)
+        assert built("--threads", "2") == (30, rebuilt)
 
     def test_kept_truths_serve_only_an_equal_config(self):
-        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=10, m2=10, n=60,
-                               k0=1, a=9.0, noise=RADEMACHER, alpha=0.1, reps=3, seed=6,
-                               separation_grid=(0.0, 4.0))
-        cfg.validate()
+        config = functools.partial(
+            ExperimentConfig, kind="test_power", model="bernoulli", m1=10, m2=10, n=60, k0=1,
+            a=9.0, noise=RADEMACHER, alpha=0.1, reps=3, separation_grid=(0.0, 4.0))
+        other_cfg = config(seed=7)
+        cfg = config(seed=6)  # built last, so its dry run's truths are the kept ones
         kept = bench._power_truth(cfg, 4.0, 3)
         assert not kept.flags.writeable  # a replicate cannot change a later one's truth
-        assert bench._power_truth(dataclasses.replace(cfg), 4.0, 3) is kept
-        other = bench._power_truth(dataclasses.replace(cfg, seed=7), 4.0, 3)
+        # A pool worker unpickles an equal copy, which runs no dry run of its own.
+        assert bench._power_truth(pickle.loads(pickle.dumps(cfg)), 4.0, 3) is kept
+        other = bench._power_truth(other_cfg, 4.0, 3)
         assert other is not kept and not np.array_equal(other, kept)
 
     def test_samples_in_the_bernoulli_model_whatever_model_says(self, tmp_path):
@@ -492,7 +531,6 @@ class TestTestPower:
         cfg = ExperimentConfig(kind="test_power", model="trace", m1=10, m2=10,
                                n=60, k0=1, a=9.0, noise=RADEMACHER, alpha=0.1,
                                reps=4, seed=6, separation_grid=(0.0, 4.0), restarts=1)
-        cfg.validate()
         assert cfg.sampling_model() == "bernoulli"
         assert records_bytes(cfg, tmp_path / "trace.csv") == records_bytes(
             dataclasses.replace(cfg, model="bernoulli"), tmp_path / "bernoulli.csv")
@@ -695,12 +733,12 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw, line", [
-        (_load_perfbench("workloads").config_for("lbdemo-large", 1),
+        (WORKLOADS.config_for("lbdemo-large", 1),
          "ignored by kind=lbdemo: noise, alpha"),
         # The confidence set and the low-rank test fix the sampling model.
-        (_load_perfbench("workloads").config_for("uci-small", 1),
+        (WORKLOADS.config_for("uci-small", 1),
          "ignored by kind=coverage method=u_ci: model"),
-        (_load_perfbench("workloads").config_for("power-small", 1),
+        (WORKLOADS.config_for("power-small", 1),
          "ignored by kind=test_power: model"),
         ({"kind": "coverage", "method": "u_ci", "m1": 8, "m2": 8, "n": 64, "restarts": 2},
          "ignored by kind=coverage method=u_ci: restarts"),
@@ -725,6 +763,17 @@ class TestCli:
         assert rest == ([line] if line else [])
         if raw.get("reps") == 2:  # each config once rejected runs, too
             assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+    def test_every_benchmark_config_builds(self, tmp_path, capsys, name):
+        # The benchmark builds each workload's config with from_dict and runs
+        # it with `uq run`, so a schema change that would break one fails here.
+        raw = WORKLOADS.config_for(name, 1)
+        assert ExperimentConfig.from_dict(raw).kind == raw["kind"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"config ok: kind={raw['kind']} ")
 
     def test_validate_prints_the_sampling_model(self, tmp_path, capsys):
         # The confidence set, the low-rank test and lbdemo fix the model a
@@ -763,8 +812,8 @@ class TestCli:
 
     def test_run_domain_error_exits_two(self, tmp_path, capsys, monkeypatch):
         # A parameter that only the run finds out of range exits 2 with one
-        # line.  validate() catches every such config it knows of, so the
-        # run is made to raise.
+        # line.  Building the config catches every such config it knows of,
+        # so the run is made to raise.
         path = self.write_config(tmp_path)
 
         def failing_run(config, threads=1):
@@ -795,11 +844,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_small_entry_bound(self, tmp_path, capsys):
-        cfg = ExperimentConfig(kind="test_power", model="bernoulli", m1=20, m2=20,
-                               n=300, k0=1, a=1.0, noise=RADEMACHER, reps=1,
-                               seed=7, separation_grid=(25.0,), cal_reps=100)
+        raw = {"kind": "test_power", "model": "bernoulli", "m1": 20, "m2": 20, "n": 300,
+               "k0": 1, "a": 1.0, "reps": 1, "seed": 7, "separation_grid": [25.0],
+               "cal_reps": 100}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(raw))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -807,20 +856,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_run_validates_once_after_overrides(self, tmp_path, monkeypatch):
+    def test_run_builds_its_config_once_after_overrides(self, tmp_path, monkeypatch):
+        # The overrides are set on the JSON object, so the config is built,
+        # and its rules between fields checked, once and with them.
         path = self.write_config(tmp_path)
-        seen = []
-        real_validate = ExperimentConfig.validate
+        built, checked = [], []
+        real_build, real_errors = ExperimentConfig.__post_init__, ExperimentConfig._errors
 
-        def counting_validate(config):
-            seen.append(config.reps)
-            real_validate(config)
+        def counting_build(config):
+            real_build(config)
+            built.append(config.reps)
 
-        monkeypatch.setattr(ExperimentConfig, "validate", counting_validate)
+        def counting_errors(config):
+            checked.append(config.reps)
+            return real_errors(config)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting_build)
+        monkeypatch.setattr(ExperimentConfig, "_errors", counting_errors)
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                          "--reps", "3"])
         assert code == 0
-        assert seen == [3]
+        assert built == checked == [3]
 
     @pytest.mark.parametrize("field, value, message", [
         ("reps", -1, "reps: must be >= 0, got -1"),
@@ -946,9 +1002,9 @@ class TestCli:
         path = self.write_config(tmp_path)
         (tmp_path / "there").mkdir()
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "there/a/b"),
-                         "--reps", "-1"])
+                         "--threads", "0"])
         assert code == 2
-        assert capsys.readouterr().err == "config error: reps: must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "config error: --threads: must be >= 1, got 0\n"
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["there"]
         assert list((tmp_path / "there").iterdir()) == []
 
@@ -1144,7 +1200,7 @@ class TestMethodModelPairing:
         assert records_bytes(cfg, tmp_path / "bernoulli.csv") == records_bytes(
             dataclasses.replace(cfg, model="trace"), tmp_path / "trace.csv")
         with pytest.raises(DomainError, match="n: must be <= m1[*]m2=100 in the bernoulli"):
-            dataclasses.replace(cfg, method="adaptive_ci", k=3).validate()
+            dataclasses.replace(cfg, method="adaptive_ci", k=3)
 
 
 class TestTracerWraps:

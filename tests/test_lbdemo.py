@@ -159,13 +159,14 @@ def lbdemo_config(m: int, n: int, **settings) -> ExperimentConfig:
 
 
 class TestIndistinguishability:
-    # Each setting below fails `uq validate` for an lbdemo config.  The
-    # library call once ran with some of them: without calibration draws it
-    # ended in an IndexError from np.quantile; the swapped ranks (24x24,
-    # n = 144) and reps = -3 ran to a min_error_sum of 1.0; k above m and an
-    # n above the kept columns raised only from inside a mapped job.  When it
-    # took the settings one by one, an n above m*m raised the sampler's words
-    # from inside the first job, and v = 0 and n = 0 raised rho_for's words.
+    # Each setting below fails to build an lbdemo config, in the words that
+    # `uq validate` prints, so the library call never meets one.  It once ran
+    # with some of them: without calibration draws it ended in an IndexError
+    # from np.quantile; the swapped ranks (24x24, n = 144) and reps = -3 ran
+    # to a min_error_sum of 1.0; k above m and an n above the kept columns
+    # raised only from inside a mapped job.  When it took the settings one by
+    # one, an n above m*m raised the sampler's words from inside the first
+    # job, and v = 0 and n = 0 raised rho_for's words.
     @pytest.mark.parametrize("kwargs, message", [
         (dict(cal_reps=0), "cal_reps: lbdemo needs >= 1, got 0"),
         (dict(k0=2, k=1), "k0/k: need 0 <= k0 < k, got 2, 1"),
@@ -184,22 +185,12 @@ class TestIndistinguishability:
             "not-square"])
     def test_bad_test_settings_fail_closed(self, kwargs, message):
         settings = {**dict(m2=8, n=32, k0=1, k=2, v=0.5, reps=2, cal_reps=5, seed=1), **kwargs}
-        cfg = ExperimentConfig(kind="lbdemo", m1=8, **settings)
-        with pytest.raises(DomainError) as validated:
-            cfg.validate()
-        mapped = []
-
-        def recording_map(fn, jobs):
-            mapped.append(jobs)
-            return map(fn, jobs)
-
-        with pytest.raises(DomainError) as called:
-            indistinguishability_experiment(cfg, map_fn=recording_map)
-        assert str(called.value) == str(validated.value) == message
-        assert mapped == []
+        with pytest.raises(DomainError) as built:
+            ExperimentConfig(kind="lbdemo", m1=8, **settings)
+        assert str(built.value) == message
 
     def test_needs_an_lbdemo_config(self):
-        # A config of another kind does not meet lbdemo's rules in validate.
+        # A config of another kind was not checked against lbdemo's rules.
         cfg = ExperimentConfig(kind="coverage", m1=8, m2=8, n=32, k0=1, k=2, v=0.5, reps=2)
         with pytest.raises(DomainError, match="^kind: the experiment needs an lbdemo config, "
                                               "got 'coverage'$"):

@@ -53,6 +53,25 @@ fail, so the check shows it can.
   ``test_search_quality.py`` sees it: its ``lbdemo H1`` group's summed
   excess rises from 0.0007 to 0.127, against 0.025 for the plain search.
   That slice's clean pass is ``test_search_quality.py``'s own test.
+* The soft-threshold estimator's risk grows about linearly in the truth rank
+  when its data-driven ``lam`` is right: at criterion 06's shape the log-log
+  slope is 0.836, inside criterion 06's band 0.7-1.3.  A quarter of that
+  ``lam`` fits the noise and the slope falls to 0.318 (four times it, 0.305).
+* A run's records do not depend on the process that computes them: every
+  job's streams come from the seed and the job's own coordinates, so criterion
+  10's coverage run writes the same records serially and on a pool of 2.
+  Streams that also depend on the process id differ in every record.
+
+Criteria 02, 03 and 05 have no defect in this panel.  They call
+``split_sample``, ``pair_repeats``, ``sample_trace`` and ``rss_radius_sq``
+through the names ``test_acceptance.py`` binds at import, so a defect planted
+as a module attribute does not replace them, and those functions call no
+library function that one could replace, except the samplers' shared
+``synth.rng_for`` and ``synth.as_matrix``.  Criterion 02 also computes its
+statistic itself, on noise it draws.  The closed-form half of criterion 06 is
+not of this kind: ``soft_threshold_estimator`` looks up
+``estimate.singular_value_threshold`` at each call, and thresholding at half
+the level fails it (largest singular-value gap 0.95).
 
 Run as a script, ``PYTHONPATH=src python tests/test_planted_defects.py``, it
 runs these tests and the search-quality slice's verbosely: one line for each
@@ -69,6 +88,7 @@ import contextlib
 import dataclasses
 import inspect
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -76,7 +96,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcuq import bernoulli_uq, lbdemo, trace_uq
+from mcuq import bench, bernoulli_uq, estimate, lbdemo, trace_uq
 from mcuq.bench import ExperimentConfig, run, separated_truth
 from mcuq.core import NoiseSpec
 from mcuq.synth import TraceDataset, child_seed, make_low_rank, sample_bernoulli, sample_trace
@@ -91,6 +111,8 @@ _RSS_CI = trace_uq.rss_ci
 _REPLICATE = lbdemo._replicate
 _U_ALPHA_CALIBRATED = bernoulli_uq.u_alpha_calibrated
 _INFIMUM_STAT = bernoulli_uq.infimum_stat
+_LAMBDA_DATA_DRIVEN = estimate.lambda_data_driven
+_CHILD_SEED = bench.child_seed
 
 #: Criterion 01's shape at sigma = U = 0.5, rank 1, and its seed.
 M_SIDE, N, RANK, A, ALPHA, SEED, REPS = 30, 900, 1, 1.0, 0.1, 101, 300
@@ -236,6 +258,25 @@ def search_groups_failed() -> int:
     return sum(not search_quality.passes(grp) for grp in groups.values())
 
 
+def risk_rank_slope() -> float:
+    """Log-log slope of the median soft-threshold risk in the truth rank, in
+    criterion 06's risk run: 20x20, n = 200, sigma = U = 0.02, ranks 1, 2
+    and 4, 200 replicates each."""
+    cfg = ExperimentConfig(kind="risk", model="bernoulli", m1=20, m2=20, n=200, a=1.0,
+                           noise=NoiseSpec("scaled-rademacher", 0.02, 0.02), reps=200,
+                           seed=602, k_grid=(1, 2, 4))
+    return run(cfg).aggregates["slope_k"]
+
+
+def pool_records_differing() -> int:
+    """Records of criterion 10's coverage run (12x12, n = 144, 40 replicates)
+    that differ between a serial run and a pool of 2."""
+    cfg = ExperimentConfig(kind="coverage", model="trace", m1=12, m2=12, n=144, k_truth=2,
+                           a=1.0, noise=NOISE, alpha=0.1, reps=40, seed=1001, method="u_ci")
+    serial, pooled = (run(cfg, threads=threads).records for threads in (1, 2))
+    return sum(a != b for a, b in zip(serial, pooled))
+
+
 def pair_consecutive(half: TraceDataset) -> trace_uq.PairedSet:
     """Couple samples 0 and 1, 2 and 3, ..., whatever their positions."""
     t = np.arange(half.n - half.n % 2).reshape(-1, 2)
@@ -264,6 +305,9 @@ CHECKS = {
     "test-detects-near-boundary": (near_boundary_power, lambda power: power >= NEAR_FLOOR),
     # Its clean pass is test_search_quality.py's tier-1 test.
     "infimum-search-no-weaker": (search_groups_failed, lambda failed: failed == 0),
+    # Criterion 06's band on the slope.
+    "risk-slope-in-rank": (risk_rank_slope, lambda slope: 0.7 <= slope <= 1.3),
+    "pool-matches-serial": (pool_records_differing, lambda differing: differing == 0),
 }
 
 #: Planted defects: name -> (the check it must fail, module, attribute, replacement).
@@ -312,6 +356,12 @@ DEFECTS = {
         lambda data, k0, *, a, sigma, restarts=8, seed=0, max_iter=120, center=None:
             _INFIMUM_STAT(data, k0, a=a, sigma=sigma, restarts=0, seed=seed, max_iter=max_iter,
                           center=np.zeros((data.m1, data.m2)))),
+    # The soft-threshold estimator's data-driven lam is a quarter of its value.
+    "lambda_data_driven-over-4": ("risk-slope-in-rank", estimate, "lambda_data_driven",
+                                  lambda data: _LAMBDA_DATA_DRIVEN(data) / 4),
+    # Each job's streams also depend on the process that runs it.
+    "child_seed-per-process": ("pool-matches-serial", bench, "child_seed",
+                               lambda seed, *stream: _CHILD_SEED(seed, *stream, os.getpid())),
 }
 
 
@@ -360,6 +410,16 @@ def test_low_rank_test_detects_near_its_boundary():
 def test_lbdemo_revealed_tests_separate():
     err, holds = measure("lbdemo-revealed-separates")
     assert holds, f"min error sum {err:.3f}"
+
+
+def test_risk_grows_about_linearly_in_the_truth_rank():
+    slope, holds = measure("risk-slope-in-rank")
+    assert holds, f"slope {slope:.3f}"
+
+
+def test_pool_records_match_serial_records():
+    differing, holds = measure("pool-matches-serial")
+    assert holds, f"{differing} records differ"
 
 
 @pytest.mark.parametrize("name", DEFECTS)
